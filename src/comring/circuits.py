@@ -19,8 +19,9 @@ skipping supersets of deficient supports already found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import Callable, Iterable, Iterator
 
 from .core import Com, SignVector, is_oriented_matroid
 
@@ -32,17 +33,28 @@ class CircuitSet:
     n: int
     circuits: tuple[SignVector, ...]
     minimal_deficient_supports: tuple[frozenset[int], ...]
+    _members: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        members = frozenset((c.plus, c.minus) for c in self.circuits)
+        object.__setattr__(self, "_members", members)
+
+    def __contains__(self, x: SignVector) -> bool:
+        return (x.plus, x.minus) in self._members
+
+    def paired(self, x: SignVector) -> bool:
+        """True when -x is a circuit."""
+        return (x.minus, x.plus) in self._members
 
     def words(self) -> list[str]:
         return [c.word() for c in self.circuits]
 
     def symmetric_pairs(self) -> list[SignVector]:
         """One representative per pair {X, -X} with both members present."""
-        members = {(c.plus, c.minus) for c in self.circuits}
         reps = []
         seen = set()
         for c in self.circuits:
-            if (c.minus, c.plus) not in members or (c.plus, c.minus) in seen:
+            if not self.paired(c) or (c.plus, c.minus) in seen:
                 continue
             seen.add((c.minus, c.plus))
             reps.append(c)
@@ -50,8 +62,7 @@ class CircuitSet:
 
     def unpaired(self) -> list[SignVector]:
         """Circuits X with -X not a circuit."""
-        members = {(c.plus, c.minus) for c in self.circuits}
-        return [c for c in self.circuits if (c.minus, c.plus) not in members]
+        return [c for c in self.circuits if not self.paired(c)]
 
 
 def in_generator_set(L: Com, x: SignVector) -> bool:
@@ -83,40 +94,62 @@ def circuits(L: Com) -> CircuitSet:
 
     Intended for ground sets up to around 16 elements; the support scan
     prunes every superset of a deficient support already found.
+    Computed once per Com.
+    """
+    cov = L.covectors
+
+    def unrealized(mask: int) -> list[int]:
+        target = 1 << bin(mask).count("1")
+        realized: set[int] = set()
+        for v in cov:
+            if v.support & mask == mask:
+                realized.add(v.plus & mask)
+                if len(realized) == target:
+                    return []
+        return [pat for pat in submasks(mask) if pat not in realized]
+
+    return L._cached("circuits", lambda: minimal_support_walk(L.n, unrealized))
+
+
+def minimal_support_walk(n: int, unrealized: Callable[[int], list[int]]) -> CircuitSet:
+    """Circuits from a per-support test, walking supports by cardinality.
+
+    ``unrealized(mask)`` returns the plus masks of the full sign patterns
+    on the support ``mask`` that are not realized.  A support with any
+    unrealized pattern is deficient, its unrealized patterns are
+    circuits, and its supersets are skipped.
     """
     found: list[SignVector] = []
     deficient: list[int] = []
     supports: list[frozenset[int]] = []
-    cov = L.covectors
-    for k in range(L.n + 1):
-        for combo in combinations(range(L.n), k):
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
             mask = 0
             for i in combo:
                 mask |= 1 << i
             if any(mask & d == d for d in deficient):
                 continue
-            target = 1 << k
-            realized: set[int] = set()
-            for v in cov:
-                if v.support & mask == mask:
-                    realized.add(v.plus & mask)
-                    if len(realized) == target:
-                        break
-            if len(realized) == target:
+            missing = unrealized(mask)
+            if not missing:
                 continue
             deficient.append(mask)
             supports.append(frozenset(combo))
-            for pat in _submasks(mask):
-                if pat not in realized:
-                    found.append(SignVector(L.n, pat, mask ^ pat))
+            found.extend(SignVector(n, pat, mask ^ pat) for pat in missing)
         if k == 0 and deficient:
-            # The zero sign vector blocks everything; L is empty.
+            # The zero sign vector blocks everything; nothing is realized.
             break
     found.sort(key=SignVector.sort_key)
-    return CircuitSet(L.n, tuple(found), tuple(supports))
+    return CircuitSet(n, tuple(found), tuple(supports))
 
 
-def _submasks(mask: int):
+def minimal_masks(masks: Iterable[int]) -> set[int]:
+    """The inclusion minimal members of a family of bit masks."""
+    family = set(masks)
+    return {s for s in family if not any(t != s and t & s == t for t in family)}
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, from mask itself down to 0."""
     sub = mask
     while True:
         yield sub
@@ -158,15 +191,11 @@ def om_circuits(L: Com) -> CircuitSet:
             continue
         if all(orthogonal(x, v) for v in cov):
             members.append(x)
-    support_masks = {x.support for x in members}
-    minimal_masks = {
-        s for s in support_masks
-        if not any(t != s and t & s == t for t in support_masks)
-    }
-    out = [x for x in members if x.support in minimal_masks]
+    minimal = minimal_masks(x.support for x in members)
+    out = [x for x in members if x.support in minimal]
     out.sort(key=SignVector.sort_key)
     supports = sorted(
-        (frozenset(i for i in range(n) if (m >> i) & 1) for m in minimal_masks),
+        (frozenset(i for i in range(n) if (m >> i) & 1) for m in minimal),
         key=lambda s: (len(s), sorted(s)),
     )
     return CircuitSet(n, tuple(out), tuple(supports))

@@ -1,54 +1,31 @@
-"""Command line front end and the per-instance verification suite.
+"""Command line front end.
 
-Subcommands wire files to library operations; ``verify`` runs every
-instance-level theorem check on one covector set, and ``corpus`` runs
-``verify`` over a stream of seeded random arrangements and all of their
-single element minors.  Exit codes: 0 success, 1 verification failure,
-2 input or usage error.
+Subcommands wire files to library operations; ``verify`` prints the
+report of ``verify.full_verify`` for one covector set, and ``corpus``
+runs the verification corpus of ``verify.corpus_instance_report`` over
+a range of seeds.  Exit codes: 0 success, 1 verification failure, 2
+input or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .circuits import circuits, in_generator_set, om_circuits, realized_patterns
-from .core import (
-    AxiomWitness,
-    Com,
-    ComFormatError,
-    SignVector,
-    check_face_symmetry,
-    check_strong_elimination,
-    coloops,
-    com_to_json,
-    parse_com_json,
-    topes,
-)
-from .minors import (
-    contract,
-    delete,
-    label_map,
-    verify_disjoint_covector,
-    verify_lift,
-    verify_tope_recursion,
-)
-from .nbc import LinearOrder, nbc_sets, order_with_maximum, verify_nbc_recursion
-from .realize import (
-    Arrangement,
-    ArrangementFormatError,
-    Hyperplane,
-    OpenRegion,
-    covectors,
-    parse_arrangement_json,
-    strictly_feasible,
-)
-from .rings import hilbert_series, presentation, verify_presentation
+from .circuits import circuits
+from .core import Com, ComFormatError, axiom_witness, com_to_json, parse_com_json, topes
+from .minors import contract, delete, label_map
+from .nbc import LinearOrder, nbc_sets
+from .realize import Arrangement, ArrangementFormatError, covectors, parse_arrangement_json
+from .rings import hilbert_series, presentation
+from .verify import witness_json
+
+# perfbench/ calls these three through this module, so they stay bound here.
+from .verify import corpus_instance_report, full_verify, generate_random_arrangement  # noqa: F401
 
 
 @dataclass
@@ -67,214 +44,6 @@ class RunConfig:
     start_seed: int = 0
     jobs: int = 1
     output_format: str = "json"
-
-
-def _witness_json(w: AxiomWitness) -> dict[str, object]:
-    out: dict[str, object] = {"kind": w.kind, "x": w.x.word(), "y": w.y.word()}
-    if w.i is not None:
-        out["i"] = w.i
-    return out
-
-
-def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
-    """Every instance-level check, aggregated into a report.
-
-    Covers the axioms, circuit structure, the NBC/tope count identity,
-    both minor recursions at every non-coloop element, the disjoint
-    covector and lift properties, boolean extension on all small
-    circuit-free subsets, the oriented-matroid circuit cross check when
-    the zero covector is present, and the evaluation checks behind the
-    ring presentation.
-    """
-    report: dict[str, object] = {"n": L.n, "covectors": len(L)}
-    w = check_face_symmetry(L) or check_strong_elimination(L)
-    if w is not None:
-        report["witness"] = _witness_json(w)
-        report["is_com"] = False
-        return False, report
-    report["is_com"] = True
-
-    C = circuits(L)
-    report["circuits"] = C.words()
-    supports = [frozenset(s) for s in C.minimal_deficient_supports]
-    antichain = all(
-        not (a < b or b < a) for a in supports for b in supports if a is not b
-    )
-    circuits_ok = antichain and all(in_generator_set(L, x) for x in C.circuits)
-    report["circuits_ok"] = circuits_ok
-
-    fam = nbc_sets(L, precomputed=C)
-    t = topes(L)
-    report["n_topes"] = len(t)
-    report["nbc_counts"] = list(fam.counts)
-    nbc_tope_ok = len(fam) == len(t)
-    report["nbc_tope_ok"] = nbc_tope_ok
-
-    cl = coloops(L)
-    recursions_ok = True
-    for i in range(L.n):
-        if i in cl:
-            continue
-        if not verify_tope_recursion(L, i).ok:
-            recursions_ok = False
-            report["tope_recursion_failed_at"] = i
-            break
-        if not verify_nbc_recursion(L, order_with_maximum(L.n, i)).ok:
-            recursions_ok = False
-            report["nbc_recursion_failed_at"] = i
-            break
-    report["recursions_ok"] = recursions_ok
-
-    disjoint_ok = verify_disjoint_covector(L).ok
-    report["disjoint_covector_ok"] = disjoint_ok
-    lifts_ok = all(verify_lift(L, i).ok for i in range(L.n))
-    report["lifts_ok"] = lifts_ok
-
-    boolean_ok = True
-    small: list[frozenset[int]] = [frozenset()]
-    small += [frozenset({i}) for i in range(L.n)]
-    small += [frozenset(p) for p in _pairs(L.n)]
-    for J in small:
-        if any(s <= J for s in supports):
-            continue
-        if not len(realized_patterns(L, J)) == 1 << len(J):
-            boolean_ok = False
-            report["boolean_extension_failed_at"] = sorted(J)
-            break
-    report["boolean_extension_ok"] = boolean_ok
-
-    om_ok = True
-    if SignVector(L.n, 0, 0) in L:
-        om_ok = om_circuits(L).circuits == C.circuits
-        report["om_cross_check_ok"] = om_ok
-
-    if nbc_tope_ok:
-        pres = verify_presentation(L, precomputed=C)
-        report["nbc_det"] = pres.nbc_det
-        report["kernel_ok"] = pres.kernel_ok
-        report["filtration_ok"] = pres.membership_ok
-        presentation_ok = pres.ok
-    else:
-        presentation_ok = False
-    report["presentation_ok"] = presentation_ok
-
-    ok = all(
-        (
-            circuits_ok,
-            nbc_tope_ok,
-            recursions_ok,
-            disjoint_ok,
-            lifts_ok,
-            boolean_ok,
-            om_ok,
-            presentation_ok,
-        )
-    )
-    report["ok"] = ok
-    return ok, report
-
-
-def _pairs(n: int):
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield (i, j)
-
-
-def generate_random_arrangement(
-    seed: int, d: int = 2, n: int = 5, k_ineqs: int = 2, central: bool = False
-) -> Arrangement:
-    """Deterministic random arrangement with a nonempty open region.
-
-    Coefficients are integers in [-5, 5] with zero normal vectors
-    redrawn; with ``central`` every hyperplane passes through the
-    origin, which guarantees an oriented matroid when the region is the
-    whole space.  The region inequalities are redrawn wholesale until
-    they are strictly feasible.
-    """
-    rng = random.Random(seed)
-
-    def vec() -> tuple[Fraction, ...]:
-        while True:
-            v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(d))
-            if any(v):
-                return v
-
-    hyps = tuple(
-        Hyperplane(vec(), Fraction(0) if central else Fraction(rng.randint(-5, 5)))
-        for _ in range(n)
-    )
-    while True:
-        rows = tuple(
-            (vec(), Fraction(rng.randint(-5, 5))) for _ in range(k_ineqs)
-        )
-        if strictly_feasible([], list(rows), d):
-            return Arrangement(d, hyps, OpenRegion(rows))
-
-
-def corpus_arrangement(seed: int) -> Arrangement:
-    """Fixed seed-to-instance policy for the verification corpus.
-
-    Dimensions alternate between 2 and 3, ground sets between 3 and 6
-    hyperplanes (at most 5 in dimension 3), regions carry up to 4
-    strict inequalities, and every fifth seed is central with a full
-    region so oriented matroids appear in the stream.
-    """
-    central = seed % 5 == 0
-    d = 3 if seed % 3 == 2 else 2
-    n = 3 + seed % 4
-    if d == 3:
-        n = min(n, 5)
-    k = 0 if central else seed % 5
-    return generate_random_arrangement(seed, d, n, k, central=central)
-
-
-_CHECK_KEYS = (
-    "is_com",
-    "circuits_ok",
-    "nbc_tope_ok",
-    "recursions_ok",
-    "disjoint_covector_ok",
-    "lifts_ok",
-    "boolean_extension_ok",
-    "presentation_ok",
-)
-
-
-def corpus_instance_report(seed: int) -> dict[str, object]:
-    """Verify one seeded arrangement and all its single element minors."""
-    arr = corpus_arrangement(seed)
-    L = covectors(arr)
-    ok, report = full_verify(L)
-    minor_checks = {key: True for key in _CHECK_KEYS}
-    om_runs = 1 if "om_cross_check_ok" in report else 0
-    om_ok = report.get("om_cross_check_ok", True)
-    failing = []
-    for i in range(L.n):
-        for kind, M in (("delete", delete(L, i)), ("contract", contract(L, i))):
-            sub_ok, sub = full_verify(M)
-            ok = ok and sub_ok
-            for key in _CHECK_KEYS:
-                minor_checks[key] = minor_checks[key] and sub.get(key, True)
-            if "om_cross_check_ok" in sub:
-                om_runs += 1
-                om_ok = om_ok and sub["om_cross_check_ok"]
-            if not sub_ok:
-                failing.append({"element": i, "kind": kind, "report": sub})
-    out: dict[str, object] = {
-        "seed": seed,
-        "dim": arr.dim,
-        "n": L.n,
-        "ok": ok,
-        "n_covectors": len(L),
-        "n_topes": report.get("n_topes"),
-        "report": report,
-        "minor_checks": minor_checks,
-        "om_runs": om_runs,
-        "om_ok": om_ok,
-    }
-    if failing:
-        out["failing_minors"] = failing
-    return out
 
 
 def _load_com(path: str) -> Com:
@@ -310,10 +79,10 @@ def _dispatch(config: RunConfig) -> tuple[int, str]:
 
     if cmd == "check":
         L = _load_com(config.input_path)
-        w = check_face_symmetry(L) or check_strong_elimination(L)
+        w = axiom_witness(L)
         if w is None:
             return 0, _emit({"ok": True, "n": L.n, "covectors": len(L)}, fmt)
-        return 1, _emit({"ok": False, "witness": _witness_json(w)}, fmt)
+        return 1, _emit({"ok": False, "witness": witness_json(w)}, fmt)
 
     if cmd == "topes":
         L = _load_com(config.input_path)
@@ -411,8 +180,11 @@ def _dispatch(config: RunConfig) -> tuple[int, str]:
 
     if cmd == "corpus":
         seeds = range(config.start_seed, config.start_seed + config.count)
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # The pool starts all its workers at once; more than there are
+        # CPUs or seeds would only sit idle.
+        jobs = min(config.jobs, os.cpu_count() or 1, config.count)
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(corpus_instance_report, seeds))
         else:
             results = [corpus_instance_report(s) for s in seeds]

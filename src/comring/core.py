@@ -18,14 +18,18 @@ conditional oriented matroid:
 A conditional oriented matroid that contains the zero sign vector is an
 oriented matroid.  All values here are immutable and all operations are
 pure functions; the bit mask representation keeps the axiom scans cheap
-for ground sets up to a few dozen elements.
+for ground sets up to a few dozen elements.  Results derived from a
+``Com`` (the axiom verdict, its circuits, its NBC families) are computed
+once per instance and kept on it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
 CHAR_SIGNS = {"+": 1, "0": 0, "-": -1}
@@ -165,10 +169,12 @@ class Com:
 
     The constructor sorts, deduplicates and validates; two Com values are
     equal exactly when their covector lists are equal.  Membership tests
-    run against a frozen set of (plus, minus) mask pairs.
+    run against a frozen set of (plus, minus) mask pairs.  Immutable
+    results derived from the covectors are memoized per instance, never
+    by value: hashing a Com walks its whole covector tuple.
     """
 
-    __slots__ = ("n", "covectors", "_members")
+    __slots__ = ("n", "covectors", "_members", "_memo")
 
     def __init__(self, n: int, covectors: Iterable[SignVector]):
         vecs = list(covectors)
@@ -183,6 +189,17 @@ class Com:
         self.n = n
         self.covectors = tuple(deduped)
         self._members = frozenset((v.plus, v.minus) for v in self.covectors)
+        self._memo: dict[object, object] = {}
+
+    def _cached(self, key: object, compute: Callable[[], T]) -> T:
+        """The memoized result under key, computed on first request.
+
+        For use by the analysis functions of this package; each result
+        must be immutable, since every caller receives the same object.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]  # type: ignore[return-value]
 
     @classmethod
     def from_words(cls, n: int, words: Iterable[str]) -> "Com":
@@ -260,9 +277,18 @@ def check_strong_elimination(L: Com) -> AxiomWitness | None:
     return None
 
 
+def axiom_witness(L: Com) -> AxiomWitness | None:
+    """The first face symmetry witness, else the first strong elimination
+    witness; None when L is a conditional oriented matroid.  Computed
+    once per Com."""
+    return L._cached(
+        "axiom_witness", lambda: check_face_symmetry(L) or check_strong_elimination(L)
+    )
+
+
 def is_com(L: Com) -> bool:
     """True when face symmetry and strong elimination both hold."""
-    return check_face_symmetry(L) is None and check_strong_elimination(L) is None
+    return axiom_witness(L) is None
 
 
 def is_oriented_matroid(L: Com) -> bool:

@@ -1,16 +1,18 @@
-"""Exact integer linear algebra: Hermite normal form, determinant, spans.
+"""Exact linear algebra: Hermite normal form, determinant, spans, rref.
 
-All arithmetic is over Python's arbitrary precision integers.  The
-Hermite normal form here is row style: pivots are positive, each pivot
-sits strictly to the right of the one above, entries above a pivot are
-reduced into [0, pivot), and zero rows are collected at the bottom.  The
-transform U with H = U * M is accumulated from the same row operations,
-so det(U) = +-1 by construction.
+All arithmetic is over Python's arbitrary precision integers, except in
+the rational Gauss-Jordan kernel ``rational_rref``.  The Hermite normal
+form here is row style: pivots are positive, each pivot sits strictly to
+the right of the one above, entries above a pivot are reduced into
+[0, pivot), and zero rows are collected at the bottom.  The transform U
+with H = U * M is accumulated from the same row operations, so
+det(U) = +-1 by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -127,6 +129,39 @@ def determinant(M: IntMatrix) -> int:
             a[r][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def rational_rref(
+    system: Iterable[Sequence[int | Fraction]], ncols: int
+) -> tuple[list[int], list[list[Fraction]]] | None:
+    """Gauss-Jordan elimination of an augmented system over Q.
+
+    Each row holds ncols coefficients followed by a constant.  Returns
+    (pivot columns, reduced pivot rows) as Fractions, or None when the
+    system is inconsistent.  Elimination stops as soon as every row
+    holds a pivot, since no later column can then change.
+    """
+    rows = [[Fraction(v) for v in row] for row in system]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][col]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    if any(row[ncols] != 0 for row in rows[r:]):
+        return None
+    return pivots, rows[:r]
 
 
 def in_row_span(M: IntMatrix, v: Sequence[int]) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .circuits import CircuitSet, circuits, in_generator_set, realized_patterns
+from .circuits import circuits, in_generator_set, minimal_masks, realized_patterns
 from .core import Com, SignVector, coloops, topes
 
 
@@ -182,11 +182,7 @@ def verify_circuit_minor_laws(L: Com, i: int) -> CircuitMinorReport:
             x = SignVector.from_signs(signs)
             if in_generator_set(L, x):
                 projected.add(project(x, i))
-        support_masks = {x.support for x in projected}
-        minimal = {
-            s for s in support_masks
-            if not any(t != s and t & s == t for t in support_masks)
-        }
+        minimal = minimal_masks(x.support for x in projected)
         expected_con = sorted(
             (x for x in projected if x.support in minimal),
             key=SignVector.sort_key,
@@ -196,7 +192,7 @@ def verify_circuit_minor_laws(L: Com, i: int) -> CircuitMinorReport:
     # only nonzero projections; a circuit supported exactly at i drops
     # to the zero vector, which is a circuit just for empty minors
     projection_ok = all(
-        project(x, i) in set(con_circ.circuits)
+        project(x, i) in con_circ
         for x in C.circuits
         if x.support & bit and x.support != bit
     )
@@ -213,10 +209,9 @@ class DisjointCovectorReport:
 def verify_disjoint_covector(L: Com) -> DisjointCovectorReport:
     """Every symmetric circuit pair admits a covector with disjoint support."""
     C = circuits(L)
-    members = {(c.plus, c.minus) for c in C.circuits}
     checked = 0
     for x in C.circuits:
-        if x.is_zero() or (x.minus, x.plus) not in members:
+        if x.is_zero() or not C.paired(x):
             continue
         checked += 1
         if not any(v.support & x.support == 0 for v in L.covectors):
@@ -234,15 +229,14 @@ class LiftReport:
 
 def verify_lift(L: Com, i: int) -> LiftReport:
     """Every symmetric circuit pair of the contraction lifts to one of L."""
-    C = set(circuits(L).circuits)
+    C = circuits(L)
     con = circuits(contract(L, i))
-    members = {(c.plus, c.minus) for c in con.circuits}
     checked = 0
     for x in con.circuits:
-        if x.is_zero() or (x.minus, x.plus) not in members:
+        if x.is_zero() or not con.paired(x):
             continue
         checked += 1
-        if not any(project(c, i) == x and -c in C for c in C):
+        if not any(project(c, i) == x and C.paired(c) for c in C.circuits):
             return LiftReport(i, checked, False, x)
     return LiftReport(i, checked, True)
 

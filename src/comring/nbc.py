@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import CircuitSet, circuits
+from .circuits import CircuitSet, circuits, minimal_masks
 from .core import Com, SignVector, coloops, topes
 from .minors import contract, delete
 
@@ -78,21 +78,27 @@ def _blocker_masks(C: CircuitSet, order: LinearOrder) -> list[int]:
             continue
         sup = x.support
         blockers.add(sup)
-        if SignVector(x.n, x.minus, x.plus) in set(C.circuits):
+        if C.paired(x):
             m = min((i for i in range(x.n) if (sup >> i) & 1), key=lambda i: ranks[i])
             blockers.add(sup & ~(1 << m))
     # Keep only inclusion minimal blockers; the rest are redundant.
-    return [b for b in blockers if not any(c != b and b & c == c for c in blockers)]
+    return list(minimal_masks(blockers))
 
 
-def nbc_sets(L: Com, order: LinearOrder | None = None, *, precomputed: CircuitSet | None = None) -> NbcFamily:
-    """Enumerate the NBC family by pruned depth first search."""
+def nbc_sets(L: Com, order: LinearOrder | None = None) -> NbcFamily:
+    """Enumerate the NBC family by pruned depth first search.
+
+    Computed once per Com and order.
+    """
     if order is None:
         order = LinearOrder.identity(L.n)
     if order.n != L.n:
         raise ValueError("order is on the wrong ground set")
-    C = precomputed if precomputed is not None else circuits(L)
-    blockers = _blocker_masks(C, order)
+    return L._cached(("nbc_sets", order.perm), lambda: _nbc_family(L, order))
+
+
+def _nbc_family(L: Com, order: LinearOrder) -> NbcFamily:
+    blockers = _blocker_masks(circuits(L), order)
     out: list[int] = []
 
     def walk(mask: int, next_i: int) -> None:

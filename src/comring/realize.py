@@ -26,11 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
-from .circuits import CircuitSet
+from .circuits import CircuitSet, minimal_support_walk, submasks
 from .core import Com, SignVector
+from .exactalg import rational_rref
 
 Vector = tuple[Fraction, ...]
 LinRow = tuple[tuple[Fraction, ...], Fraction]
@@ -96,35 +96,6 @@ def _int_row(c: Vector | list[Fraction], d: Fraction) -> tuple[tuple[int, ...], 
         denom = denom * v.denominator // gcd(denom, v.denominator)
     coeffs = [int(v * denom) for v in c]
     return _normalize_int_row(coeffs, int(d * denom))
-
-
-def _rref(equalities: list[tuple[tuple[int, ...], int]], dim: int):
-    """Reduced row echelon form over Q; None when inconsistent.
-
-    Returns (pivot columns, reduced rows), each row of length dim + 1
-    with the constant last.
-    """
-    rows = [[Fraction(v) for v in c] + [Fraction(d)] for c, d in equalities]
-    pivots: list[int] = []
-    r = 0
-    for col in range(dim):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    if any(row[dim] != 0 for row in rows[r:]):
-        return None
-    return pivots, rows[:r]
 
 
 def _eliminate(rows: list[tuple[tuple[int, ...], int]], j: int):
@@ -197,7 +168,8 @@ def feasible_point(
     rows are rewritten over the free variables, and Fourier-Motzkin
     decides the remainder.
     """
-    solved = _rref([_int_row(c, d) for c, d in equalities], dim)
+    int_rows = [_int_row(c, d) for c, d in equalities]
+    solved = rational_rref([c + (d,) for c, d in int_rows], dim)
     if solved is None:
         return None
     pivots, rows = solved
@@ -304,50 +276,29 @@ def covectors(arr: Arrangement) -> Com:
 def geometric_circuits(arr: Arrangement) -> CircuitSet:
     """Minimal sign patterns whose open half space intersection misses K.
 
-    Independent of the combinatorial circuit computation: every pattern
-    is tested directly by feasibility of its open system inside the
-    region, walking supports by cardinality with superset pruning.
+    Independent of the combinatorial circuit computation, with which it
+    shares only the support walk: every pattern is tested directly by
+    feasibility of its open system inside the region.
     """
-    n = arr.n
     hyps = [(h.a, h.b) for h in arr.hyperplanes]
     stricts0 = list(arr.region.strict)
-    found: list[SignVector] = []
-    deficient: list[int] = []
-    supports: list[frozenset[int]] = []
-    for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(mask & d == d for d in deficient):
-                continue
-            missing: list[int] = []
-            for pat in range(1 << k):
-                stricts = list(stricts0)
-                for pos_in_combo, i in enumerate(combo):
-                    a, b = hyps[i]
-                    if (pat >> pos_in_combo) & 1:
-                        stricts.append((a, b))
-                    else:
-                        stricts.append((tuple(-v for v in a), -b))
-                if not strictly_feasible([], stricts, arr.dim):
-                    missing.append(pat)
-            if not missing:
-                continue
-            deficient.append(mask)
-            supports.append(frozenset(combo))
-            for pat in missing:
-                plus = minus = 0
-                for pos_in_combo, i in enumerate(combo):
-                    if (pat >> pos_in_combo) & 1:
-                        plus |= 1 << i
-                    else:
-                        minus |= 1 << i
-                found.append(SignVector(n, plus, minus))
-        if k == 0 and deficient:
-            break
-    found.sort(key=SignVector.sort_key)
-    return CircuitSet(n, tuple(found), tuple(supports))
+
+    def unrealized(mask: int) -> list[int]:
+        missing = []
+        for pat in submasks(mask):
+            stricts = list(stricts0)
+            for i, (a, b) in enumerate(hyps):
+                if not (mask >> i) & 1:
+                    continue
+                if (pat >> i) & 1:
+                    stricts.append((a, b))
+                else:
+                    stricts.append((tuple(-v for v in a), -b))
+            if not strictly_feasible([], stricts, arr.dim):
+                missing.append(pat)
+        return missing
+
+    return minimal_support_walk(arr.n, unrealized)
 
 
 def _parse_rational(value: object) -> Fraction:

@@ -25,13 +25,12 @@ graded, Rees) are emitted as explicit polynomial relation lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
-from .circuits import CircuitSet, circuits
+from .circuits import circuits
 from .core import Com, SignVector, topes
-from .exactalg import IntLattice, IntMatrix, determinant
-from .nbc import LinearOrder, NbcFamily, nbc_sets
+from .exactalg import IntLattice, IntMatrix, determinant, rational_rref
+from .nbc import LinearOrder, nbc_sets
 
 
 @dataclass(frozen=True)
@@ -225,11 +224,10 @@ def e_X_eval(L: Com, x: SignVector) -> TopeFunction:
     return TopeFunction(t, values)
 
 
-def f_X_eval(L: Com, x: SignVector, *, precomputed: CircuitSet | None = None) -> TopeFunction:
+def f_X_eval(L: Com, x: SignVector) -> TopeFunction:
     """Evaluate f_X = (e_X - e_{-X}) / u for a symmetric circuit pair."""
-    C = precomputed if precomputed is not None else circuits(L)
-    members = {(c.plus, c.minus) for c in C.circuits}
-    if (x.plus, x.minus) not in members or (x.minus, x.plus) not in members:
+    C = circuits(L)
+    if x not in C or not C.paired(x):
         raise ValueError("x and -x must both be circuits")
     return (e_X_eval(L, x) - e_X_eval(L, -x)).divexact_u()
 
@@ -241,16 +239,14 @@ def _h_S_vector(tope_list: tuple[SignVector, ...], S: frozenset[int]) -> list[in
     return [1 if v.plus & mask == mask else 0 for v in tope_list]
 
 
-def nbc_basis_matrix(
-    L: Com, order: LinearOrder | None = None, *, family: NbcFamily | None = None
-) -> IntMatrix:
+def nbc_basis_matrix(L: Com, order: LinearOrder | None = None) -> IntMatrix:
     """0/1 matrix of the NBC monomials h_S evaluated on the topes.
 
     Rows follow the canonical NBC order (size, then lexicographic) and
     columns the canonical tope order.  Raises when |NBC| != |topes|,
     which cannot happen for a conditional oriented matroid.
     """
-    fam = family if family is not None else nbc_sets(L, order)
+    fam = nbc_sets(L, order)
     t = topes(L)
     if len(fam.sets) != len(t):
         raise ValueError("NBC count differs from tope count")
@@ -269,12 +265,7 @@ class FiltrationReport:
         return self.membership_ok and self.kernel_ok and abs(self.nbc_det) == 1
 
 
-def verify_presentation(
-    L: Com,
-    order: LinearOrder | None = None,
-    *,
-    precomputed: CircuitSet | None = None,
-) -> FiltrationReport:
+def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationReport:
     """Numeric verification of the presentation on one covector set.
 
     Checks, in order: every circuit evaluation e_X and every pair
@@ -283,16 +274,20 @@ def verify_presentation(
     size at most |S|.  Membership at level |S| implies membership at
     every higher level, since the row set only grows with the level, so
     each subset is tested once.
+
+    e_X is +-u^|X| on the topes extending X and 0 elsewhere, and for
+    nonzero X no tope extends both X and -X, so f_X vanishes exactly
+    when e_X and e_{-X} do.  The kernel check therefore reduces to: no
+    tope extends any circuit.
     """
-    C = precomputed if precomputed is not None else circuits(L)
-    kernel_ok = all(e_X_eval(L, x).is_zero() for x in C.circuits) and all(
-        f_X_eval(L, x, precomputed=C).is_zero() for x in C.symmetric_pairs()
-    )
-    fam = nbc_sets(L, order, precomputed=C)
     t = topes(L)
-    if len(fam.sets) != len(t):
-        raise ValueError("NBC count differs from tope count")
-    det = determinant(nbc_basis_matrix(L, family=fam))
+    kernel_ok = not any(
+        x.plus & ~v.plus == 0 and x.minus & ~v.minus == 0
+        for x in circuits(L).circuits
+        for v in t
+    )
+    fam = nbc_sets(L, order)
+    det = determinant(nbc_basis_matrix(L, order))
     by_size: dict[int, list[frozenset[int]]] = {}
     for S in fam.sets:
         by_size.setdefault(len(S), []).append(S)
@@ -351,28 +346,13 @@ def gr_multiply(
 def _solve_int_combination(rows: list[list[int]], target: list[int]) -> list[int]:
     """Coefficients c with sum c_i row_i = target; rows must be a basis."""
     m = len(rows)
-    width = len(target)
     # Solve the transposed square system by rational elimination.
-    aug = [[Fraction(rows[r][c]) for r in range(m)] + [Fraction(target[c])] for c in range(width)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(m):
-        pr = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if any(row[m] != 0 for row in aug[r:]):
+    aug = [[row[c] for row in rows] + [v] for c, v in enumerate(target)]
+    solved = rational_rref(aug, m)
+    if solved is None:
         raise ValueError("target is outside the row space")
     coeffs = [0] * m
-    for col, row in zip(pivots, aug):
+    for col, row in zip(*solved):
         v = row[m]
         if v.denominator != 1:
             raise ValueError("combination is not integral")
@@ -522,7 +502,6 @@ def presentation(
     *,
     reduced: bool = False,
     symmetric: bool = False,
-    precomputed: CircuitSet | None = None,
 ) -> Presentation:
     """Generators and relations of the chosen ring.
 
@@ -537,31 +516,21 @@ def presentation(
     """
     if mode not in ("rees", "gr", "vg"):
         raise ValueError("mode must be rees, gr or vg")
-    C = precomputed if precomputed is not None else circuits(L)
+    C = circuits(L)
     n = L.n
-    circuit_list = list(C.circuits)
-    if reduced:
-        members = {(c.plus, c.minus) for c in circuit_list}
-        circuit_list = [
-            c for c in circuit_list if (c.minus, c.plus) not in members
-        ]
+    circuit_list = C.unpaired() if reduced else list(C.circuits)
     pairs = C.symmetric_pairs()
 
     # The pair relation f_X is only a polynomial after the elimination
     # e_i^- = u - e_i^+, so it is always built in those coordinates.
     nv_elim = n + 1
     u_elim = MPoly.var(nv_elim, n)
+    plus_elim = [MPoly.var(nv_elim, i) for i in range(n)]
+    # -e_i^- = -(u - e_i^+) = e_i^+ - u
+    minus_elim = [p - u_elim for p in plus_elim]
 
     def e_vec_elim(x: SignVector) -> MPoly:
-        acc = MPoly.const(nv_elim, 1)
-        for i in range(n):
-            s = x.sign(i)
-            if s > 0:
-                acc = acc * MPoly.var(nv_elim, i)
-            elif s < 0:
-                # -e_i^- = -(u - e_i^+) = e_i^+ - u
-                acc = acc * (MPoly.var(nv_elim, i) - u_elim)
-        return acc
+        return _circuit_product(x, nv_elim, plus_elim, minus_elim)
 
     relations: list[Relation] = []
     if symmetric:
@@ -573,26 +542,15 @@ def presentation(
             relations.append(Relation("diag", plus[i] * minus[i], None))
         for i in range(n):
             relations.append(Relation("sum", plus[i] + minus[i] - u, None))
-
-        def e_vec_sym(x: SignVector) -> MPoly:
-            acc = MPoly.const(nv, 1)
-            for i in range(n):
-                s = x.sign(i)
-                if s > 0:
-                    acc = acc * plus[i]
-                elif s < 0:
-                    acc = acc * (-minus[i])
-            return acc
-
+        neg_minus = [-m for m in minus]
         for x in circuit_list:
-            relations.append(Relation("circuit", e_vec_sym(x), x))
+            relations.append(Relation("circuit", _circuit_product(x, nv, plus, neg_minus), x))
         for x in pairs:
             f = (e_vec_elim(x) - e_vec_elim(-x)).divexact(n)
             relations.append(Relation("pair", _embed_eliminated(f, n), x))
         names = [f"e{i}{sgn}" for i in range(n) for sgn in "+-"]
     else:
-        for i in range(n):
-            p = MPoly.var(nv_elim, i)
+        for p in plus_elim:
             relations.append(Relation("diag", p * (u_elim - p), None))
         for x in circuit_list:
             relations.append(Relation("circuit", e_vec_elim(x), x))
@@ -624,6 +582,21 @@ def presentation(
         tuple(final),
         {"generator_filtration_level": 1, "generator_cohomological_degree": 2},
     )
+
+
+def _circuit_product(
+    x: SignVector, nvars: int, pos: list[MPoly], neg: list[MPoly]
+) -> MPoly:
+    """The circuit product e_X: pos[i] for each i in X+ times neg[i] for
+    each i in X-, in index order."""
+    acc = MPoly.const(nvars, 1)
+    for i in range(x.n):
+        s = x.sign(i)
+        if s > 0:
+            acc = acc * pos[i]
+        elif s < 0:
+            acc = acc * neg[i]
+    return acc
 
 
 def _embed_eliminated(p: MPoly, n: int) -> MPoly:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from comring.cli import corpus_instance_report
+from comring.verify import corpus_instance_report
 from comring.core import Com
 from comring.realize import Arrangement, covectors, parse_arrangement_json
 

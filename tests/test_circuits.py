@@ -58,7 +58,7 @@ def test_oracle_agreement_degenerate():
 
 
 def test_oracle_agreement_seeded():
-    from comring.cli import corpus_arrangement
+    from comring.verify import corpus_arrangement
 
     for seed in (1, 3, 7, 11):
         L = covectors(corpus_arrangement(seed))

@@ -79,7 +79,7 @@ def test_oracle_agreement(gen3, ex4):
 
 
 def test_oracle_agreement_seeded():
-    from comring.cli import corpus_arrangement
+    from comring.verify import corpus_arrangement
     from comring.realize import covectors
 
     for seed in (1, 5, 7):

@@ -182,7 +182,7 @@ def test_parse_rejects_malformed():
 
 
 def test_generated_arrangements_are_deterministic():
-    from comring.cli import generate_random_arrangement
+    from comring.verify import generate_random_arrangement
 
     a = generate_random_arrangement(17, d=2, n=4, k_ineqs=3)
     b = generate_random_arrangement(17, d=2, n=4, k_ineqs=3)

@@ -112,7 +112,7 @@ def test_pair_evaluation_vanishes(gen3, ex4):
     for L in (gen3, ex4):
         C = circuits(L)
         for x in C.symmetric_pairs():
-            assert f_X_eval(L, x, precomputed=C).is_zero()
+            assert f_X_eval(L, x).is_zero()
 
 
 def test_pair_evaluation_requires_pair(ex4):
