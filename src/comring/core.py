@@ -32,10 +32,8 @@ from typing import Callable, Iterable, Iterator, TypeVar
 T = TypeVar("T")
 
 SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
-CHAR_SIGNS = {"+": 1, "0": 0, "-": -1}
 
 # Canonical order on sign words is lexicographic with '-' < '0' < '+'.
-_CHAR_RANK = {"-": 0, "0": 1, "+": 2}
 _SIGN_RANK = {-1: 0, 0: 1, 1: 2}
 
 

@@ -2,8 +2,10 @@
 
 Both minors drop coordinate i and renumber the indices above it down by
 one.  Deletion keeps every covector; contraction keeps the covectors
-vanishing at i.  ``label_map`` reports the renumbering so callers can
-recover original hyperplane labels.
+vanishing at i.  Each minor is built once per Com and element, so the
+checks that visit it share its circuits and NBC families.  ``label_map``
+reports the renumbering so callers can recover original hyperplane
+labels.
 """
 
 from __future__ import annotations
@@ -40,16 +42,25 @@ def inject(x: SignVector, i: int) -> SignVector:
 
 
 def delete(L: Com, i: int) -> Com:
+    """The deletion at i; computed once per Com and element."""
     if not 0 <= i < L.n:
         raise ValueError("index outside ground set")
-    return Com(L.n - 1, (project(v, i) for v in L.covectors))
+    return L._cached(
+        ("delete", i), lambda: Com(L.n - 1, (project(v, i) for v in L.covectors))
+    )
 
 
 def contract(L: Com, i: int) -> Com:
+    """The contraction at i; computed once per Com and element."""
     if not 0 <= i < L.n:
         raise ValueError("index outside ground set")
     bit = 1 << i
-    return Com(L.n - 1, (project(v, i) for v in L.covectors if not (v.support & bit)))
+    return L._cached(
+        ("contract", i),
+        lambda: Com(
+            L.n - 1, (project(v, i) for v in L.covectors if not (v.support & bit))
+        ),
+    )
 
 
 def label_map(n: int, i: int) -> dict[int, int]:
@@ -125,20 +136,6 @@ def verify_tope_recursion(L: Com, i: int) -> TopeRecursionReport:
     return TopeRecursionReport(
         i, n_t, len(del_topes), len(con_topes), counts_ok, bijections_ok
     )
-
-
-@dataclass(frozen=True)
-class MinorReport:
-    element: int
-    deletion: Com
-    contraction: Com
-    tope_counts: tuple[int, int, int]
-
-
-def minor_report(L: Com, i: int) -> MinorReport:
-    d = delete(L, i)
-    c = contract(L, i)
-    return MinorReport(i, d, c, (len(topes(L)), len(topes(d)), len(topes(c))))
 
 
 @dataclass(frozen=True)
@@ -231,12 +228,13 @@ def verify_lift(L: Com, i: int) -> LiftReport:
     """Every symmetric circuit pair of the contraction lifts to one of L."""
     C = circuits(L)
     con = circuits(contract(L, i))
+    lifted = {project(c, i) for c in C.circuits if C.paired(c)}
     checked = 0
     for x in con.circuits:
         if x.is_zero() or not con.paired(x):
             continue
         checked += 1
-        if not any(project(c, i) == x and C.paired(c) for c in C.circuits):
+        if x not in lifted:
             return LiftReport(i, checked, False, x)
     return LiftReport(i, checked, True)
 

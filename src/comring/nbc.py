@@ -35,9 +35,6 @@ class LinearOrder:
     def n(self) -> int:
         return len(self.perm)
 
-    def rank(self, i: int) -> int:
-        return self.perm.index(i)
-
     def ranks(self) -> dict[int, int]:
         return {e: r for r, e in enumerate(self.perm)}
 

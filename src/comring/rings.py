@@ -34,82 +34,14 @@ from .nbc import LinearOrder, nbc_sets
 
 
 @dataclass(frozen=True)
-class UPoly:
-    """Integer polynomial in u, coefficients low to high, trimmed."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("trailing zero coefficient")
-
-    @classmethod
-    def of(cls, coeffs: list[int]) -> "UPoly":
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def const(cls, c: int) -> "UPoly":
-        return cls.of([c])
-
-    @classmethod
-    def u_power(cls, k: int, c: int = 1) -> "UPoly":
-        return cls.of([0] * k + [c])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return UPoly.of(out)
-
-    def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-v for v in self.coeffs))
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UPoly") -> "UPoly":
-        if self.is_zero() or other.is_zero():
-            return UPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UPoly.of(out)
-
-    def divexact_u(self) -> "UPoly":
-        """Quotient by u; raises when the constant term is nonzero."""
-        if self.is_zero():
-            return self
-        if self.coeffs[0] != 0:
-            raise ValueError("polynomial is not divisible by u")
-        return UPoly(self.coeffs[1:])
-
-    def __call__(self, u: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
-
-ZERO_P = UPoly(())
-ONE_P = UPoly((1,))
-
-
-@dataclass(frozen=True)
 class TopeFunction:
-    """A value in Z[u] per tope, in canonical tope order."""
+    """A value in Z[u] per tope, in canonical tope order.
+
+    Each value is an ``MPoly`` in the single variable u.
+    """
 
     topes: tuple[SignVector, ...]
-    values: tuple[UPoly, ...]
+    values: tuple[MPoly, ...]
 
     def __post_init__(self) -> None:
         if len(self.topes) != len(self.values):
@@ -118,7 +50,7 @@ class TopeFunction:
     @classmethod
     def constant(cls, L: Com, c: int) -> "TopeFunction":
         t = topes(L)
-        return cls(t, tuple(UPoly.const(c) for _ in t))
+        return cls(t, tuple(MPoly.const(1, c) for _ in t))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -145,14 +77,29 @@ class TopeFunction:
             self.topes, tuple(a * b for a, b in zip(self.values, other.values))
         )
 
-    def scale(self, p: UPoly) -> "TopeFunction":
+    def scale(self, p: MPoly) -> "TopeFunction":
         return TopeFunction(self.topes, tuple(p * v for v in self.values))
 
     def divexact_u(self) -> "TopeFunction":
-        return TopeFunction(self.topes, tuple(v.divexact_u() for v in self.values))
+        """Quotient by u; raises when some value has a nonzero constant term."""
+        return TopeFunction(self.topes, tuple(v.divexact(0) for v in self.values))
 
     def at_u(self, u: int) -> tuple[int, ...]:
-        return tuple(v(u) for v in self.values)
+        return tuple(sum(c * u ** e[0] for e, c in v.terms) for v in self.values)
+
+
+def _indicator(L: Com, plus: int, minus: int, value: MPoly) -> TopeFunction:
+    """The function equal to value on the topes that are + on the plus
+    mask and - on the minus mask, and 0 elsewhere."""
+    t = topes(L)
+    zero = MPoly.zero(1)
+    return TopeFunction(
+        t,
+        tuple(
+            value if plus & ~v.plus == 0 and minus & ~v.minus == 0 else zero
+            for v in t
+        ),
+    )
 
 
 def heaviside(L: Com, i: int, s: int) -> TopeFunction:
@@ -161,13 +108,8 @@ def heaviside(L: Com, i: int, s: int) -> TopeFunction:
         raise ValueError("index outside ground set")
     if s not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    t = topes(L)
     bit = 1 << i
-    mask_attr = "plus" if s > 0 else "minus"
-    return TopeFunction(
-        t,
-        tuple(ONE_P if getattr(v, mask_attr) & bit else ZERO_P for v in t),
-    )
+    return _indicator(L, bit if s > 0 else 0, bit if s < 0 else 0, MPoly.const(1, 1))
 
 
 @dataclass(frozen=True)
@@ -193,15 +135,13 @@ def rho_eval(L: Com, m: EMonomial) -> TopeFunction:
     matching every factor and 0 elsewhere; repeated factors only raise
     the power of u, as indicator idempotence demands.
     """
-    t = topes(L)
-    total = len(m.word) + m.u_exp
-    values = []
-    for v in t:
-        hit = all(
-            (v.plus if s > 0 else v.minus) & (1 << i) for i, s in m.word
-        )
-        values.append(UPoly.u_power(total) if hit else ZERO_P)
-    return TopeFunction(t, tuple(values))
+    plus = minus = 0
+    for i, s in m.word:
+        if s > 0:
+            plus |= 1 << i
+        else:
+            minus |= 1 << i
+    return _indicator(L, plus, minus, MPoly.of(1, {(len(m.word) + m.u_exp,): 1}))
 
 
 def e_X_eval(L: Com, x: SignVector) -> TopeFunction:
@@ -212,16 +152,9 @@ def e_X_eval(L: Com, x: SignVector) -> TopeFunction:
     """
     if x.n != L.n:
         raise ValueError("ground sets differ")
-    t = topes(L)
     k = bin(x.support).count("1")
     sign = -1 if bin(x.minus).count("1") % 2 else 1
-    values = tuple(
-        UPoly.u_power(k, sign)
-        if x.plus & ~v.plus == 0 and x.minus & ~v.minus == 0
-        else ZERO_P
-        for v in t
-    )
-    return TopeFunction(t, values)
+    return _indicator(L, x.plus, x.minus, MPoly.of(1, {(k,): sign}))
 
 
 def f_X_eval(L: Com, x: SignVector) -> TopeFunction:
@@ -360,8 +293,9 @@ def _solve_int_combination(rows: list[list[int]], target: list[int]) -> list[int
     return coeffs
 
 
-# Multivariate relation polynomials.  Exponent tuples run over the
-# generator list of the presentation; coefficients are integers.
+# Sparse integer polynomials.  Exponent tuples run over a fixed variable
+# list: the generators of a presentation, or u alone for the values of a
+# TopeFunction; coefficients are integers.
 
 
 @dataclass(frozen=True)

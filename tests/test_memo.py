@@ -20,6 +20,18 @@ def test_circuits_computed_once_per_instance(ex4):
     assert circuits(twin) == C
 
 
+@pytest.mark.parametrize("minor", [delete, contract])
+def test_minor_built_once_per_instance(ex4, minor):
+    for i in range(ex4.n):
+        M = minor(ex4, i)
+        assert minor(ex4, i) is M
+        twin_minor = minor(Com(ex4.n, ex4.covectors), i)
+        assert twin_minor == M
+        assert twin_minor is not M
+    with pytest.raises(ValueError):
+        minor(ex4, ex4.n)
+
+
 @pytest.mark.parametrize(
     "n, words", [(1, ["+", "-"]), (2, ["00", "++"]), (2, ["00", "+0", "-0", "++"])]
 )

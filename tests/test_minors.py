@@ -8,7 +8,6 @@ from comring.minors import (
     inject,
     is_wall,
     label_map,
-    minor_report,
     project,
     tope_trichotomy,
     verify_boolean_extension,
@@ -99,11 +98,11 @@ def test_tope_recursion_all_elements(gen3, ex4):
             assert verify_tope_recursion(L, i).ok
 
 
-def test_minor_report(gen3):
-    rep = minor_report(gen3, 1)
+def test_minor_tope_counts(gen3):
+    rep = verify_tope_recursion(gen3, 1)
     assert rep.element == 1
-    assert is_com(rep.deletion) and is_com(rep.contraction)
-    assert rep.tope_counts == (6, 4, 2)
+    assert is_com(delete(gen3, 1)) and is_com(contract(gen3, 1))
+    assert (rep.n_topes, rep.n_deletion_topes, rep.n_contraction_topes) == (6, 4, 2)
 
 
 def test_circuit_minor_laws(gen3, ex4):

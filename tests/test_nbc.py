@@ -39,7 +39,7 @@ def brute_force_nbc(L, order):
 
 def test_linear_order():
     o = LinearOrder((2, 0, 1))
-    assert o.rank(2) == 0 and o.rank(0) == 1 and o.rank(1) == 2
+    assert o.ranks() == {2: 0, 0: 1, 1: 2}
     assert o.minimum({0, 1}) == 0
     assert o.minimum({0, 1, 2}) == 2
     assert o.maximum_element() == 1

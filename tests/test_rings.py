@@ -5,12 +5,9 @@ from comring.core import Com, SignVector, topes
 from comring.exactalg import determinant
 from comring.nbc import LinearOrder
 from comring.rings import (
-    ONE_P,
-    ZERO_P,
     EMonomial,
     MPoly,
     TopeFunction,
-    UPoly,
     e_X_eval,
     f_X_eval,
     gr_multiply,
@@ -25,17 +22,28 @@ from comring.rings import (
 V = SignVector.from_word
 
 
-def test_upoly_arithmetic():
-    p = UPoly.of([1, 2])
-    q = UPoly.of([0, 1])
-    assert (p * q).coeffs == (0, 1, 2)
-    assert (p + q).coeffs == (1, 3)
+ZERO = MPoly.zero(1)
+
+
+def u_power(k: int, c: int = 1) -> MPoly:
+    """c * u^k as a polynomial in the single variable u."""
+    return MPoly.of(1, {(k,): c})
+
+
+def test_u_polynomial_arithmetic():
+    p = MPoly.const(1, 1) + u_power(1, 2)
+    q = MPoly.var(1, 0)
+    assert p * q == MPoly.of(1, {(1,): 1, (2,): 2})
+    assert p + q == MPoly.of(1, {(0,): 1, (1,): 3})
     assert (p - p).is_zero()
-    assert p(3) == 7
-    assert UPoly.u_power(2, 5)(2) == 20
-    assert (q * q).divexact_u().coeffs == (0, 1)
+    one = TopeFunction.constant(Com.from_words(1, ["+"]), 1)
+    assert one.scale(p).at_u(3) == (7,)
+    assert one.scale(u_power(2, 5)).at_u(2) == (20,)
+    assert (q * q).divexact(0) == MPoly.of(1, {(1,): 1})
     with pytest.raises(ValueError):
-        p.divexact_u()
+        p.divexact(0)
+    with pytest.raises(ValueError):
+        one.scale(p).divexact_u()
 
 
 def test_heaviside_golden(gen3):
@@ -66,17 +74,17 @@ def test_rho_eval(gen3):
     m = rho_eval(gen3, EMonomial(((0, 1), (1, -1))))
     # u^2 on the topes in the open quadrant x>0, y<0
     expected = tuple(
-        UPoly.u_power(2) if x.word()[:2] == "+-" else ZERO_P for x in t
+        u_power(2) if x.word()[:2] == "+-" else ZERO for x in t
     )
     assert m.values == expected
     # repeated factor: indicator idempotence, degree still counts both
     sq = rho_eval(gen3, EMonomial(((0, 1), (0, 1))))
     assert sq.values == tuple(
-        UPoly.u_power(2) if x.word()[0] == "+" else ZERO_P for x in t
+        u_power(2) if x.word()[0] == "+" else ZERO for x in t
     )
     assert rho_eval(gen3, EMonomial((), u_exp=1)) == TopeFunction.constant(
         gen3, 1
-    ).scale(UPoly.u_power(1))
+    ).scale(u_power(1))
 
 
 def test_generator_relations_hold_pointwise(gen3):
@@ -84,7 +92,7 @@ def test_generator_relations_hold_pointwise(gen3):
     e0p = rho_eval(gen3, EMonomial(((0, 1),)))
     e0m = rho_eval(gen3, EMonomial(((0, -1),)))
     assert (e0p * e0m).is_zero()
-    u1 = TopeFunction.constant(gen3, 1).scale(UPoly.u_power(1))
+    u1 = TopeFunction.constant(gen3, 1).scale(u_power(1))
     assert e0p + e0m == u1
 
 
@@ -103,7 +111,7 @@ def test_e_X_sign_and_degree(gen3):
     t = topes(gen3)
     val = e_X_eval(gen3, V("+-0"))
     expected = tuple(
-        UPoly.u_power(2, -1) if x.word()[:2] == "+-" else ZERO_P for x in t
+        u_power(2, -1) if x.word()[:2] == "+-" else ZERO for x in t
     )
     assert val.values == expected
 
