@@ -19,8 +19,8 @@ A conditional oriented matroid that contains the zero sign vector is an
 oriented matroid.  All values here are immutable and all operations are
 pure functions; the bit mask representation keeps the axiom scans cheap
 for ground sets up to a few dozen elements.  Results derived from a
-``Com`` (the axiom verdict, its circuits, its NBC families) are computed
-once per instance and kept on it.
+``Com`` (the axiom verdict, its topes and coloops, its circuits, its NBC
+families) are computed once per instance and kept on it.
 """
 
 from __future__ import annotations
@@ -300,17 +300,24 @@ def is_oriented_matroid(L: Com) -> bool:
 
 
 def coloops(L: Com) -> frozenset[int]:
-    """Indices at which every covector is zero."""
-    used = 0
-    for v in L.covectors:
-        used |= v.support
-    return frozenset(i for i in range(L.n) if not (used >> i) & 1)
+    """Indices at which every covector is zero.  Computed once per Com."""
+
+    def compute() -> frozenset[int]:
+        used = 0
+        for v in L.covectors:
+            used |= v.support
+        return frozenset(i for i in range(L.n) if not (used >> i) & 1)
+
+    return L._cached("coloops", compute)
 
 
 def topes(L: Com) -> tuple[SignVector, ...]:
-    """Covectors with full support, in canonical order."""
+    """Covectors with full support, in canonical order.  Computed once
+    per Com."""
     full = (1 << L.n) - 1
-    return tuple(v for v in L.covectors if v.support == full)
+    return L._cached(
+        "topes", lambda: tuple(v for v in L.covectors if v.support == full)
+    )
 
 
 def parse_com_json(text: str) -> Com:

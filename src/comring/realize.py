@@ -10,15 +10,20 @@ inequalities c.x > d.  A sign vector X is realized when the set
 is nonempty.  Every such system is a mix of rational equalities and
 strict inequalities, decided exactly by Gaussian elimination on the
 equalities followed by Fourier-Motzkin elimination on the strict part.
+Fourier-Motzkin removes, at each step, the variable that combines the
+fewest pairs of rows, and keeps only the tightest of parallel rows.
 A strict rational system has a real solution iff it has a rational one:
 Fourier-Motzkin eliminates variable by variable over Q, and the final
 constant system is satisfied over R iff over Q, so back substitution
 produces a rational witness whenever the real system is solvable.
 
 Covector enumeration walks sign prefixes in hyperplane list order and
-keeps a rational witness point per node: the child matching the sign of
-the witness is feasible for free, so only the other two branches pay a
-feasibility solve.  That makes the search output sensitive.
+keeps a rational witness point per node.  Each node is a convex cell,
+so at most one feasibility solve per node decides all three children:
+none when the next hyperplane is constant on the cell's flat or passes
+through the witness, else one for the side opposite the witness, whose
+answer also decides the hyperplane itself.  That makes the search output
+sensitive.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd, lcm
 
 from .circuits import CircuitSet, minimal_support_walk, submasks
 from .core import Com, SignVector
@@ -34,6 +39,7 @@ from .exactalg import rational_rref
 
 Vector = tuple[Fraction, ...]
 LinRow = tuple[tuple[Fraction, ...], Fraction]
+IntRow = tuple[tuple[int, ...], int]
 
 
 class ArrangementFormatError(ValueError):
@@ -78,7 +84,7 @@ class Arrangement:
         return len(self.hyperplanes)
 
 
-def _normalize_int_row(coeffs: list[int], const: int) -> tuple[tuple[int, ...], int]:
+def _normalize_int_row(coeffs: list[int], const: int) -> IntRow:
     g = 0
     for v in coeffs:
         g = gcd(g, v)
@@ -89,72 +95,102 @@ def _normalize_int_row(coeffs: list[int], const: int) -> tuple[tuple[int, ...], 
     return tuple(coeffs), const
 
 
-def _int_row(c: Vector | list[Fraction], d: Fraction) -> tuple[tuple[int, ...], int]:
+def _int_row(c: Vector | list[Fraction], d: Fraction) -> IntRow:
     """Clear denominators of c.x > d (or = d) into an integer row."""
     denom = d.denominator
     for v in c:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    coeffs = [int(v * denom) for v in c]
-    return _normalize_int_row(coeffs, int(d * denom))
+        denom = lcm(denom, v.denominator)
+    coeffs = [v.numerator * (denom // v.denominator) for v in c]
+    return _normalize_int_row(coeffs, d.numerator * (denom // d.denominator))
 
 
-def _eliminate(rows: list[tuple[tuple[int, ...], int]], j: int):
-    """Project a strict integer system to the variables below j.
+def _tightest(rows: list[IntRow]) -> list[IntRow] | None:
+    """Drop every strict row implied by a parallel row, and constant rows.
 
-    Returns the projected rows, or None when a contradictory constant
-    row 0 > d with d >= 0 appears.
+    Among rows whose coefficient vectors are positive multiples of one
+    another, c.x > d is the tightest when d / gcd(c) is largest.  Returns
+    None when a contradictory constant row 0 > d with d >= 0 appears.
     """
-    pos = []
-    neg = []
-    out = set()
+    best: dict[tuple[int, ...], tuple[int, IntRow]] = {}
     for c, d in rows:
-        if c[j] > 0:
-            pos.append((c, d))
-        elif c[j] < 0:
-            neg.append((c, d))
-        else:
-            out.add((c[:j], d))
-    for cp, dp in pos:
-        for cn, dn in neg:
-            mp, mn = -cn[j], cp[j]
-            coeffs = [mp * a + mn * b for a, b in zip(cp[:j], cn[:j])]
-            out.add(_normalize_int_row(coeffs, mp * dp + mn * dn))
-    kept = []
-    for c, d in out:
-        if any(c):
-            kept.append((c, d))
-        elif d >= 0:
-            return None
-    return kept
+        g = 0
+        for v in c:
+            g = gcd(g, v)
+        if not g:
+            if d >= 0:
+                return None
+            continue
+        key = tuple(v // g for v in c)
+        old = best.get(key)
+        if old is None or d * old[0] > old[1][1] * g:
+            best[key] = (g, (c, d))
+    return [r for _, r in best.values()]
 
 
-def _fm_witness(rows: list[tuple[tuple[int, ...], int]], m: int) -> list[Fraction] | None:
-    """Rational point satisfying all strict rows over m variables, or None."""
-    levels = [rows]
-    for j in reversed(range(m)):
-        projected = _eliminate(levels[0], j)
-        if projected is None:
+def _pair_count(rows: list[IntRow], j: int) -> int:
+    """Number of rows that eliminating variable j combines into one."""
+    pos = sum(1 for c, _ in rows if c[j] > 0)
+    return pos * sum(1 for c, _ in rows if c[j] < 0)
+
+
+def _bound(row: IntRow, j: int, point: list[Fraction]) -> Fraction:
+    """The value of x_j at which row c.x > d becomes tight, other x fixed;
+    x_j itself must still be 0 in point."""
+    c, d = row
+    rest = d - sum(ck * xk for ck, xk in zip(c, point) if ck and xk)
+    return Fraction(rest, c[j])
+
+
+def _between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
+    """A rational strictly between lo and hi (None is unbounded): the
+    integer nearest 0 in that open interval if there is one, else the
+    midpoint.  Small witnesses keep later exact arithmetic cheap."""
+    if (lo is None or lo < 0) and (hi is None or hi > 0):
+        return Fraction(0)
+    if lo is not None and lo >= 0:
+        x = Fraction(floor(lo) + 1)
+    else:
+        x = Fraction(ceil(hi) - 1)
+    if (lo is None or lo < x) and (hi is None or x < hi):
+        return x
+    return (lo + hi) / 2
+
+
+def _fm_witness(rows: list[IntRow], m: int) -> list[Fraction] | None:
+    """Rational point satisfying all strict rows over m variables, or None.
+
+    Fourier-Motzkin elimination that at each step removes the variable
+    whose positive and negative row counts have the smallest product
+    (the highest index on ties), keeping only the tightest of parallel
+    rows.  Back substitution then sets the variables in the reverse of
+    the elimination order, each strictly between the bounds of the rows
+    it was eliminated from; a variable that appears in no row is 0.
+    """
+    current = _tightest(rows)
+    if current is None:
+        return None
+    steps = []
+    remaining = list(range(m))
+    while current and remaining:
+        j = min(remaining, key=lambda v: (_pair_count(current, v), -v))
+        remaining.remove(j)
+        pos, neg, out = [], [], []
+        for c, d in current:
+            (pos if c[j] > 0 else neg if c[j] < 0 else out).append((c, d))
+        for cp, dp in pos:
+            for cn, dn in neg:
+                mp, mn = -cn[j], cp[j]
+                coeffs = [mp * a + mn * b for a, b in zip(cp, cn)]
+                out.append(_normalize_int_row(coeffs, mp * dp + mn * dn))
+        steps.append((j, pos, neg))
+        current = _tightest(out)
+        if current is None:
             return None
-        levels.insert(0, projected)
-    point: list[Fraction] = []
-    for j in range(m):
-        lo = hi = None
-        for c, d in levels[j + 1]:
-            if not c[j]:
-                continue
-            bound = Fraction(d - sum(ck * xk for ck, xk in zip(c, point)), c[j])
-            if c[j] > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None and hi is None:
-            point.append(Fraction(0))
-        elif lo is None:
-            point.append(hi - 1)
-        elif hi is None:
-            point.append(lo + 1)
-        else:
-            point.append((lo + hi) / 2)
+    point = [Fraction(0)] * m
+    for j, pos, neg in reversed(steps):
+        lo = max((_bound(row, j, point) for row in pos), default=None)
+        hi = min((_bound(row, j, point) for row in neg), default=None)
+        point[j] = _between(lo, hi)
     return point
 
 
@@ -165,35 +201,27 @@ def feasible_point(
 
     Equalities are removed first: the reduced echelon form rewrites each
     pivot variable as an affine function of the free ones, the strict
-    rows are rewritten over the free variables, and Fourier-Motzkin
-    decides the remainder.
+    rows are rewritten over the free variables in integer arithmetic,
+    and Fourier-Motzkin decides the remainder.
     """
     int_rows = [_int_row(c, d) for c, d in equalities]
     solved = rational_rref([c + (d,) for c, d in int_rows], dim)
     if solved is None:
         return None
     pivots, rows = solved
+    # Each pivot row as an integer equality with a positive pivot entry.
+    subst = [_int_row(row[:dim], row[dim]) for row in rows]
     free = [c for c in range(dim) if c not in pivots]
-    pos = {c: k for k, c in enumerate(free)}
     reduced = []
     for c, d in stricts:
-        coeffs = [Fraction(0)] * len(free)
-        const = Fraction(d)
-        for col, v in enumerate(c):
-            if v == 0:
-                continue
-            if col in pos:
-                coeffs[pos[col]] += v
-            else:
-                row = rows[pivots.index(col)]
-                const -= v * row[dim]
-                for f, k in pos.items():
-                    coeffs[k] -= v * row[f]
-        reduced.append(_int_row(coeffs, const))
-    for c, d in reduced:
-        if not any(c) and d >= 0:
-            return None
-    basic = _fm_witness([(c, d) for c, d in reduced if any(c)], len(free))
+        coeffs, const = _int_row(c, d)
+        for col, (e, f) in zip(pivots, subst):
+            v = coeffs[col]
+            if v:
+                coeffs = [e[col] * x - v * y for x, y in zip(coeffs, e)]
+                const = e[col] * const - v * f
+        reduced.append(_normalize_int_row([coeffs[k] for k in free], const))
+    basic = _fm_witness(reduced, len(free))
     if basic is None:
         return None
     point = [Fraction(0)] * dim
@@ -228,44 +256,100 @@ def sign_vector_at_point(arr: Arrangement, p: Vector) -> SignVector:
     return SignVector.from_signs(signs)
 
 
+def _dot(a: Vector, p: Vector) -> Fraction:
+    return sum((ak * pk for ak, pk in zip(a, p)), Fraction(0))
+
+
+def _flat_residual(flat: list[tuple[int, Vector]], a: Vector) -> Vector:
+    """a less its component in the span of the flat's reduced rows.
+
+    ``flat`` holds (pivot column, row) pairs in reduced echelon form; the
+    residual is zero at every pivot and is zero exactly when a lies in
+    their span.
+    """
+    r = a
+    for col, row in flat:
+        f = r[col]
+        if f:
+            r = tuple(x - f * y for x, y in zip(r, row))
+    return r
+
+
 def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]]:
-    """All realized sign vectors, each with a rational witness point."""
+    """All realized sign vectors, each with a rational witness point.
+
+    Each node of the sign-prefix walk is a relatively open convex cell C
+    with a witness p; its equality normals are kept in reduced echelon
+    form.  For the next hyperplane a.x = b:
+
+    (a) a lies in the span of the equality normals: a.x - b is constant
+        on C, so only the sign at p occurs and the cell is unchanged;
+    (b) a.p = b: a direction v in the flat with a.v != 0 moves p off the
+        hyperplane to both sides, by half the smallest slack ratio of
+        C's strict rows along v;
+    (c) otherwise the side of p is free and only the opposite side is
+        solved; if it is empty the hyperplane misses C, and if it holds
+        q, the crossing point of the segment from p to q is in C on the
+        hyperplane.
+    """
     start = region_point(arr)
     if start is None:
         return []
     hyps = [(h.a, h.b) for h in arr.hyperplanes]
-    stricts0 = list(arr.region.strict)
+    # The strict row of each side of each hyperplane, by sign.
+    sides = [{1: (a, b), -1: (tuple(-x for x in a), -b)} for a, b in hyps]
     out: list[tuple[SignVector, Vector]] = []
 
-    def value_sign(row: LinRow, p: Vector) -> int:
-        v = sum(ak * pk for ak, pk in zip(row[0], p)) - row[1]
-        return 1 if v > 0 else -1 if v < 0 else 0
-
     def branch(
-        k: int, signs: tuple[int, ...], eqs: list[LinRow], stricts: list[LinRow],
-        witness: Vector,
+        k: int, signs: tuple[int, ...], flat: list[tuple[int, Vector]],
+        eqs: list[LinRow], stricts: list[LinRow], p: Vector,
     ) -> None:
         if k == len(hyps):
-            out.append((SignVector.from_signs(signs), witness))
+            out.append((SignVector.from_signs(signs), p))
             return
         a, b = hyps[k]
-        free = value_sign((a, b), witness)
+        value = _dot(a, p) - b
+        side = (value > 0) - (value < 0)
+        r = _flat_residual(flat, a)
+        col = next((j for j, v in enumerate(r) if v), None)
+        if col is None:
+            branch(k + 1, signs + (side,), flat, eqs, stricts, p)
+            return
+        witness = {side: p}
+        if side == 0:
+            # v solves every reduced row and a.v = r[col] != 0.
+            v = [Fraction(0)] * arr.dim
+            v[col] = Fraction(1 if r[col] > 0 else -1)
+            for pivot, row in flat:
+                v[pivot] = -row[col] * v[col]
+            ratios = [
+                (_dot(c, p) - d) / abs(cv) for c, d in stricts if (cv := _dot(c, v))
+            ]
+            eps = min(ratios) / 2 if ratios else Fraction(1)
+            witness[1] = tuple(pk + eps * vk for pk, vk in zip(p, v))
+            witness[-1] = tuple(pk - eps * vk for pk, vk in zip(p, v))
+        else:
+            q = feasible_point(eqs, stricts + [sides[k][-side]], arr.dim)
+            if q is not None:
+                t = value / (value - _dot(a, q) + b)
+                witness[-side] = q
+                witness[0] = tuple(pk + t * (qk - pk) for pk, qk in zip(p, q))
         for s in (-1, 0, 1):
-            if s == 0:
-                child_eqs = eqs + [(a, b)]
-                child_stricts = stricts
-            else:
-                child_eqs = eqs
-                row = (a, b) if s > 0 else (tuple(-v for v in a), -b)
-                child_stricts = stricts + [row]
-            if s == free:
-                branch(k + 1, signs + (s,), child_eqs, child_stricts, witness)
+            if s not in witness:
                 continue
-            p = feasible_point(child_eqs, child_stricts, arr.dim)
-            if p is not None:
-                branch(k + 1, signs + (s,), child_eqs, child_stricts, p)
+            if s == 0:
+                unit = tuple(x / r[col] for x in r)
+                child_flat = [
+                    (pivot, tuple(x - row[col] * y for x, y in zip(row, unit)))
+                    for pivot, row in flat
+                ] + [(col, unit)]
+                child_eqs = eqs + [(a, b)]
+                branch(k + 1, signs + (0,), child_flat, child_eqs, stricts, witness[0])
+            else:
+                child_stricts = stricts + [sides[k][s]]
+                branch(k + 1, signs + (s,), flat, eqs, child_stricts, witness[s])
 
-    branch(0, (), [], stricts0, start)
+    branch(0, (), [], [], list(arr.region.strict), start)
     return out
 
 

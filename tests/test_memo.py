@@ -3,7 +3,7 @@
 import pytest
 
 from comring.circuits import circuits, om_circuits
-from comring.core import Com, is_oriented_matroid
+from comring.core import Com, coloops, is_oriented_matroid, topes
 from comring.minors import contract, delete
 from comring.nbc import LinearOrder, nbc_sets
 from comring.realize import covectors
@@ -18,6 +18,22 @@ def test_circuits_computed_once_per_instance(ex4):
     assert twin == ex4
     assert circuits(twin) is not C
     assert circuits(twin) == C
+
+
+def test_topes_and_coloops_computed_once_per_instance(gen3):
+    with_topes = contract(gen3, 0)
+    with_coloop = Com.from_words(3, ["000", "+00", "-00", "+0+", "-0-", "+0-"])
+    for analysis, L in ((topes, with_topes), (coloops, with_coloop)):
+        first = analysis(L)
+        assert first
+        assert analysis(L) is first
+        twin = Com(L.n, L.covectors)
+        assert analysis(twin) is not first
+        assert analysis(twin) == first
+    assert [t.word() for t in topes(with_topes)] == ["--", "++"]
+    assert coloops(with_coloop) == frozenset({1})
+    assert topes(with_coloop) == ()
+    assert coloops(with_topes) == frozenset()
 
 
 @pytest.mark.parametrize("minor", [delete, contract])

@@ -1,10 +1,13 @@
 import json
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from comring.circuits import circuits
-from comring.core import is_com, topes
+from comring.core import SignVector, is_com, topes
+from comring import realize
 from comring.realize import (
     Arrangement,
     ArrangementFormatError,
@@ -20,6 +23,7 @@ from comring.realize import (
     sign_vector_at_point,
     strictly_feasible,
 )
+from comring.verify import corpus_arrangement
 
 F = Fraction
 
@@ -190,3 +194,144 @@ def test_generated_arrangements_are_deterministic():
     assert region_point(a) is not None
     assert all(any(h.a) for h in a.hyperplanes)
     assert all(abs(v) <= 5 for h in a.hyperplanes for v in h.a)
+
+
+def oracle_covectors(arr):
+    """Every sign vector among the 3^n whose mixed system is feasible."""
+    found = set()
+    for signs in product((-1, 0, 1), repeat=arr.n):
+        eqs, stricts = [], list(arr.region.strict)
+        for s, h in zip(signs, arr.hyperplanes):
+            if s == 0:
+                eqs.append((h.a, h.b))
+            else:
+                stricts.append((tuple(s * v for v in h.a), s * h.b))
+        if feasible_point(eqs, stricts, arr.dim) is not None:
+            found.add(SignVector.from_signs(signs))
+    return found
+
+
+def assert_matches_oracle(arr):
+    pairs = covectors_with_witnesses(arr)
+    words = [x for x, _ in pairs]
+    assert len(set(words)) == len(words)
+    assert set(words) == oracle_covectors(arr)
+    for x, p in pairs:
+        assert sign_vector_at_point(arr, p) == x
+    return pairs
+
+
+def test_covectors_match_oracle(gen3_arrangement, ex4_arrangement):
+    for arr in [gen3_arrangement, ex4_arrangement] + [
+        corpus_arrangement(seed) for seed in range(30)
+    ]:
+        assert_matches_oracle(arr)
+
+
+def counted_solves(monkeypatch, arr):
+    """The walk's output on arr and the number of feasibility solves it made."""
+    calls = []
+    solve = realize.feasible_point
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(realize, "feasible_point", counting)
+    pairs = assert_matches_oracle(arr)
+    monkeypatch.undo()
+    return pairs, len(calls)
+
+
+def hyperplanes(*rows):
+    return tuple(Hyperplane(*row(*r)) for r in rows)
+
+
+def test_node_case_constant_on_flat(monkeypatch):
+    # x = 0 twice, 2x = 0 and x = 1: on the flat x = 0 the last three are
+    # constant, so that subtree costs no solve.  One solve finds the
+    # region point, three run on the negative side (each opposite side is
+    # empty) and two on the positive side, where x = 1 meets the witness.
+    arr = Arrangement(1, hyperplanes((1, 0), (1, 0), (2, 0), (1, 1)), OpenRegion(()))
+    pairs, solves = counted_solves(monkeypatch, arr)
+    assert [x.word() for x, _ in pairs] == ["----", "000-", "+++-", "+++0", "++++"]
+    assert solves == 6
+
+
+def test_node_case_witness_on_hyperplane(monkeypatch):
+    # Central coordinate planes: the region point is the origin and every
+    # witness lies on every later plane, so both strict children come from
+    # moving off the plane and only the region point is solved for.
+    arr = Arrangement(
+        3, hyperplanes((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), OpenRegion(())
+    )
+    pairs, solves = counted_solves(monkeypatch, arr)
+    assert len(pairs) == 27
+    assert solves == 1
+
+
+def test_node_case_crossing(monkeypatch):
+    # The lines x = 1, y = 1 and x + y = 1 miss the region point, the
+    # origin, so the walk must cross them: a solve finds the far side, and
+    # the zero child's witness is the crossing point.
+    arr = Arrangement(2, hyperplanes((1, 0, 1), (0, 1, 1), (1, 1, 1)), OpenRegion(()))
+    assert len(assert_matches_oracle(arr)) == 19
+    # Inside x > 0, y > 0 the line x + y = -1 misses the region: the one
+    # solve of its far side fails, and no zero child is tried.
+    arr = Arrangement(
+        2, hyperplanes((1, 1, -1)), OpenRegion((row(1, 0, 0), row(0, 1, 0)))
+    )
+    pairs, solves = counted_solves(monkeypatch, arr)
+    assert [x.word() for x, _ in pairs] == ["+"]
+    assert solves == 2
+
+
+def fixed_order_fm_feasible(rows, m):
+    """Oracle: plain Fourier-Motzkin over Q, last variable first, no pruning.
+
+    A strict system c.x > d is solvable iff every positive combination
+    that cancels all variables leaves 0 > d with d < 0.
+    """
+    system = [(tuple(F(v) for v in c), F(d)) for c, d in rows]
+    for j in reversed(range(m)):
+        pos = [r for r in system if r[0][j] > 0]
+        neg = [r for r in system if r[0][j] < 0]
+        system = [r for r in system if r[0][j] == 0]
+        for cp, dp in pos:
+            for cn, dn in neg:
+                lp, ln = -cn[j], cp[j]
+                system.append(
+                    (tuple(lp * a + ln * b for a, b in zip(cp, cn)), lp * dp + ln * dn)
+                )
+    return all(d < 0 for _, d in system)
+
+
+def random_strict_system(rng):
+    """Up to 8 integer rows over up to 4 variables, with parallel rows,
+    duplicates and constant rows mixed in."""
+    m = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        if rows and rng.random() < 0.3:
+            c, _ = rng.choice(rows)
+            c = tuple(rng.choice((1, 2, 3)) * v for v in c)
+        else:
+            c = tuple(rng.randint(-3, 3) for _ in range(m))
+        rows.append((c, rng.randint(-4, 4)))
+    return rows, m
+
+
+def test_fm_kernel_matches_fixed_order_oracle():
+    rng = random.Random(20221)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        rows, m = random_strict_system(rng)
+        point = realize._fm_witness(rows, m)
+        feasible = fixed_order_fm_feasible(rows, m)
+        assert (point is not None) == feasible, rows
+        verdicts[feasible] += 1
+        if point is not None:
+            assert len(point) == m
+            for c, d in rows:
+                assert sum(ck * xk for ck, xk in zip(c, point)) > d, (rows, point)
+    assert min(verdicts.values()) >= 100
