@@ -324,7 +324,7 @@ def parse_com_json(text: str) -> Com:
     """Parse ``{"n": int, "covectors": ["+-0", ...]}``; strict on content."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ComFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ComFormatError("top level must be an object")

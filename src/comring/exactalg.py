@@ -1,19 +1,30 @@
-"""Exact linear algebra: Hermite normal form, determinant, spans, rref.
+"""Exact linear algebra: Hermite normal form, determinant, spans, echelon.
 
-All arithmetic is over Python's arbitrary precision integers, except in
-the rational Gauss-Jordan kernel ``rational_rref``.  The Hermite normal
-form here is row style: pivots are positive, each pivot sits strictly to
-the right of the one above, entries above a pivot are reduced into
-[0, pivot), and zero rows are collected at the bottom.  The transform U
-with H = U * M is accumulated from the same row operations, so
-det(U) = +-1 by construction.
+All arithmetic is over Python's arbitrary precision integers.  The
+Hermite normal form here is row style: pivots are positive, each pivot
+sits strictly to the right of the one above, entries above a pivot are
+reduced into [0, pivot), and zero rows are collected at the bottom.  The
+transform U with H = U * M is accumulated from the same row operations,
+so det(U) = +-1 by construction.
+
+Every exact elimination over Q goes through one integer reduced echelon
+kernel (``primitive_row``, ``reduce_row``, ``insert_row``).  It is
+fraction free like Bareiss's elimination, but keeps each row primitive
+by its gcd in place of Bareiss's exact division.  A flat is a tuple of
+(pivot column, row) pairs whose rows c.x = d are primitive, have a
+positive pivot entry and vanish in every other pivot column, so each
+pivot variable is an affine function of the free ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
+
+# (c, d) is the equality c.x = d or the strict row c.x > d.
+Row = tuple[tuple[int, ...], int]
+Flat = tuple[tuple[int, Row], ...]
 
 
 @dataclass(frozen=True)
@@ -131,37 +142,46 @@ def determinant(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rational_rref(
-    system: Iterable[Sequence[int | Fraction]], ncols: int
-) -> tuple[list[int], list[list[Fraction]]] | None:
-    """Gauss-Jordan elimination of an augmented system over Q.
+def primitive_row(c: Sequence[int], d: int) -> Row:
+    """The row divided by the gcd of its entries; a zero row is unchanged."""
+    g = gcd(*c, d)
+    if g > 1:
+        return tuple(v // g for v in c), d // g
+    return tuple(c), d
 
-    Each row holds ncols coefficients followed by a constant.  Returns
-    (pivot columns, reduced pivot rows) as Fractions, or None when the
-    system is inconsistent.  Elimination stops as soon as every row
-    holds a pivot, since no later column can then change.
+
+def reduce_row(flat: Flat, row: Row) -> Row:
+    """Eliminate every pivot variable of flat from row; primitive.
+
+    Each step replaces row by e[p] * row - row[p] * (e, f) with e[p] > 0,
+    so on the flat the result is a positive multiple of row: a strict row
+    keeps its direction.  The result vanishes in every pivot column.
     """
-    rows = [[Fraction(v) for v in row] for row in system]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if any(row[ncols] != 0 for row in rows[r:]):
-        return None
-    return pivots, rows[:r]
+    c, d = row
+    for p, (e, f) in flat:
+        v = c[p]
+        if v:
+            w = e[p]
+            c = [w * x - v * y for x, y in zip(c, e)]
+            d = w * d - v * f
+    return primitive_row(c, d)
+
+
+def insert_row(flat: Flat, row: Row) -> Flat | None:
+    """Add the equality row to flat.
+
+    Returns None when the equalities become inconsistent and flat itself
+    when row is implied.  Otherwise the new pivot is the first column the
+    reduced row keeps, made positive and cleared from every other row.
+    """
+    c, d = reduce_row(flat, row)
+    col = next((j for j, v in enumerate(c) if v), None)
+    if col is None:
+        return None if d else flat
+    if c[col] < 0:
+        c, d = tuple(-v for v in c), -d
+    new = ((col, (c, d)),)
+    return tuple((p, reduce_row(new, r)) for p, r in flat) + new
 
 
 def in_row_span(M: IntMatrix, v: Sequence[int]) -> bool:

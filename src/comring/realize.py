@@ -8,8 +8,10 @@ inequalities c.x > d.  A sign vector X is realized when the set
               a_i.x = b_i where X_i = 0}
 
 is nonempty.  Every such system is a mix of rational equalities and
-strict inequalities, decided exactly by Gaussian elimination on the
-equalities followed by Fourier-Motzkin elimination on the strict part.
+strict inequalities, decided exactly in integers: the equalities go into
+the reduced echelon kernel of ``exactalg``, which also rewrites the
+strict rows over the free variables, and Fourier-Motzkin elimination
+decides the strict part.
 Fourier-Motzkin removes, at each step, the variable that combines the
 fewest pairs of rows, and keeps only the tightest of parallel rows.
 A strict rational system has a real solution iff it has a rational one:
@@ -18,28 +20,28 @@ constant system is satisfied over R iff over Q, so back substitution
 produces a rational witness whenever the real system is solvable.
 
 Covector enumeration walks sign prefixes in hyperplane list order and
-keeps a rational witness point per node.  Each node is a convex cell,
-so at most one feasibility solve per node decides all three children:
-none when the next hyperplane is constant on the cell's flat or passes
-through the witness, else one for the side opposite the witness, whose
-answer also decides the hyperplane itself.  That makes the search output
+keeps a rational witness point and the flat of its equalities per node.
+Each node is a convex cell, so at most one feasibility solve per node
+decides all three children: none when the next hyperplane is constant on
+the cell's flat or passes through the witness, else one for the side
+opposite the witness, whose answer also decides the hyperplane itself.  That makes the search output
 sensitive.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .circuits import CircuitSet, minimal_support_walk, submasks
 from .core import Com, SignVector
-from .exactalg import rational_rref
+from .exactalg import Flat, Row, insert_row, primitive_row, reduce_row
 
 Vector = tuple[Fraction, ...]
 LinRow = tuple[tuple[Fraction, ...], Fraction]
-IntRow = tuple[tuple[int, ...], int]
 
 
 class ArrangementFormatError(ValueError):
@@ -84,38 +86,23 @@ class Arrangement:
         return len(self.hyperplanes)
 
 
-def _normalize_int_row(coeffs: list[int], const: int) -> IntRow:
-    g = 0
-    for v in coeffs:
-        g = gcd(g, v)
-    g = gcd(g, const)
-    if g > 1:
-        coeffs = [v // g for v in coeffs]
-        const = const // g
-    return tuple(coeffs), const
-
-
-def _int_row(c: Vector | list[Fraction], d: Fraction) -> IntRow:
-    """Clear denominators of c.x > d (or = d) into an integer row."""
-    denom = d.denominator
-    for v in c:
-        denom = lcm(denom, v.denominator)
+def _int_row(c: Vector, d: Fraction) -> Row:
+    """Clear denominators of c.x > d (or = d) into a primitive integer row."""
+    denom = lcm(d.denominator, *(v.denominator for v in c))
     coeffs = [v.numerator * (denom // v.denominator) for v in c]
-    return _normalize_int_row(coeffs, d.numerator * (denom // d.denominator))
+    return primitive_row(coeffs, d.numerator * (denom // d.denominator))
 
 
-def _tightest(rows: list[IntRow]) -> list[IntRow] | None:
+def _tightest(rows: list[Row]) -> list[Row] | None:
     """Drop every strict row implied by a parallel row, and constant rows.
 
     Among rows whose coefficient vectors are positive multiples of one
     another, c.x > d is the tightest when d / gcd(c) is largest.  Returns
     None when a contradictory constant row 0 > d with d >= 0 appears.
     """
-    best: dict[tuple[int, ...], tuple[int, IntRow]] = {}
+    best: dict[tuple[int, ...], tuple[int, Row]] = {}
     for c, d in rows:
-        g = 0
-        for v in c:
-            g = gcd(g, v)
+        g = gcd(*c)
         if not g:
             if d >= 0:
                 return None
@@ -127,13 +114,13 @@ def _tightest(rows: list[IntRow]) -> list[IntRow] | None:
     return [r for _, r in best.values()]
 
 
-def _pair_count(rows: list[IntRow], j: int) -> int:
+def _pair_count(rows: list[Row], j: int) -> int:
     """Number of rows that eliminating variable j combines into one."""
     pos = sum(1 for c, _ in rows if c[j] > 0)
     return pos * sum(1 for c, _ in rows if c[j] < 0)
 
 
-def _bound(row: IntRow, j: int, point: list[Fraction]) -> Fraction:
+def _bound(row: Row, j: int, point: list[Fraction]) -> Fraction:
     """The value of x_j at which row c.x > d becomes tight, other x fixed;
     x_j itself must still be 0 in point."""
     c, d = row
@@ -156,7 +143,7 @@ def _between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     return (lo + hi) / 2
 
 
-def _fm_witness(rows: list[IntRow], m: int) -> list[Fraction] | None:
+def _fm_witness(rows: list[Row], m: int) -> list[Fraction] | None:
     """Rational point satisfying all strict rows over m variables, or None.
 
     Fourier-Motzkin elimination that at each step removes the variable
@@ -181,7 +168,7 @@ def _fm_witness(rows: list[IntRow], m: int) -> list[Fraction] | None:
             for cn, dn in neg:
                 mp, mn = -cn[j], cp[j]
                 coeffs = [mp * a + mn * b for a, b in zip(cp, cn)]
-                out.append(_normalize_int_row(coeffs, mp * dp + mn * dn))
+                out.append(primitive_row(coeffs, mp * dp + mn * dn))
         steps.append((j, pos, neg))
         current = _tightest(out)
         if current is None:
@@ -199,36 +186,32 @@ def feasible_point(
 ) -> Vector | None:
     """A rational point solving the mixed system, or None.
 
-    Equalities are removed first: the reduced echelon form rewrites each
-    pivot variable as an affine function of the free ones, the strict
-    rows are rewritten over the free variables in integer arithmetic,
-    and Fourier-Motzkin decides the remainder.
+    The equalities go into an integer reduced echelon flat, which makes
+    each pivot variable an affine function of the free ones; the strict
+    rows are reduced on that flat by positive multiples, so they keep
+    their direction, and Fourier-Motzkin decides them over the free
+    variables.  Equalities that already form a reduced flat, as the
+    covector walk passes them, are taken over unchanged.
     """
-    int_rows = [_int_row(c, d) for c, d in equalities]
-    solved = rational_rref([c + (d,) for c, d in int_rows], dim)
-    if solved is None:
-        return None
-    pivots, rows = solved
-    # Each pivot row as an integer equality with a positive pivot entry.
-    subst = [_int_row(row[:dim], row[dim]) for row in rows]
-    free = [c for c in range(dim) if c not in pivots]
+    flat: Flat | None = ()
+    for c, d in equalities:
+        flat = insert_row(flat, _int_row(c, d))
+        if flat is None:
+            return None
+    pivots = {p for p, _ in flat}
+    free = [k for k in range(dim) if k not in pivots]
     reduced = []
     for c, d in stricts:
-        coeffs, const = _int_row(c, d)
-        for col, (e, f) in zip(pivots, subst):
-            v = coeffs[col]
-            if v:
-                coeffs = [e[col] * x - v * y for x, y in zip(coeffs, e)]
-                const = e[col] * const - v * f
-        reduced.append(_normalize_int_row([coeffs[k] for k in free], const))
+        e, f = reduce_row(flat, _int_row(c, d))
+        reduced.append((tuple(e[k] for k in free), f))
     basic = _fm_witness(reduced, len(free))
     if basic is None:
         return None
     point = [Fraction(0)] * dim
-    for c, v in zip(free, basic):
-        point[c] = v
-    for col, row in zip(pivots, rows):
-        point[col] = row[dim] - sum(row[f] * point[f] for f in free)
+    for k, v in zip(free, basic):
+        point[k] = v
+    for p, (e, f) in flat:
+        point[p] = Fraction(f - sum(e[k] * point[k] for k in free), e[p])
     return tuple(point)
 
 
@@ -260,27 +243,13 @@ def _dot(a: Vector, p: Vector) -> Fraction:
     return sum((ak * pk for ak, pk in zip(a, p)), Fraction(0))
 
 
-def _flat_residual(flat: list[tuple[int, Vector]], a: Vector) -> Vector:
-    """a less its component in the span of the flat's reduced rows.
-
-    ``flat`` holds (pivot column, row) pairs in reduced echelon form; the
-    residual is zero at every pivot and is zero exactly when a lies in
-    their span.
-    """
-    r = a
-    for col, row in flat:
-        f = r[col]
-        if f:
-            r = tuple(x - f * y for x, y in zip(r, row))
-    return r
-
-
 def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]]:
     """All realized sign vectors, each with a rational witness point.
 
     Each node of the sign-prefix walk is a relatively open convex cell C
-    with a witness p; its equality normals are kept in reduced echelon
-    form.  For the next hyperplane a.x = b:
+    with a witness p; its equalities are kept as an integer reduced
+    echelon flat, which is also what its feasibility solves receive as
+    equalities.  For the next hyperplane a.x = b:
 
     (a) a lies in the span of the equality normals: a.x - b is constant
         on C, so only the sign at p occurs and the cell is unchanged;
@@ -296,13 +265,13 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
     if start is None:
         return []
     hyps = [(h.a, h.b) for h in arr.hyperplanes]
+    rows = [_int_row(a, b) for a, b in hyps]
     # The strict row of each side of each hyperplane, by sign.
     sides = [{1: (a, b), -1: (tuple(-x for x in a), -b)} for a, b in hyps]
     out: list[tuple[SignVector, Vector]] = []
 
     def branch(
-        k: int, signs: tuple[int, ...], flat: list[tuple[int, Vector]],
-        eqs: list[LinRow], stricts: list[LinRow], p: Vector,
+        k: int, signs: tuple[int, ...], flat: Flat, stricts: list[LinRow], p: Vector
     ) -> None:
         if k == len(hyps):
             out.append((SignVector.from_signs(signs), p))
@@ -310,18 +279,18 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         a, b = hyps[k]
         value = _dot(a, p) - b
         side = (value > 0) - (value < 0)
-        r = _flat_residual(flat, a)
+        r, _ = reduce_row(flat, rows[k])
         col = next((j for j, v in enumerate(r) if v), None)
         if col is None:
-            branch(k + 1, signs + (side,), flat, eqs, stricts, p)
+            branch(k + 1, signs + (side,), flat, stricts, p)
             return
         witness = {side: p}
         if side == 0:
-            # v solves every reduced row and a.v = r[col] != 0.
+            # v solves the homogeneous equalities of the flat, and a.v > 0.
             v = [Fraction(0)] * arr.dim
             v[col] = Fraction(1 if r[col] > 0 else -1)
-            for pivot, row in flat:
-                v[pivot] = -row[col] * v[col]
+            for pivot, (e, _) in flat:
+                v[pivot] = -e[col] * v[col] / e[pivot]
             ratios = [
                 (_dot(c, p) - d) / abs(cv) for c, d in stricts if (cv := _dot(c, v))
             ]
@@ -329,6 +298,7 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
             witness[1] = tuple(pk + eps * vk for pk, vk in zip(p, v))
             witness[-1] = tuple(pk - eps * vk for pk, vk in zip(p, v))
         else:
+            eqs = [row for _, row in flat]
             q = feasible_point(eqs, stricts + [sides[k][-side]], arr.dim)
             if q is not None:
                 t = value / (value - _dot(a, q) + b)
@@ -338,18 +308,13 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
             if s not in witness:
                 continue
             if s == 0:
-                unit = tuple(x / r[col] for x in r)
-                child_flat = [
-                    (pivot, tuple(x - row[col] * y for x, y in zip(row, unit)))
-                    for pivot, row in flat
-                ] + [(col, unit)]
-                child_eqs = eqs + [(a, b)]
-                branch(k + 1, signs + (0,), child_flat, child_eqs, stricts, witness[0])
+                child_flat = insert_row(flat, rows[k])
+                branch(k + 1, signs + (0,), child_flat, stricts, witness[0])
             else:
                 child_stricts = stricts + [sides[k][s]]
-                branch(k + 1, signs + (s,), flat, eqs, child_stricts, witness[s])
+                branch(k + 1, signs + (s,), flat, child_stricts, witness[s])
 
-    branch(0, (), [], [], list(arr.region.strict), start)
+    branch(0, (), (), list(arr.region.strict), start)
     return out
 
 
@@ -385,12 +350,13 @@ def geometric_circuits(arr: Arrangement) -> CircuitSet:
     return minimal_support_walk(arr.n, unrealized)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rational(value: object) -> Fraction:
-    if isinstance(value, bool):
-        raise ArrangementFormatError("rationals must be integers or strings")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -409,12 +375,13 @@ def parse_arrangement_json(text: str) -> Arrangement:
 
     ``{"dim": d, "hyperplanes": [{"a": [...], "b": ...}, ...],
     "region": [{"c": [...], "d": ..., "rel": ">"}, ...]}`` with rationals
-    written as integers or "p/q" strings.  Only the relation ">" is
+    written as JSON integers or strings "[-]digits[/digits]", such as "-3"
+    or "2/3"; no decimal or exponent form.  Only the relation ">" is
     accepted; encode c.x < d as (-c).x > -d.
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ArrangementFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ArrangementFormatError("top level must be an object")
@@ -434,8 +401,11 @@ def parse_arrangement_json(text: str) -> Arrangement:
         if all(v == 0 for v in a):
             raise ArrangementFormatError("hyperplane normal must be nonzero")
         hyps.append(Hyperplane(a, _parse_rational(item["b"])))
+    raw_rows = data.get("region", [])
+    if not isinstance(raw_rows, list):
+        raise ArrangementFormatError('"region" must be a list')
     rows = []
-    for item in data.get("region", []):
+    for item in raw_rows:
         if not isinstance(item, dict) or "c" not in item or "d" not in item:
             raise ArrangementFormatError('each region row needs keys "c" and "d"')
         if item.get("rel", ">") != ">":

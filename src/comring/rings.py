@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .circuits import circuits
 from .core import Com, SignVector, topes
-from .exactalg import IntLattice, IntMatrix, determinant, rational_rref
+from .exactalg import Flat, IntLattice, IntMatrix, determinant, insert_row
 from .nbc import LinearOrder, nbc_sets
 
 
@@ -257,8 +257,8 @@ def gr_multiply(
     """Product of two NBC classes in the associated graded ring.
 
     h_S1 * h_S2 = h_{S1 union S2} by idempotence; the result is expanded
-    over the NBC basis by an exact rational solve (the coefficients are
-    integers since the basis is unimodular) and truncated to the
+    over the NBC basis by an exact integer elimination (the coefficients
+    are integers since the basis is unimodular) and truncated to the
     component of degree |S1| + |S2|.
     """
     fam = nbc_sets(L, order)
@@ -278,18 +278,17 @@ def gr_multiply(
 
 def _solve_int_combination(rows: list[list[int]], target: list[int]) -> list[int]:
     """Coefficients c with sum c_i row_i = target; rows must be a basis."""
-    m = len(rows)
-    # Solve the transposed square system by rational elimination.
-    aug = [[row[c] for row in rows] + [v] for c, v in enumerate(target)]
-    solved = rational_rref(aug, m)
-    if solved is None:
-        raise ValueError("target is outside the row space")
-    coeffs = [0] * m
-    for col, row in zip(*solved):
-        v = row[m]
-        if v.denominator != 1:
+    # One equation per coordinate of the target, in the unknowns c.
+    flat: Flat | None = ()
+    for col, v in enumerate(target):
+        flat = insert_row(flat, (tuple(row[col] for row in rows), v))
+        if flat is None:
+            raise ValueError("target is outside the row space")
+    coeffs = [0] * len(rows)
+    for p, (e, f) in flat:
+        if f % e[p]:
             raise ValueError("combination is not integral")
-        coeffs[col] = int(v)
+        coeffs[p] = f // e[p]
     return coeffs
 
 

@@ -96,8 +96,14 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
             break
     report["recursions_ok"] = recursions_ok
 
-    report["disjoint_covector_ok"] = verify_disjoint_covector(L).ok
-    report["lifts_ok"] = all(verify_lift(L, i).ok for i in range(L.n))
+    disjoint = verify_disjoint_covector(L)
+    if not disjoint.ok:
+        report["disjoint_covector_failed_at"] = disjoint.failing.word()
+    report["disjoint_covector_ok"] = disjoint.ok
+    lift_failed_at = next((i for i in range(L.n) if not verify_lift(L, i).ok), None)
+    if lift_failed_at is not None:
+        report["lift_failed_at"] = lift_failed_at
+    report["lifts_ok"] = lift_failed_at is None
 
     boolean_ok = True
     small: list[frozenset[int]] = [frozenset()]
@@ -139,8 +145,11 @@ def generate_random_arrangement(
     redrawn; with ``central`` every hyperplane passes through the
     origin, which guarantees an oriented matroid when the region is the
     whole space.  The region inequalities are redrawn wholesale until
-    they are strictly feasible.
+    they are strictly feasible.  Raises ValueError when d < 1, since no
+    normal vector is then nonzero.
     """
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
     rng = random.Random(seed)
 
     def vec() -> tuple[Fraction, ...]:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,9 @@ from comring.exactalg import (
     determinant,
     hermite_normal_form,
     in_row_span,
+    insert_row,
+    primitive_row,
+    reduce_row,
 )
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -161,3 +165,169 @@ def test_lattice_contains_integer_combinations(rows, coeffs):
     for c, row in zip(coeffs, rows):
         combo = [a + c * b for a, b in zip(combo, row)]
     assert lat.contains(combo)
+
+
+# The integer reduced echelon kernel, against a Fraction elimination oracle.
+
+
+def oracle_consistent_rank(rows, m):
+    """Gauss-Jordan over Fractions: (consistent, rank) of c.x = d rows."""
+    work = [[Fraction(v) for v in c] + [Fraction(d)] for c, d in rows]
+    rank = 0
+    for col in range(m):
+        pr = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pr is None:
+            continue
+        work[rank], work[pr] = work[pr], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col] / work[rank][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return all(r[m] == 0 for r in work[rank:]), rank
+
+
+@st.composite
+def integer_systems(draw):
+    """m and up to 6 rows over m <= 4 variables; about half the rows are
+    integer combinations of earlier ones, some with a shifted constant, so
+    implied and inconsistent rows both occur."""
+    m = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+            mults = draw(
+                st.lists(st.integers(-3, 3), min_size=len(picks), max_size=len(picks))
+            )
+            c = tuple(sum(k * r[0][j] for k, r in zip(mults, picks)) for j in range(m))
+            shift = draw(st.sampled_from((0, 0, 1, -2)))
+            d = sum(k * r[1] for k, r in zip(mults, picks)) + shift
+        else:
+            c = tuple(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+            d = draw(st.integers(-6, 6))
+        rows.append((c, d))
+    strict = (
+        tuple(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))),
+        draw(st.integers(-6, 6)),
+    )
+    return m, rows, strict
+
+
+def build_flat(rows):
+    """Insert rows in order; the flat before the first inconsistent row
+    and the rows it holds."""
+    flat, taken = (), []
+    for r in rows:
+        new = insert_row(flat, r)
+        if new is None:
+            break
+        flat = new
+        taken.append(r)
+    return flat, taken
+
+
+def flat_point(flat, m, free_values):
+    """The point of the flat with the given values on its free variables."""
+    pivots = {p for p, _ in flat}
+    free = [k for k in range(m) if k not in pivots]
+    x = [Fraction(0)] * m
+    for k, v in zip(free, free_values):
+        x[k] = Fraction(v)
+    for p, (e, f) in flat:
+        x[p] = Fraction(f - sum(e[k] * x[k] for k in free), e[p])
+    return x, free
+
+
+def residual(row, x):
+    c, d = row
+    return sum(ck * xk for ck, xk in zip(c, x)) - d
+
+
+def test_kernel_goldens():
+    flat = insert_row((), ((1, 1, 0), 0))
+    assert flat == ((0, ((1, 1, 0), 0)),)
+    # The new pivot 1 is cleared from the first row.
+    flat = insert_row(flat, ((0, -2, -4), -6))
+    assert flat == ((0, ((1, 0, -2), -3)), (1, ((0, 1, 2), 3)))
+    assert insert_row(flat, ((3, 1, -4), -6)) is flat
+    assert insert_row(flat, ((3, 1, -4), -5)) is None
+    assert reduce_row(flat, ((-2, 1, 0), 0)) == ((0, 0, -2), -3)
+    assert reduce_row(flat, ((-4, 2, 0), 1)) == ((0, 0, -12), -17)
+    assert primitive_row((0, 0), 0) == ((0, 0), 0)
+    assert primitive_row([-4, 6], 2) == ((-2, 3), 1)
+
+
+def assert_flat_invariant(flat, m):
+    pivots = [p for p, _ in flat]
+    assert len(set(pivots)) == len(pivots)
+    for p, (e, f) in flat:
+        assert len(e) == m
+        assert next(j for j, v in enumerate(e) if v) == p
+        assert e[p] > 0
+        assert gcd(*e, f) == 1
+        assert all(e[q] == 0 for q in pivots if q != p)
+
+
+@settings(max_examples=300)
+@given(integer_systems())
+def test_insert_row_matches_fraction_oracle(system):
+    m, rows, _ = system
+    flat, verdicts = (), {"none": 0, "same": 0, "new": 0}
+    for k, r in enumerate(rows):
+        consistent, rank = oracle_consistent_rank(rows[: k + 1], m)
+        new = insert_row(flat, r)
+        if not consistent:
+            assert new is None
+            return
+        if rank == len(flat):
+            assert new is flat
+            continue
+        c, d = reduce_row(flat, r)
+        col = next(j for j, v in enumerate(c) if v)
+        sign = 1 if c[col] > 0 else -1
+        assert len(new) == rank == len(flat) + 1
+        assert new[-1] == (col, (tuple(sign * v for v in c), sign * d))
+        assert all(e[col] == 0 for _, (e, _) in new[:-1])
+        assert [p for p, _ in new[:-1]] == [p for p, _ in flat]
+        assert_flat_invariant(new, m)
+        flat = new
+
+
+@settings(max_examples=300)
+@given(integer_systems(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_flat_points_satisfy_inserted_equalities(system, values):
+    m, rows, _ = system
+    flat, taken = build_flat(rows)
+    x, free = flat_point(flat, m, values)
+    assert len(free) == m - len(flat)
+    for r in taken:
+        assert residual(r, x) == 0
+
+
+@settings(max_examples=300)
+@given(integer_systems())
+def test_reduce_row_is_a_positive_multiple_on_the_flat(system):
+    m, rows, strict = system
+    flat, _ = build_flat(rows)
+    reduced = reduce_row(flat, strict)
+    c, d = reduced
+    assert all(c[p] == 0 for p, _ in flat)
+    assert gcd(*c, d) in (0, 1)
+    # Both rows are affine on the flat; compare them at the point with all
+    # free variables 0 and at each free unit vector.
+    base, free = flat_point(flat, m, [0] * m)
+    points = [base] + [
+        flat_point(flat, m, [int(k == j) for k in range(len(free))])[0]
+        for j in range(len(free))
+    ]
+    before = [residual(strict, x) for x in points]
+    after = [residual(reduced, x) for x in points]
+    nonzero = [(b, a) for b, a in zip(before, after) if b]
+    if not nonzero:
+        assert not any(after) and reduced == ((0,) * m, 0)
+        return
+    b0, a0 = nonzero[0]
+    ratio = a0 / b0
+    assert ratio > 0
+    assert all(a == ratio * b for b, a in zip(before, after))

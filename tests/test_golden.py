@@ -6,6 +6,7 @@ refactors of the library must leave these unchanged.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,11 @@ GOLDEN = {
     "verify gen3": "b04f730d822e78948e33a585acffe3185c49c16fefd65485aea70a7493e2671c",
     "presentation ex4": "b2036137175f957ba427c3eb8def359fa144c594f29b721c6b3a234e3449544f",
     "corpus 12": "ec3819fa5e0034785964e3ef7458d5573ad4820f53748eca52e5dd69b8f33d35",
+    "realize ex4": "2c85ffa019e56c88d2d644a958606078514ecccb6444f6de33023f9e0132eec9",
+    "realize gen3": "3c1fa62ce1fca634ce96ce3594fcf7e635e15ee651f6ef5b0c84913bdd8655f8",
 }
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def check_golden(key: str, status: int, out: str) -> None:
@@ -30,6 +35,12 @@ def com_file(tmp_path, request, name: str) -> str:
     path = tmp_path / f"{name}_com.json"
     path.write_text(com_to_json(request.getfixturevalue(name)))
     return str(path)
+
+
+@pytest.mark.parametrize("name", ["ex4", "gen3"])
+def test_realize_golden(name):
+    path = str(FIXTURES / f"{name}.json")
+    check_golden(f"realize {name}", *run(RunConfig("realize", input_path=path)))
 
 
 @pytest.mark.parametrize("name", ["ex4", "gen3"])

@@ -179,6 +179,12 @@ def test_parse_rejects_malformed():
     broken(hyperplanes=[{"a": [1.5], "b": 0}])
     broken(hyperplanes=[{"a": [True], "b": 0}])
     broken(hyperplanes=[{"a": ["1/0"], "b": 0}])
+    for region in (5, None, True, 1.5, "", {"c": [1], "d": 0}):
+        broken(region=region)
+    # Only [-]digits[/digits] strings: an exponent form would ask Fraction
+    # for a numerator of ten million digits.
+    for b in ("1e10000000", "1e100000000", "1.5", "+1", " 1", "1_0", "1/-2", "", "-"):
+        broken(hyperplanes=[{"a": [1], "b": b}])
     with pytest.raises(ArrangementFormatError):
         parse_arrangement_json("[]")
     with pytest.raises(ArrangementFormatError):
@@ -335,3 +341,11 @@ def test_fm_kernel_matches_fixed_order_oracle():
             for c, d in rows:
                 assert sum(ck * xk for ck, xk in zip(c, point)) > d, (rows, point)
     assert min(verdicts.values()) >= 100
+
+
+def test_generate_random_arrangement_rejects_dimension_zero():
+    from comring.verify import generate_random_arrangement
+
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            generate_random_arrangement(3, d=d, n=2, k_ineqs=1)
