@@ -6,21 +6,20 @@ the equation X o Y = Y holds exactly when Y agrees with X on the whole
 support of X.  So X blocks L if and only if no covector extends X, which
 is the membership test implemented here.
 
-Circuits are the support minimal blockers.  Equivalently, call a subset
-S of the ground set deficient when the covectors realize fewer than
-2^|S| full sign patterns on S.  Deficiency is upward closed: if some
-pattern p on S is extended by no covector, then any full pattern on a
-superset T that restricts to p is extended by no covector either, since
-a covector matching it on T matches p on S.  The circuits are exactly
-the unrealized full patterns on the inclusion minimal deficient
-supports, and the enumeration below walks supports by cardinality,
-skipping supersets of deficient supports already found.
+Circuits are the support minimal blockers.  Every circuit family here
+is a family of sign vectors cut down to its inclusion minimal supports:
+blockers, infeasible patterns (``realize.geometric_circuits``), vectors
+orthogonal to all covectors (``om_circuits``) and projected blockers (the
+contraction law in ``minors``).  ``minimal_support_walk`` takes any such
+family support by support, walks supports by cardinality and skips the
+supersets of supports found.  The pruning is exact for every family,
+upward closed or not, since such a superset cannot be minimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .core import Com, SignVector, is_oriented_matroid
@@ -50,15 +49,11 @@ class CircuitSet:
         return [c.word() for c in self.circuits]
 
     def symmetric_pairs(self) -> list[SignVector]:
-        """One representative per pair {X, -X} with both members present."""
-        reps = []
-        seen = set()
-        for c in self.circuits:
-            if not self.paired(c) or (c.plus, c.minus) in seen:
-                continue
-            seen.add((c.minus, c.plus))
-            reps.append(c)
-        return reps
+        """One representative per pair {X, -X} with both members present:
+        the one that comes first in canonical order."""
+        return [
+            c for c in self.circuits if self.paired(c) and c.sort_key() <= (-c).sort_key()
+        ]
 
     def unpaired(self) -> list[SignVector]:
         """Circuits X with -X not a circuit."""
@@ -92,9 +87,10 @@ def realized_patterns(L: Com, S: frozenset[int] | set[int]) -> frozenset[tuple[i
 def circuits(L: Com) -> CircuitSet:
     """All circuits of L, by ascending support size.
 
-    Intended for ground sets up to around 16 elements; the support scan
-    prunes every superset of a deficient support already found.
-    Computed once per Com.
+    A support S is deficient when the covectors realize fewer than 2^|S|
+    full sign patterns on it; the circuits are the missing patterns on
+    the minimal deficient supports.  Intended for ground sets up to
+    around 16 elements.  Computed once per Com.
     """
     cov = L.covectors
 
@@ -111,32 +107,32 @@ def circuits(L: Com) -> CircuitSet:
     return L._cached("circuits", lambda: minimal_support_walk(L.n, unrealized))
 
 
-def minimal_support_walk(n: int, unrealized: Callable[[int], list[int]]) -> CircuitSet:
-    """Circuits from a per-support test, walking supports by cardinality.
+def minimal_support_walk(n: int, family: Callable[[int], list[int]]) -> CircuitSet:
+    """The members of a family on its inclusion minimal supports.
 
-    ``unrealized(mask)`` returns the plus masks of the full sign patterns
-    on the support ``mask`` that are not realized.  A support with any
-    unrealized pattern is deficient, its unrealized patterns are
-    circuits, and its supersets are skipped.
+    ``family(mask)`` returns the plus masks of the members with support
+    exactly ``mask``.  A visited support with members is minimal: its
+    proper subsets all came earlier without members, or it would have been
+    skipped.  Circuits come out canonically ordered, supports by size.
     """
     found: list[SignVector] = []
-    deficient: list[int] = []
+    minimal: list[int] = []
     supports: list[frozenset[int]] = []
     for k in range(n + 1):
         for combo in combinations(range(n), k):
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            if any(mask & d == d for d in deficient):
+            if any(mask & d == d for d in minimal):
                 continue
-            missing = unrealized(mask)
-            if not missing:
+            members = family(mask)
+            if not members:
                 continue
-            deficient.append(mask)
+            minimal.append(mask)
             supports.append(frozenset(combo))
-            found.extend(SignVector(n, pat, mask ^ pat) for pat in missing)
-        if k == 0 and deficient:
-            # The zero sign vector blocks everything; nothing is realized.
+            found.extend(SignVector(n, pat, mask ^ pat) for pat in members)
+        if k == 0 and minimal:
+            # The zero sign vector is a member; no other support is minimal.
             break
     found.sort(key=SignVector.sort_key)
     return CircuitSet(n, tuple(found), tuple(supports))
@@ -158,6 +154,13 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def _orthogonal(xp: int, xm: int, yp: int, ym: int) -> bool:
+    """Orthogonality of the sign vectors with these plus and minus masks."""
+    agree = (xp & yp) | (xm & ym)
+    oppose = (xp & ym) | (xm & yp)
+    return (agree == 0) == (oppose == 0)
+
+
 def orthogonal(x: SignVector, y: SignVector) -> bool:
     """Orthogonality of sign vectors.
 
@@ -166,36 +169,30 @@ def orthogonal(x: SignVector, y: SignVector) -> bool:
     """
     if x.n != y.n:
         raise ValueError("ground sets differ")
-    if (x.support & y.support) == 0:
-        return True
-    agree = (x.plus & y.plus) | (x.minus & y.minus)
-    oppose = (x.plus & y.minus) | (x.minus & y.plus)
-    return agree != 0 and oppose != 0
+    return _orthogonal(x.plus, x.minus, y.plus, y.minus)
 
 
 def om_circuits(L: Com) -> CircuitSet:
     """Support minimal nonzero sign vectors orthogonal to every covector.
 
     Only defined for oriented matroids; raises ValueError otherwise.
-    For oriented matroids this set coincides with circuits(L), and the
-    full 3^n scan here serves as an independent cross check at small n.
+    For oriented matroids this set equals circuits(L); as a cross check
+    it shares only the support walk with ``circuits`` and tests each
+    pattern for orthogonality to the covectors restricted to its support,
+    not for extension.
     """
     if not is_oriented_matroid(L):
         raise ValueError("input is not an oriented matroid")
-    n = L.n
     cov = L.covectors
-    members: list[SignVector] = []
-    for signs in product((1, 0, -1), repeat=n):
-        x = SignVector.from_signs(signs)
-        if x.is_zero():
-            continue
-        if all(orthogonal(x, v) for v in cov):
-            members.append(x)
-    minimal = minimal_masks(x.support for x in members)
-    out = [x for x in members if x.support in minimal]
-    out.sort(key=SignVector.sort_key)
-    supports = sorted(
-        (frozenset(i for i in range(n) if (m >> i) & 1) for m in minimal),
-        key=lambda s: (len(s), sorted(s)),
-    )
-    return CircuitSet(n, tuple(out), tuple(supports))
+
+    def vectors(mask: int) -> list[int]:
+        if not mask:
+            return []
+        rows = {(v.plus & mask, v.minus & mask) for v in cov}
+        return [
+            pat
+            for pat in submasks(mask)
+            if all(_orthogonal(pat, mask ^ pat, yp, ym) for yp, ym in rows)
+        ]
+
+    return minimal_support_walk(L.n, vectors)

@@ -333,6 +333,8 @@ def parse_com_json(text: str) -> Com:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ComFormatError('"n" must be a nonnegative integer')
+    if n > len(text):
+        raise ComFormatError(f'"n" {n} exceeds input length {len(text)}')
     words = data["covectors"]
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ComFormatError('"covectors" must be a list of sign words')

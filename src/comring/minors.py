@@ -11,9 +11,10 @@ labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
-from .circuits import circuits, in_generator_set, minimal_masks, realized_patterns
+from .circuits import (
+    circuits, in_generator_set, minimal_support_walk, realized_patterns, submasks
+)
 from .core import Com, SignVector, coloops, topes
 
 
@@ -65,6 +66,8 @@ def contract(L: Com, i: int) -> Com:
 
 def label_map(n: int, i: int) -> dict[int, int]:
     """Minor index -> original index after removing coordinate i."""
+    if not 0 <= i < n:
+        raise ValueError("index outside ground set")
     return {j if j < i else j - 1: j for j in range(n) if j != i}
 
 
@@ -84,6 +87,8 @@ def tope_trichotomy(
 ) -> tuple[tuple[SignVector, ...], tuple[SignVector, ...], tuple[SignVector, ...]]:
     """Split topes by wall sign at i: (wall and positive, wall and negative,
     not a wall).  Raises on coloops, where no tope has a sign at i."""
+    if not 0 <= i < L.n:
+        raise ValueError("index outside ground set")
     if i in coloops(L):
         raise ValueError("coordinate is a coloop")
     plus: list[SignVector] = []
@@ -156,35 +161,32 @@ def verify_circuit_minor_laws(L: Com, i: int) -> CircuitMinorReport:
     (1) Circuits of the deletion are the projections of circuits
         vanishing at i.
     (2) For non coloop i, circuits of the contraction are the support
-        minimal projections of blockers of L.  The blocker scan is a
-        full 3^n enumeration, so this check is meant for small n.
+        minimal projections of blockers of L: the patterns on the
+        remaining elements whose lift by 0, + or - at i is a blocker.
     (3) Nonzero projections of circuits with i in their support are
         circuits of the contraction.
     """
     bit = 1 << i
     C = circuits(L)
-    del_circ = circuits(delete(L, i))
-    expected_del = sorted(
-        {project(x, i) for x in C.circuits if not (x.support & bit)},
-        key=SignVector.sort_key,
-    )
-    deletion_ok = tuple(expected_del) == del_circ.circuits
+    deletion_ok = set(circuits(delete(L, i)).circuits) == {
+        project(x, i) for x in C.circuits if not (x.support & bit)
+    }
+
+    def projected_blockers(mask: int) -> list[int]:
+        out = []
+        for pat in submasks(mask):
+            y = inject(SignVector(L.n - 1, pat, mask ^ pat), i)
+            if any(
+                in_generator_set(L, SignVector(L.n, y.plus | p, y.minus | m))
+                for p, m in ((0, 0), (bit, 0), (0, bit))
+            ):
+                out.append(pat)
+        return out
 
     con_circ = circuits(contract(L, i))
-    if i in coloops(L):
-        contraction_ok = True
-    else:
-        projected: set[SignVector] = set()
-        for signs in product((1, 0, -1), repeat=L.n):
-            x = SignVector.from_signs(signs)
-            if in_generator_set(L, x):
-                projected.add(project(x, i))
-        minimal = minimal_masks(x.support for x in projected)
-        expected_con = sorted(
-            (x for x in projected if x.support in minimal),
-            key=SignVector.sort_key,
-        )
-        contraction_ok = tuple(expected_con) == con_circ.circuits
+    contraction_ok = i in coloops(L) or (
+        minimal_support_walk(L.n - 1, projected_blockers).circuits == con_circ.circuits
+    )
 
     # only nonzero projections; a circuit supported exactly at i drops
     # to the zero vector, which is a circuit just for empty minors

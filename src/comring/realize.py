@@ -390,6 +390,8 @@ def parse_arrangement_json(text: str) -> Arrangement:
     dim = data["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ArrangementFormatError('"dim" must be a nonnegative integer')
+    if dim > len(text):
+        raise ArrangementFormatError(f'"dim" {dim} exceeds input length {len(text)}')
     raw_hyps = data["hyperplanes"]
     if not isinstance(raw_hyps, list):
         raise ArrangementFormatError('"hyperplanes" must be a list')

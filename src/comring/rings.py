@@ -137,6 +137,8 @@ def rho_eval(L: Com, m: EMonomial) -> TopeFunction:
     """
     plus = minus = 0
     for i, s in m.word:
+        if not 0 <= i < L.n:
+            raise ValueError("index outside ground set")
         if s > 0:
             plus |= 1 << i
         else:
@@ -493,19 +495,14 @@ def presentation(
         names = [f"e{i}+" for i in range(n)]
     names.append("u")
 
-    if mode == "rees":
-        final = [
-            Relation(r.tag, r.poly.normalized_sign(), r.source)
-            for r in relations
-            if not r.poly.is_zero()
-        ]
-    else:
-        value = 1 if mode == "vg" else 0
-        final = []
-        for r in relations:
-            p = r.poly.substitute_const(len(names) - 1, value).normalized_sign()
-            if not p.is_zero():
-                final.append(Relation(r.tag, p, r.source))
+    final = []
+    for r in relations:
+        p = r.poly
+        if mode != "rees":
+            p = p.substitute_const(len(names) - 1, 1 if mode == "vg" else 0)
+        if not p.is_zero():
+            final.append(Relation(r.tag, p.normalized_sign(), r.source))
+    if mode != "rees":
         names = names[:-1]
 
     return Presentation(

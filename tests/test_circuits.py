@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from comring.circuits import (
+    CircuitSet,
     circuits,
     in_generator_set,
     om_circuits,
@@ -10,7 +11,9 @@ from comring.circuits import (
     realized_patterns,
 )
 from comring.core import Com, SignVector
+from comring.minors import contract, delete
 from comring.realize import covectors, geometric_circuits
+from comring.verify import corpus_arrangement
 
 
 def brute_force_circuits(L):
@@ -38,6 +41,29 @@ def brute_force_circuits(L):
     }
 
 
+def brute_force_om_circuits(L):
+    """Independent oracle: support-minimal nonzero vectors orthogonal to L.
+
+    Enumerates all 3^n sign vectors.  Orthogonality is tested on sign
+    tuples: the nonzero products x_i * y_i are either absent or of both
+    signs.
+    """
+    rows = [v.signs() for v in L.covectors]
+    vectors = [
+        SignVector.from_signs(signs)
+        for signs in product((-1, 0, 1), repeat=L.n)
+        if any(signs)
+        and all(len({a * b for a, b in zip(signs, y)} - {0}) != 1 for y in rows)
+    ]
+    supports = {x.support_set() for x in vectors}
+    minimal = {s for s in supports if not any(t < s for t in supports)}
+    out = sorted(
+        (x for x in vectors if x.support_set() in minimal), key=SignVector.sort_key
+    )
+    by_size = sorted(minimal, key=lambda s: (len(s), sorted(s)))
+    return CircuitSet(L.n, tuple(out), tuple(by_size))
+
+
 def test_oracle_agreement_planar(gen3):
     assert set(circuits(gen3).circuits) == brute_force_circuits(gen3)
 
@@ -58,8 +84,6 @@ def test_oracle_agreement_degenerate():
 
 
 def test_oracle_agreement_seeded():
-    from comring.verify import corpus_arrangement
-
     for seed in (1, 3, 7, 11):
         L = covectors(corpus_arrangement(seed))
         assert set(circuits(L).circuits) == brute_force_circuits(L)
@@ -125,6 +149,20 @@ def test_orthogonal():
 
 def test_om_circuits_matches_blocker_form(gen3):
     assert om_circuits(gen3).circuits == circuits(gen3).circuits
+
+
+def test_om_circuits_match_orthogonality_oracle():
+    """Every oriented matroid among corpus seeds 0-120 and their single
+    element minors, plus the trivial ones, circuits and supports alike."""
+    oms = [Com.from_words(0, [""]), Com.from_words(1, ["0"])]
+    for seed in range(121):
+        L = covectors(corpus_arrangement(seed))
+        for M in [L] + [m(L, i) for i in range(L.n) for m in (delete, contract)]:
+            if SignVector(M.n, 0, 0) in M:
+                oms.append(M)
+    assert len(oms) == 2 + 289
+    for L in oms:
+        assert om_circuits(L) == brute_force_om_circuits(L), L.words()
 
 
 def test_om_circuits_full_cube_empty():

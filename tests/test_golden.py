@@ -1,11 +1,13 @@
 """Byte-identity of the command outputs that reports are compared on.
 
-The digests are sha256 of the exact output text of ``run``.  Any change
-to a reported value, to key order or to formatting changes a digest, so
-refactors of the library must leave these unchanged.
+The digests are sha256 of the exact output text of ``run``, and of the
+JSON dump of the full corpus reports.  Any change to a reported value,
+to key order or to formatting changes a digest, so refactors of the
+library must leave these unchanged.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ GOLDEN = {
     "corpus 12": "ec3819fa5e0034785964e3ef7458d5573ad4820f53748eca52e5dd69b8f33d35",
     "realize ex4": "2c85ffa019e56c88d2d644a958606078514ecccb6444f6de33023f9e0132eec9",
     "realize gen3": "3c1fa62ce1fca634ce96ce3594fcf7e635e15ee651f6ef5b0c84913bdd8655f8",
+    "corpus results 100": "5f8ebc6114393ba0d5bd1cfe2c296ab6c24b50371d154be7dff5e8031bec0902",
 }
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -59,3 +62,10 @@ def test_presentation_golden(tmp_path, request):
 
 def test_corpus_golden():
     check_golden("corpus 12", *run(RunConfig("corpus", count=12)))
+
+
+def test_full_corpus_results_golden(corpus_results):
+    """Every report of corpus seeds 0-99, from the session fixture the
+    acceptance tests share, so the corpus runs once per session."""
+    _, results = corpus_results
+    check_golden("corpus results 100", 0, json.dumps(results, indent=2))

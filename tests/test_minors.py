@@ -1,8 +1,12 @@
+import random
+from itertools import product
+
 import pytest
 
-from comring.circuits import circuits
-from comring.core import Com, SignVector, is_com, topes
+from comring.circuits import circuits, in_generator_set
+from comring.core import Com, SignVector, coloops, is_com, topes
 from comring.minors import (
+    CircuitMinorReport,
     contract,
     delete,
     inject,
@@ -16,6 +20,7 @@ from comring.minors import (
     verify_lift,
     verify_tope_recursion,
 )
+from comring.rings import EMonomial, heaviside, rho_eval
 
 
 def test_project_inject():
@@ -116,6 +121,66 @@ def test_circuit_minor_laws_degenerate():
     assert verify_circuit_minor_laws(Com.from_words(1, ["+"]), 0).ok
     assert verify_circuit_minor_laws(Com.from_words(2, ["0+", "0-", "00"]), 0).ok
     assert verify_circuit_minor_laws(Com.from_words(2, ["0+", "0-", "00"]), 1).ok
+
+
+def brute_force_minor_laws(L, i):
+    """Oracle for the circuit minor laws: the contraction law by a full
+    3^n scan of blockers, projected, then cut down to minimal supports."""
+    bit = 1 << i
+    C = circuits(L)
+    expected_del = {project(x, i) for x in C.circuits if not (x.support & bit)}
+    deletion_ok = tuple(sorted(expected_del, key=SignVector.sort_key)) == circuits(
+        delete(L, i)
+    ).circuits
+    con = circuits(contract(L, i))
+    contraction_ok = True
+    if i not in coloops(L):
+        projected = {
+            project(x, i)
+            for x in map(SignVector.from_signs, product((1, 0, -1), repeat=L.n))
+            if in_generator_set(L, x)
+        }
+        sups = {x.support for x in projected}
+        minimal = {s for s in sups if not any(t != s and t & s == t for t in sups)}
+        expected_con = sorted(
+            (x for x in projected if x.support in minimal), key=SignVector.sort_key
+        )
+        contraction_ok = tuple(expected_con) == con.circuits
+    projection_ok = all(
+        project(x, i) in con for x in C.circuits if x.support & bit and x.support != bit
+    )
+    return CircuitMinorReport(i, deletion_ok, contraction_ok, projection_ok)
+
+
+def test_circuit_minor_laws_match_oracle_on_random_sets():
+    """Seeded random covector sets with n <= 4, most of them not COMs."""
+    rng = random.Random(20221)
+    pairs = contraction_failures = 0
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        words = ["".join(w) for w in product("-0+", repeat=n)]
+        L = Com.from_words(n, rng.sample(words, rng.randint(0, len(words))))
+        for i in range(n):
+            rep = verify_circuit_minor_laws(L, i)
+            assert rep == brute_force_minor_laws(L, i), (L.words(), i)
+            pairs += 1
+            contraction_failures += not rep.contraction_ok
+    assert 0 < contraction_failures < pairs
+
+
+@pytest.mark.parametrize("past_end", [False, True])
+def test_element_indices_outside_ground_set_rejected(gen3, past_end):
+    i = gen3.n if past_end else -1
+    for call in (
+        lambda: tope_trichotomy(gen3, i),
+        lambda: rho_eval(gen3, EMonomial(((i, 1),))),
+        lambda: label_map(gen3.n, i),
+        lambda: heaviside(gen3, i, 1),
+        lambda: delete(gen3, i),
+        lambda: contract(gen3, i),
+    ):
+        with pytest.raises(ValueError, match="index outside ground set"):
+            call()
 
 
 def test_disjoint_covector(gen3, ex4):

@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from comring.cli import RunConfig, run
@@ -107,3 +108,27 @@ def test_com_parser_raises_only_its_format_error(doc):
         parse_com_json(text)
     except ComFormatError:
         check_rejected_by_cli(text, "check")
+
+
+@pytest.mark.parametrize(
+    "template, parse, error, subcommand",
+    [
+        (
+            '{"dim": %d, "hyperplanes": []}',
+            parse_arrangement_json,
+            ArrangementFormatError,
+            "realize",
+        ),
+        ('{"n": %d, "covectors": []}', parse_com_json, ComFormatError, "check"),
+    ],
+)
+def test_size_beyond_the_input_length_rejected(template, parse, error, subcommand):
+    """Every vector or word lists dim or n entries, so only a vector-free
+    input can name a larger size than its own text; it is rejected."""
+    bound = len(template % 99)  # the text length for any two-digit size
+    parse(template % bound)
+    for size in (bound + 1, 10**6):
+        text = template % size
+        with pytest.raises(error, match=f"{size} exceeds input length {len(text)}$"):
+            parse(text)
+        check_rejected_by_cli(text, subcommand)
