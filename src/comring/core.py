@@ -17,8 +17,8 @@ conditional oriented matroid:
 
 A conditional oriented matroid that contains the zero sign vector is an
 oriented matroid.  All values here are immutable and all operations are
-pure functions; the bit mask representation keeps the axiom scans cheap
-for ground sets up to a few dozen elements.  Results derived from a
+pure functions.  The axiom scans read mask pairs only, with one zero
+index per separator for strong elimination.  Results derived from a
 ``Com`` (the axiom verdict, its topes and coloops, its circuits, its NBC
 families) are computed once per instance and kept on it.
 """
@@ -32,9 +32,6 @@ from typing import Callable, Iterable, Iterator, TypeVar
 T = TypeVar("T")
 
 SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
-
-# Canonical order on sign words is lexicographic with '-' < '0' < '+'.
-_SIGN_RANK = {-1: 0, 0: 1, 1: 2}
 
 
 class ComFormatError(ValueError):
@@ -107,7 +104,8 @@ class SignVector:
         return self.plus == 0 and self.minus == 0
 
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(_SIGN_RANK[s] for s in self.signs())
+        """Canonical order: lexicographic on signs, so '-' < '0' < '+'."""
+        return self.signs()
 
     def __neg__(self) -> "SignVector":
         return SignVector(self.n, self.minus, self.plus)
@@ -142,10 +140,6 @@ def separator(x: SignVector, y: SignVector) -> frozenset[int]:
     if x.n != y.n:
         raise ValueError("ground sets differ")
     return frozenset(_mask_bits((x.plus & y.minus) | (x.minus & y.plus)))
-
-
-def _separator_mask(x: SignVector, y: SignVector) -> int:
-    return (x.plus & y.minus) | (x.minus & y.plus)
 
 
 @dataclass(frozen=True)
@@ -234,9 +228,11 @@ class Com:
 
 def check_face_symmetry(L: Com) -> AxiomWitness | None:
     """Return the first (X, Y) with X o (-Y) missing, scanning canonically."""
+    members = L._members
     for x in L.covectors:
+        free = ~x.support
         for y in L.covectors:
-            if compose(x, -y) not in L:
+            if (x.plus | (y.minus & free), x.minus | (y.plus & free)) not in members:
                 return AxiomWitness("fs-violation", x, y)
     return None
 
@@ -244,34 +240,33 @@ def check_face_symmetry(L: Com) -> AxiomWitness | None:
 def check_strong_elimination(L: Com) -> AxiomWitness | None:
     """Return the first (X, Y, i) without an eliminating covector.
 
-    Outside the separator X o Y and Y o X agree, so the condition is
-    symmetric in X and Y and unordered pairs suffice.  The scan runs over
-    canonically ordered pairs with the separator index ascending.
+    Outside the separator S, X o Y and Y o X agree, so unordered pairs
+    suffice.  The zero index of S, built when S first occurs, maps the
+    restriction of each covector Z outside S to the union of S & ~supp(Z)
+    over the Z sharing it.  A pair passes exactly when the entry for X o Y
+    is all of S; otherwise the lowest index missing from it is the witness
+    i, as in a canonical pair scan with i ascending.
     """
     vecs = L.covectors
-    zeros_at: dict[int, list[SignVector]] = {i: [] for i in range(L.n)}
-    for z in vecs:
-        sup = z.support
-        for i in range(L.n):
-            if not (sup >> i) & 1:
-                zeros_at[i].append(z)
-    for a in range(len(vecs)):
-        x = vecs[a]
-        for b in range(a, len(vecs)):
-            y = vecs[b]
-            sep = _separator_mask(x, y)
+    zero_index: dict[int, dict[tuple[int, int], int]] = {}
+    for a, x in enumerate(vecs):
+        free = ~x.support
+        for y in vecs[a:]:
+            sep = (x.plus & y.minus) | (x.minus & y.plus)
             if not sep:
                 continue
-            w = compose(x, y)
             keep = ~sep
-            wp = w.plus & keep
-            wm = w.minus & keep
-            for i in _mask_bits(sep):
-                if not any(
-                    z.plus & keep == wp and z.minus & keep == wm
-                    for z in zeros_at[i]
-                ):
-                    return AxiomWitness("se-violation", x, y, i)
+            index = zero_index.get(sep)
+            if index is None:
+                index = zero_index[sep] = {}
+                for z in vecs:
+                    if zeros := sep & ~z.support:
+                        key = (z.plus & keep, z.minus & keep)
+                        index[key] = index.get(key, 0) | zeros
+            key = ((x.plus | (y.plus & free)) & keep, (x.minus | (y.minus & free)) & keep)
+            missing = sep & ~index.get(key, 0)
+            if missing:
+                return AxiomWitness("se-violation", x, y, (missing & -missing).bit_length() - 1)
     return None
 
 

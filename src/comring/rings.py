@@ -208,7 +208,8 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     and each product h_S lies in the integer span of the NBC rows of
     size at most |S|.  Membership at level |S| implies membership at
     every higher level, since the row set only grows with the level, so
-    each subset is tested once.
+    each subset is tested once.  Once every row is in and the matrix is
+    unimodular the lattice is all of Z^topes, so the test stops there.
 
     e_X is +-u^|X| on the topes extending X and 0 elsewhere, and for
     nonzero X no tope extends both X and -X, so f_X vanishes exactly
@@ -229,6 +230,8 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     lattice = IntLattice(len(t))
     membership_ok = True
     for k in range(L.n + 1):
+        if k >= len(fam.counts) and abs(det) == 1:
+            break
         for S in by_size.get(k, []):
             lattice.add(_h_S_vector(t, S))
         for combo in combinations(range(L.n), k):

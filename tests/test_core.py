@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -207,3 +209,7 @@ def test_json_shape(gen3):
 def test_canonical_word_order():
     L = Com.from_words(1, ["+", "0", "-"])
     assert L.words() == ["-", "0", "+"]
+    words = ["".join(w) for w in itertools.product("+0-", repeat=3)]
+    random.Random(3).shuffle(words)
+    rank = str.maketrans("-0+", "012")
+    assert Com.from_words(3, words).words() == sorted(words, key=lambda w: w.translate(rank))

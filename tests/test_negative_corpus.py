@@ -1,4 +1,5 @@
-"""Axiom witnesses on a negative corpus: COMs with one covector deleted.
+"""Axiom witnesses on negative corpora: COMs with one covector deleted,
+and random sign vector sets closed under face symmetry.
 
 No corpus instance fails an axiom, so the witness paths of the scans run
 only here.  Each reported witness must be a genuine violation and the
@@ -6,7 +7,9 @@ first one in canonical scan order; both are checked from the axiom
 definitions on plain sign tuples, independently of the mask scans.
 """
 
-from comring.core import Com, axiom_witness
+import random
+
+from comring.core import Com, SignVector, axiom_witness
 from comring.realize import covectors
 from comring.verify import corpus_arrangement
 
@@ -72,3 +75,24 @@ def test_deletion_witnesses_are_first_genuine_violations():
             assert (w.kind, x, y, w.i) == expected, where
             kinds[w.kind] += 1
     assert kinds == {"fs-violation": 735, "se-violation": 104}
+
+
+def test_face_symmetric_sets_match_the_oracle():
+    """Random sets closed under X o (-Y) pass face symmetry, so every
+    witness here is a strong elimination witness."""
+    rng = random.Random(20228)
+    kinds = {None: 0, "se-violation": 0}
+    for trial in range(1500):
+        n = rng.randint(1, 4)
+        vecs = {tuple(rng.choice((-1, 0, 1)) for _ in range(n)) for _ in range(rng.randint(1, 6))}
+        while True:
+            new = {compose(x, tuple(-b for b in y)) for x in vecs for y in vecs} - vecs
+            if not new:
+                break
+            vecs |= new
+        M = Com(n, [SignVector.from_signs(v) for v in vecs])
+        w = axiom_witness(M)
+        got = None if w is None else (w.kind, w.x.signs(), w.y.signs(), w.i)
+        assert got == first_violation([v.signs() for v in M.covectors]), f"set {trial}"
+        kinds[None if w is None else w.kind] += 1
+    assert kinds == {None: 677, "se-violation": 823}

@@ -1,5 +1,9 @@
 """The public names of the package."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import comring
 import comring.minors
 import comring.rings
@@ -17,3 +21,20 @@ def test_retired_names_are_gone():
         assert not hasattr(comring, name)
         assert not hasattr(comring.rings, name)
         assert not hasattr(comring.minors, name)
+
+
+def test_traced_functions_resolve():
+    """Every function the benchmark tracer wraps exists under its name."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "spans.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    assert traced
+    for layer, attr in traced:
+        obj = importlib.import_module(f"comring.{layer}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (layer, attr)

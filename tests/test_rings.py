@@ -2,7 +2,7 @@ import pytest
 
 from comring.circuits import circuits
 from comring.core import Com, SignVector, topes
-from comring.exactalg import determinant
+from comring.exactalg import IntLattice, determinant
 from comring.nbc import LinearOrder
 from comring.rings import (
     EMonomial,
@@ -158,6 +158,24 @@ def test_verify_presentation_degenerate():
         Com.from_words(0, [""]),
     ):
         assert verify_presentation(L).ok
+
+
+def test_verify_presentation_stops_once_lattice_is_full(gen3, ex4, monkeypatch):
+    """Once every NBC row is in and the matrix is unimodular, no larger
+    subset is tested."""
+    calls = 0
+    contains = IntLattice.contains
+
+    def counting(self, vec):
+        nonlocal calls
+        calls += 1
+        return contains(self, vec)
+
+    monkeypatch.setattr(IntLattice, "contains", counting)
+    for L, expected in ((gen3, 7), (ex4, 11), (Com(16, []), 0)):
+        calls = 0
+        assert verify_presentation(L).ok
+        assert calls == expected
 
 
 def test_verify_presentation_order_invariant(gen3):
