@@ -243,12 +243,14 @@ def check_strong_elimination(L: Com) -> AxiomWitness | None:
     Outside the separator S, X o Y and Y o X agree, so unordered pairs
     suffice.  The zero index of S, built when S first occurs, maps the
     restriction of each covector Z outside S to the union of S & ~supp(Z)
-    over the Z sharing it.  A pair passes exactly when the entry for X o Y
+    over the Z sharing it, keyed by the one integer plus << n | minus of
+    that restriction.  A pair passes exactly when the entry for X o Y
     is all of S; otherwise the lowest index missing from it is the witness
     i, as in a canonical pair scan with i ascending.
     """
     vecs = L.covectors
-    zero_index: dict[int, dict[tuple[int, int], int]] = {}
+    n = L.n
+    zero_index: dict[int, dict[int, int]] = {}
     for a, x in enumerate(vecs):
         free = ~x.support
         for y in vecs[a:]:
@@ -261,9 +263,11 @@ def check_strong_elimination(L: Com) -> AxiomWitness | None:
                 index = zero_index[sep] = {}
                 for z in vecs:
                     if zeros := sep & ~z.support:
-                        key = (z.plus & keep, z.minus & keep)
+                        key = (z.plus & keep) << n | (z.minus & keep)
                         index[key] = index.get(key, 0) | zeros
-            key = ((x.plus | (y.plus & free)) & keep, (x.minus | (y.minus & free)) & keep)
+            key = ((x.plus | (y.plus & free)) & keep) << n | (
+                (x.minus | (y.minus & free)) & keep
+            )
             missing = sep & ~index.get(key, 0)
             if missing:
                 return AxiomWitness("se-violation", x, y, (missing & -missing).bit_length() - 1)

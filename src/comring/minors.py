@@ -6,6 +6,11 @@ vanishing at i.  Each minor is built once per Com and element, so the
 checks that visit it share its circuits and NBC families.  ``label_map``
 reports the renumbering so callers can recover original hyperplane
 labels.
+
+The tope recursion returns a bool, and its element is the witness; the
+disjoint covector and lift checks return the first failing circuit, or
+None when they pass.  Only the circuit minor laws keep a report, since
+their three verdicts are independent.
 """
 
 from __future__ import annotations
@@ -103,43 +108,22 @@ def tope_trichotomy(
     return tuple(plus), tuple(minus), tuple(non_wall)
 
 
-@dataclass(frozen=True)
-class TopeRecursionReport:
-    element: int
-    n_topes: int
-    n_deletion_topes: int
-    n_contraction_topes: int
-    counts_ok: bool
-    bijections_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.counts_ok and self.bijections_ok
-
-
-def verify_tope_recursion(L: Com, i: int) -> TopeRecursionReport:
+def verify_tope_recursion(L: Com, i: int) -> bool:
     """Check |topes| = |deletion topes| + |contraction topes| at i.
 
     The projection must restrict to a bijection from the positive-wall
     topes onto the contraction topes and from the remaining topes onto
-    the deletion topes.  Raises on coloops.
+    the deletion topes.  The count identity follows from the two
+    bijections, so it is not tested apart.  Raises on coloops.
     """
     t_plus, t_minus, t_non = tope_trichotomy(L, i)
-    del_topes = set(topes(delete(L, i)))
-    con_topes = set(topes(contract(L, i)))
     image_plus = [project(t, i) for t in t_plus]
-    rest = list(t_minus) + list(t_non)
-    image_rest = [project(t, i) for t in rest]
-    bijections_ok = (
+    image_rest = [project(t, i) for t in t_minus + t_non]
+    return (
         len(set(image_plus)) == len(image_plus)
-        and set(image_plus) == con_topes
+        and set(image_plus) == set(topes(contract(L, i)))
         and len(set(image_rest)) == len(image_rest)
-        and set(image_rest) == del_topes
-    )
-    n_t = len(t_plus) + len(t_minus) + len(t_non)
-    counts_ok = n_t == len(del_topes) + len(con_topes)
-    return TopeRecursionReport(
-        i, n_t, len(del_topes), len(con_topes), counts_ok, bijections_ok
+        and set(image_rest) == set(topes(delete(L, i)))
     )
 
 
@@ -198,47 +182,30 @@ def verify_circuit_minor_laws(L: Com, i: int) -> CircuitMinorReport:
     return CircuitMinorReport(i, deletion_ok, contraction_ok, projection_ok)
 
 
-@dataclass(frozen=True)
-class DisjointCovectorReport:
-    pairs_checked: int
-    ok: bool
-    failing: SignVector | None = None
-
-
-def verify_disjoint_covector(L: Com) -> DisjointCovectorReport:
-    """Every symmetric circuit pair admits a covector with disjoint support."""
+def verify_disjoint_covector(L: Com) -> SignVector | None:
+    """The first symmetric circuit with no covector of disjoint support,
+    or None when every symmetric circuit pair admits one."""
     C = circuits(L)
-    checked = 0
     for x in C.circuits:
         if x.is_zero() or not C.paired(x):
             continue
-        checked += 1
         if not any(v.support & x.support == 0 for v in L.covectors):
-            return DisjointCovectorReport(checked, False, x)
-    return DisjointCovectorReport(checked, True)
+            return x
+    return None
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    element: int
-    pairs_checked: int
-    ok: bool
-    failing: SignVector | None = None
-
-
-def verify_lift(L: Com, i: int) -> LiftReport:
-    """Every symmetric circuit pair of the contraction lifts to one of L."""
+def verify_lift(L: Com, i: int) -> SignVector | None:
+    """The first symmetric circuit of the contraction at i that is no
+    projection of a symmetric circuit of L, or None when all lift."""
     C = circuits(L)
     con = circuits(contract(L, i))
     lifted = {project(c, i) for c in C.circuits if C.paired(c)}
-    checked = 0
     for x in con.circuits:
         if x.is_zero() or not con.paired(x):
             continue
-        checked += 1
         if x not in lifted:
-            return LiftReport(i, checked, False, x)
-    return LiftReport(i, checked, True)
+            return x
+    return None
 
 
 def verify_boolean_extension(L: Com, J: frozenset[int] | set[int]) -> bool:

@@ -6,6 +6,9 @@ X, which is the support of X with its order minimum removed.  Both
 blocking conditions are monotone, so the family is closed downward and
 a pruned depth first scan enumerates it without visiting blocked
 supersets.  The family size always equals the number of topes.
+
+Like the minor checks, ``verify_nbc_tope`` and ``verify_nbc_recursion``
+return a bool; the order (and its maximal element) is the witness.
 """
 
 from __future__ import annotations
@@ -117,18 +120,9 @@ def _nbc_family(L: Com, order: LinearOrder) -> NbcFamily:
     return NbcFamily(order, tuple(sets), counts)
 
 
-@dataclass(frozen=True)
-class NbcTopeReport:
-    n_nbc: int
-    n_topes: int
-
-    @property
-    def ok(self) -> bool:
-        return self.n_nbc == self.n_topes
-
-
-def verify_nbc_tope(L: Com, order: LinearOrder | None = None) -> NbcTopeReport:
-    return NbcTopeReport(len(nbc_sets(L, order)), len(topes(L)))
+def verify_nbc_tope(L: Com, order: LinearOrder | None = None) -> bool:
+    """The NBC family under order has as many sets as L has topes."""
+    return len(nbc_sets(L, order)) == len(topes(L))
 
 
 def _shift_down(s: frozenset[int], i: int) -> frozenset[int]:
@@ -139,28 +133,15 @@ def induced_order(order: LinearOrder, i: int) -> LinearOrder:
     return LinearOrder(tuple(j if j < i else j - 1 for j in order.perm if j != i))
 
 
-@dataclass(frozen=True)
-class NbcRecursionReport:
-    element: int
-    n_total: int
-    n_deletion: int
-    n_contraction: int
-    counts_ok: bool
-    partition_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.counts_ok and self.partition_ok
-
-
-def verify_nbc_recursion(L: Com, order: LinearOrder | None = None) -> NbcRecursionReport:
+def verify_nbc_recursion(L: Com, order: LinearOrder | None = None) -> bool:
     """Check the NBC recursion at the order maximal element i.
 
     The NBC sets avoiding i must be exactly the NBC family of the
     deletion, and stripping i from the rest must give exactly the NBC
-    family of the contraction, both under the induced order.  Raises
-    when i is a coloop, where contraction and deletion coincide and the
-    recursion does not apply.
+    family of the contraction, both under the induced order.  The count
+    identity follows from this partition, since shifting indices down is
+    injective on each part.  Raises when i is a coloop, where contraction
+    and deletion coincide and the recursion does not apply.
     """
     if order is None:
         order = LinearOrder.identity(L.n)
@@ -169,14 +150,10 @@ def verify_nbc_recursion(L: Com, order: LinearOrder | None = None) -> NbcRecursi
         raise ValueError("order maximal element is a coloop")
     fam = nbc_sets(L, order)
     sub = induced_order(order, i)
-    fam_del = nbc_sets(delete(L, i), sub)
-    fam_con = nbc_sets(contract(L, i), sub)
     without = {_shift_down(s, i) for s in fam.sets if i not in s}
     with_i = {_shift_down(s - {i}, i) for s in fam.sets if i in s}
-    partition_ok = without == set(fam_del.sets) and with_i == set(fam_con.sets)
-    counts_ok = len(fam) == len(fam_del) + len(fam_con)
-    return NbcRecursionReport(
-        i, len(fam), len(fam_del), len(fam_con), counts_ok, partition_ok
+    return without == set(nbc_sets(delete(L, i), sub).sets) and with_i == set(
+        nbc_sets(contract(L, i), sub).sets
     )
 
 

@@ -24,8 +24,8 @@ keeps a rational witness point and the flat of its equalities per node.
 Each node is a convex cell, so at most one feasibility solve per node
 decides all three children: none when the next hyperplane is constant on
 the cell's flat or passes through the witness, else one for the side
-opposite the witness, whose answer also decides the hyperplane itself.  That makes the search output
-sensitive.
+opposite the witness, whose answer also decides the hyperplane itself.
+That makes the search output sensitive.
 """
 
 from __future__ import annotations
@@ -264,19 +264,23 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
     start = region_point(arr)
     if start is None:
         return []
-    hyps = [(h.a, h.b) for h in arr.hyperplanes]
-    rows = [_int_row(a, b) for a, b in hyps]
-    # The strict row of each side of each hyperplane, by sign.
-    sides = [{1: (a, b), -1: (tuple(-x for x in a), -b)} for a, b in hyps]
+    # Every row is a primitive integer row: a positive multiple of its
+    # rational form, which leaves the side of p, t and the slack ratios
+    # unchanged.  The strict row of a side is the row or its negation.
+    rows = [_int_row(h.a, h.b) for h in arr.hyperplanes]
     out: list[tuple[SignVector, Vector]] = []
 
+    def side_row(k: int, s: int) -> Row:
+        c, d = rows[k]
+        return (c, d) if s > 0 else (tuple(-v for v in c), -d)
+
     def branch(
-        k: int, signs: tuple[int, ...], flat: Flat, stricts: list[LinRow], p: Vector
+        k: int, signs: tuple[int, ...], flat: Flat, stricts: list[Row], p: Vector
     ) -> None:
-        if k == len(hyps):
+        if k == len(rows):
             out.append((SignVector.from_signs(signs), p))
             return
-        a, b = hyps[k]
+        a, b = rows[k]
         value = _dot(a, p) - b
         side = (value > 0) - (value < 0)
         r, _ = reduce_row(flat, rows[k])
@@ -299,7 +303,7 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
             witness[-1] = tuple(pk - eps * vk for pk, vk in zip(p, v))
         else:
             eqs = [row for _, row in flat]
-            q = feasible_point(eqs, stricts + [sides[k][-side]], arr.dim)
+            q = feasible_point(eqs, stricts + [side_row(k, -side)], arr.dim)
             if q is not None:
                 t = value / (value - _dot(a, q) + b)
                 witness[-side] = q
@@ -311,10 +315,10 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
                 child_flat = insert_row(flat, rows[k])
                 branch(k + 1, signs + (0,), child_flat, stricts, witness[0])
             else:
-                child_stricts = stricts + [sides[k][s]]
+                child_stricts = stricts + [side_row(k, s)]
                 branch(k + 1, signs + (s,), flat, child_stricts, witness[s])
 
-    branch(0, (), (), list(arr.region.strict), start)
+    branch(0, (), (), [_int_row(c, d) for c, d in arr.region.strict], start)
     return out
 
 

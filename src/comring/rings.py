@@ -190,10 +190,21 @@ def nbc_basis_matrix(L: Com, order: LinearOrder | None = None) -> IntMatrix:
 
 @dataclass(frozen=True)
 class FiltrationReport:
-    counts: tuple[int, ...]
+    """The NBC determinant and the first failure of each presentation
+    check: a circuit some tope extends, and a subset S whose h_S lies
+    outside the span of the NBC rows of size at most |S|."""
+
     nbc_det: int
-    membership_ok: bool
-    kernel_ok: bool
+    kernel_failed_at: SignVector | None = None
+    filtration_failed_at: frozenset[int] | None = None
+
+    @property
+    def kernel_ok(self) -> bool:
+        return self.kernel_failed_at is None
+
+    @property
+    def membership_ok(self) -> bool:
+        return self.filtration_failed_at is None
 
     @property
     def ok(self) -> bool:
@@ -217,10 +228,13 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     tope extends any circuit.
     """
     t = topes(L)
-    kernel_ok = not any(
-        x.plus & ~v.plus == 0 and x.minus & ~v.minus == 0
-        for x in circuits(L).circuits
-        for v in t
+    kernel_failed_at = next(
+        (
+            x
+            for x in circuits(L).circuits
+            if any(x.plus & ~v.plus == 0 and x.minus & ~v.minus == 0 for v in t)
+        ),
+        None,
     )
     fam = nbc_sets(L, order)
     det = determinant(nbc_basis_matrix(L, order))
@@ -228,19 +242,16 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     for S in fam.sets:
         by_size.setdefault(len(S), []).append(S)
     lattice = IntLattice(len(t))
-    membership_ok = True
     for k in range(L.n + 1):
         if k >= len(fam.counts) and abs(det) == 1:
             break
         for S in by_size.get(k, []):
             lattice.add(_h_S_vector(t, S))
         for combo in combinations(range(L.n), k):
-            if not lattice.contains(_h_S_vector(t, frozenset(combo))):
-                membership_ok = False
-                break
-        if not membership_ok:
-            break
-    return FiltrationReport(fam.counts, det, membership_ok, kernel_ok)
+            S = frozenset(combo)
+            if not lattice.contains(_h_S_vector(t, S)):
+                return FiltrationReport(det, kernel_failed_at, S)
+    return FiltrationReport(det, kernel_failed_at)
 
 
 def hilbert_series(L: Com, order: LinearOrder | None = None) -> tuple[int, ...]:

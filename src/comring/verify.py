@@ -21,7 +21,7 @@ from .minors import (
     verify_lift,
     verify_tope_recursion,
 )
-from .nbc import nbc_sets, order_with_maximum, verify_nbc_recursion
+from .nbc import nbc_sets, order_with_maximum, verify_nbc_recursion, verify_nbc_tope
 from .realize import Arrangement, Hyperplane, OpenRegion, covectors, strictly_feasible
 from .rings import verify_presentation
 
@@ -75,32 +75,30 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
         in_generator_set(L, x) for x in C.circuits
     )
 
-    fam = nbc_sets(L)
-    t = topes(L)
-    report["n_topes"] = len(t)
-    report["nbc_counts"] = list(fam.counts)
-    report["nbc_tope_ok"] = len(fam) == len(t)
+    report["n_topes"] = len(topes(L))
+    report["nbc_counts"] = list(nbc_sets(L).counts)
+    report["nbc_tope_ok"] = verify_nbc_tope(L)
 
     cl = coloops(L)
     recursions_ok = True
     for i in range(L.n):
         if i in cl:
             continue
-        if not verify_tope_recursion(L, i).ok:
+        if not verify_tope_recursion(L, i):
             recursions_ok = False
             report["tope_recursion_failed_at"] = i
             break
-        if not verify_nbc_recursion(L, order_with_maximum(L.n, i)).ok:
+        if not verify_nbc_recursion(L, order_with_maximum(L.n, i)):
             recursions_ok = False
             report["nbc_recursion_failed_at"] = i
             break
     report["recursions_ok"] = recursions_ok
 
-    disjoint = verify_disjoint_covector(L)
-    if not disjoint.ok:
-        report["disjoint_covector_failed_at"] = disjoint.failing.word()
-    report["disjoint_covector_ok"] = disjoint.ok
-    lift_failed_at = next((i for i in range(L.n) if not verify_lift(L, i).ok), None)
+    disjoint_failed_at = verify_disjoint_covector(L)
+    if disjoint_failed_at is not None:
+        report["disjoint_covector_failed_at"] = disjoint_failed_at.word()
+    report["disjoint_covector_ok"] = disjoint_failed_at is None
+    lift_failed_at = next((i for i in range(L.n) if verify_lift(L, i) is not None), None)
     if lift_failed_at is not None:
         report["lift_failed_at"] = lift_failed_at
     report["lifts_ok"] = lift_failed_at is None
@@ -125,7 +123,11 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     if report["nbc_tope_ok"]:
         pres = verify_presentation(L)
         report["nbc_det"] = pres.nbc_det
+        if pres.kernel_failed_at is not None:
+            report["kernel_failed_at"] = pres.kernel_failed_at.word()
         report["kernel_ok"] = pres.kernel_ok
+        if pres.filtration_failed_at is not None:
+            report["filtration_failed_at"] = sorted(pres.filtration_failed_at)
         report["filtration_ok"] = pres.membership_ok
         presentation_ok = pres.ok
     report["presentation_ok"] = presentation_ok

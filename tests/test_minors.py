@@ -91,23 +91,27 @@ def test_trichotomy_rejects_coloop():
         tope_trichotomy(L, 0)
 
 
+def minor_tope_counts(L, i):
+    return len(topes(L)), len(topes(delete(L, i))), len(topes(contract(L, i)))
+
+
 def test_tope_recursion_golden(gen3):
-    r = verify_tope_recursion(gen3, 0)
-    assert (r.n_topes, r.n_deletion_topes, r.n_contraction_topes) == (6, 4, 2)
-    assert r.counts_ok and r.bijections_ok and r.ok
+    assert verify_tope_recursion(gen3, 0) is True
+    assert minor_tope_counts(gen3, 0) == (6, 4, 2)
 
 
 def test_tope_recursion_all_elements(gen3, ex4):
     for L in (gen3, ex4):
         for i in range(L.n):
-            assert verify_tope_recursion(L, i).ok
+            assert verify_tope_recursion(L, i), i
+            n_t, n_del, n_con = minor_tope_counts(L, i)
+            assert n_t == n_del + n_con, i
 
 
 def test_minor_tope_counts(gen3):
-    rep = verify_tope_recursion(gen3, 1)
-    assert rep.element == 1
+    assert verify_tope_recursion(gen3, 1)
     assert is_com(delete(gen3, 1)) and is_com(contract(gen3, 1))
-    assert (rep.n_topes, rep.n_deletion_topes, rep.n_contraction_topes) == (6, 4, 2)
+    assert minor_tope_counts(gen3, 1) == (6, 4, 2)
 
 
 def test_circuit_minor_laws(gen3, ex4):
@@ -184,15 +188,42 @@ def test_element_indices_outside_ground_set_rejected(gen3, past_end):
 
 
 def test_disjoint_covector(gen3, ex4):
-    assert verify_disjoint_covector(gen3).ok
-    assert verify_disjoint_covector(ex4).ok
-    assert verify_disjoint_covector(Com(2, [])).ok
+    assert verify_disjoint_covector(gen3) is None
+    assert verify_disjoint_covector(ex4) is None
+    assert verify_disjoint_covector(Com(2, [])) is None
 
 
 def test_lift(gen3, ex4):
     for L in (gen3, ex4):
         for i in range(L.n):
-            assert verify_lift(L, i).ok
+            assert verify_lift(L, i) is None
+
+
+def test_witnesses_on_random_sets():
+    """On seeded random covector sets, most of them not COMs, the disjoint
+    covector and lift checks return a failing symmetric circuit, or None."""
+    rng = random.Random(5)
+    disjoint_failures = lift_failures = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        words = ["".join(w) for w in product("-0+", repeat=n)]
+        L = Com.from_words(n, rng.sample(words, rng.randint(0, len(words))))
+        C = circuits(L)
+        symmetric = [x for x in C.circuits if not x.is_zero() and C.paired(x)]
+        expected = next(
+            (x for x in symmetric if all(v.support & x.support for v in L.covectors)),
+            None,
+        )
+        assert verify_disjoint_covector(L) == expected, L.words()
+        disjoint_failures += expected is not None
+        for i in range(n):
+            x = verify_lift(L, i)
+            if x is not None:
+                con = circuits(contract(L, i))
+                assert x in con and -x in con, (L.words(), i)
+                assert all(project(c, i) != x for c in symmetric), (L.words(), i)
+                lift_failures += 1
+    assert disjoint_failures and lift_failures
 
 
 def test_boolean_extension(gen3, ex4):

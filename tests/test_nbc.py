@@ -4,6 +4,7 @@ import pytest
 
 from comring.circuits import circuits
 from comring.core import Com, SignVector, topes
+from comring.minors import contract, delete
 from comring.nbc import (
     LinearOrder,
     broken_circuit,
@@ -116,9 +117,8 @@ def test_family_downward_closed(gen3, ex4):
 
 def test_nbc_tope_identity(gen3, ex4):
     for L in (gen3, ex4):
-        rep = verify_nbc_tope(L)
-        assert rep.ok
-        assert rep.n_nbc == rep.n_topes == len(topes(L))
+        assert verify_nbc_tope(L) is True
+        assert len(nbc_sets(L)) == len(topes(L))
 
 
 def test_induced_order():
@@ -133,17 +133,21 @@ def test_order_with_maximum():
 
 
 def test_recursion_golden(gen3):
-    rep = verify_nbc_recursion(gen3)
-    assert rep.ok
-    assert rep.n_total == 6
-    assert rep.n_total == rep.n_deletion + rep.n_contraction
+    assert verify_nbc_recursion(gen3) is True
+    sub = induced_order(LinearOrder.identity(3), 2)
+    n_del = len(nbc_sets(delete(gen3, 2), sub))
+    n_con = len(nbc_sets(contract(gen3, 2), sub))
+    assert len(nbc_sets(gen3)) == 6 == n_del + n_con
 
 
 def test_recursion_every_order_position(gen3, ex4):
     for L in (gen3, ex4):
         for i in range(L.n):
-            rep = verify_nbc_recursion(L, order_with_maximum(L.n, i))
-            assert rep.ok, (i, rep)
+            order = order_with_maximum(L.n, i)
+            assert verify_nbc_recursion(L, order), i
+            sub = induced_order(order, i)
+            n_del = len(nbc_sets(delete(L, i), sub))
+            assert len(nbc_sets(L, order)) == n_del + len(nbc_sets(contract(L, i), sub))
 
 
 def test_recursion_rejects_coloop():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import comring
 import comring.minors
+import comring.nbc
 import comring.rings
 
 
@@ -16,11 +17,16 @@ def test_every_exported_name_resolves():
 
 
 def test_retired_names_are_gone():
-    for name in ("UPoly", "ZERO_P", "ONE_P", "minor_report", "MinorReport"):
+    retired = (
+        "UPoly", "ZERO_P", "ONE_P", "minor_report", "MinorReport",
+        "TopeRecursionReport", "NbcRecursionReport", "NbcTopeReport",
+        "DisjointCovectorReport", "LiftReport",
+    )
+    for name in retired:
         assert name not in comring.__all__
         assert not hasattr(comring, name)
-        assert not hasattr(comring.rings, name)
-        assert not hasattr(comring.minors, name)
+        for module in (comring.rings, comring.minors, comring.nbc):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_traced_functions_resolve():
