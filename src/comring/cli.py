@@ -4,7 +4,8 @@ Subcommands wire files to library operations; ``verify`` prints the
 report of ``verify.full_verify`` for one covector set, and ``corpus``
 runs the verification corpus of ``verify.corpus_instance_report`` over
 a range of seeds.  Exit codes: 0 success, 1 verification failure, 2
-input or usage error.
+input or usage error.  The argument parser is the one place that checks
+usage, so a malformed command line exits 2 through argparse.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .circuits import circuits
 from .core import Com, ComFormatError, axiom_witness, com_to_json, parse_com_json, topes
@@ -26,24 +26,6 @@ from .verify import witness_json
 
 # perfbench/ calls these three through this module, so they stay bound here.
 from .verify import corpus_instance_report, full_verify, generate_random_arrangement  # noqa: F401
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one field per flag that any subcommand uses."""
-
-    subcommand: str
-    input_path: str | None = None
-    order: tuple[int, ...] | None = None
-    delete_element: int | None = None
-    contract_element: int | None = None
-    mode: str = "rees"
-    reduced: bool = False
-    symmetric: bool = False
-    count: int = 100
-    start_seed: int = 0
-    jobs: int = 1
-    output_format: str = "json"
 
 
 def _load_com(path: str) -> Com:
@@ -65,31 +47,34 @@ def _emit(data: dict[str, object], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one subcommand; returns (exit status, output text)."""
+def run(argv: list[str] | None = None) -> tuple[int, str]:
+    """Parse argv and execute one subcommand; returns (exit status,
+    output text).  Bad usage exits 2 through argparse; bad input content
+    returns status 2 with an error line."""
+    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(config)
+        return _dispatch(args)
     except (ComFormatError, ArrangementFormatError, OSError, ValueError) as exc:
         return 2, f"error: {exc}"
 
 
-def _dispatch(config: RunConfig) -> tuple[int, str]:
-    cmd = config.subcommand
-    fmt = config.output_format
+def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
+    cmd = args.subcommand
+    fmt = args.format
 
     if cmd == "check":
-        L = _load_com(config.input_path)
+        L = _load_com(args.input)
         w = axiom_witness(L)
         if w is None:
             return 0, _emit({"ok": True, "n": L.n, "covectors": len(L)}, fmt)
         return 1, _emit({"ok": False, "witness": witness_json(w)}, fmt)
 
     if cmd == "topes":
-        L = _load_com(config.input_path)
+        L = _load_com(args.input)
         return 0, _emit({"n": L.n, "topes": [t.word() for t in topes(L)]}, fmt)
 
     if cmd == "circuits":
-        L = _load_com(config.input_path)
+        L = _load_com(args.input)
         C = circuits(L)
         return 0, _emit(
             {
@@ -103,21 +88,18 @@ def _dispatch(config: RunConfig) -> tuple[int, str]:
         )
 
     if cmd == "nbc":
-        L = _load_com(config.input_path)
-        order = LinearOrder(config.order) if config.order else None
-        fam = nbc_sets(L, order)
+        L = _load_com(args.input)
+        fam = nbc_sets(L, args.order)
         return 0, _emit(
             {"sets": [sorted(s) for s in fam.sets], "counts": list(fam.counts)}, fmt
         )
 
     if cmd == "minors":
-        L = _load_com(config.input_path)
-        if (config.delete_element is None) == (config.contract_element is None):
-            return 2, "error: exactly one of --delete/--contract is required"
-        if config.delete_element is not None:
-            i, M = config.delete_element, delete(L, config.delete_element)
+        L = _load_com(args.input)
+        if args.delete_element is not None:
+            i, M = args.delete_element, delete(L, args.delete_element)
         else:
-            i, M = config.contract_element, contract(L, config.contract_element)
+            i, M = args.contract_element, contract(L, args.contract_element)
         return 0, _emit(
             {
                 "n": M.n,
@@ -128,13 +110,12 @@ def _dispatch(config: RunConfig) -> tuple[int, str]:
         )
 
     if cmd == "realize":
-        arr = _load_arrangement(config.input_path)
+        arr = _load_arrangement(args.input)
         return 0, com_to_json(covectors(arr))
 
     if cmd == "hilbert":
-        L = _load_com(config.input_path)
-        order = LinearOrder(config.order) if config.order else None
-        coeffs = hilbert_series(L, order)
+        L = _load_com(args.input)
+        coeffs = hilbert_series(L, args.order)
         return 0, _emit(
             {
                 "coefficients": list(coeffs),
@@ -146,9 +127,9 @@ def _dispatch(config: RunConfig) -> tuple[int, str]:
         )
 
     if cmd == "presentation":
-        L = _load_com(config.input_path)
+        L = _load_com(args.input)
         pres = presentation(
-            L, config.mode, reduced=config.reduced, symmetric=config.symmetric
+            L, args.mode, reduced=args.reduced, symmetric=args.symmetric
         )
         if fmt == "text":
             return 0, "\n".join(pres.text_lines())
@@ -174,31 +155,29 @@ def _dispatch(config: RunConfig) -> tuple[int, str]:
         )
 
     if cmd == "verify":
-        L = _load_com(config.input_path)
+        L = _load_com(args.input)
         ok, report = full_verify(L)
         return (0 if ok else 1), _emit(report, fmt)
 
-    if cmd == "corpus":
-        seeds = range(config.start_seed, config.start_seed + config.count)
-        # The pool starts all its workers at once; more than there are
-        # CPUs or seeds would only sit idle.
-        jobs = min(config.jobs, os.cpu_count() or 1, config.count)
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(corpus_instance_report, seeds))
-        else:
-            results = [corpus_instance_report(s) for s in seeds]
-        ok = all(r["ok"] for r in results)
-        summary: dict[str, object] = {
-            "instances": len(results),
-            "ok": ok,
-            "failures": [r for r in results if not r["ok"]],
-        }
-        if fmt == "json":
-            summary["results"] = results
-        return (0 if ok else 1), _emit(summary, fmt)
-
-    return 2, f"error: unknown subcommand {cmd!r}"
+    # corpus, the one subcommand left that the parser admits.
+    seeds = range(args.start_seed, args.start_seed + args.count)
+    # The pool starts all its workers at once; more than there are
+    # CPUs or seeds would only sit idle.
+    jobs = min(args.jobs, os.cpu_count() or 1, args.count)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(corpus_instance_report, seeds))
+    else:
+        results = [corpus_instance_report(s) for s in seeds]
+    ok = all(r["ok"] for r in results)
+    summary: dict[str, object] = {
+        "instances": len(results),
+        "ok": ok,
+        "failures": [r for r in results if not r["ok"]],
+    }
+    if fmt == "json":
+        summary["results"] = results
+    return (0 if ok else 1), _emit(summary, fmt)
 
 
 def _presentation_script(pres) -> str:
@@ -215,6 +194,21 @@ def _presentation_script(pres) -> str:
     lines += [f"    {text}," for text in rendered]
     lines += ["]", "Q = R.quotient(R.ideal(relations))"]
     return "\n".join(lines)
+
+
+def _order(text: str) -> LinearOrder:
+    """An --order value: a permutation of the ground set like 2,0,1."""
+    try:
+        return LinearOrder(tuple(int(v) for v in text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad order {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,57 +233,27 @@ def _build_parser() -> argparse.ArgumentParser:
     add("topes")
     add("circuits")
     p = add("nbc")
-    p.add_argument("--order", help="permutation like 2,0,1")
-    p = add("minors")
-    p.add_argument("--delete", type=int, dest="delete_element")
-    p.add_argument("--contract", type=int, dest="contract_element")
+    p.add_argument("--order", type=_order, help="permutation like 2,0,1")
+    one = add("minors").add_mutually_exclusive_group(required=True)
+    one.add_argument("--delete", type=int, dest="delete_element")
+    one.add_argument("--contract", type=int, dest="contract_element")
     add("realize")
     p = add("hilbert")
-    p.add_argument("--order", help="permutation like 2,0,1")
+    p.add_argument("--order", type=_order, help="permutation like 2,0,1")
     p = add("presentation", fmt_default="text")
     p.add_argument("--mode", choices=("rees", "gr", "vg"), default="rees")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--symmetric", action="store_true")
     add("verify")
     p = add("corpus", with_input=False)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--start-seed", type=int, default=0, dest="start_seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    order = None
-    if getattr(args, "order", None):
-        try:
-            order = tuple(int(v) for v in args.order.split(","))
-        except ValueError:
-            raise ComFormatError(f"bad order {args.order!r}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        order=order,
-        delete_element=getattr(args, "delete_element", None),
-        contract_element=getattr(args, "contract_element", None),
-        mode=getattr(args, "mode", "rees"),
-        reduced=getattr(args, "reduced", False),
-        symmetric=getattr(args, "symmetric", False),
-        count=getattr(args, "count", 100),
-        start_seed=getattr(args, "start_seed", 0),
-        jobs=getattr(args, "jobs", 1),
-        output_format=getattr(args, "format", "json"),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except ComFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    status, output = run(config)
+    status, output = run(argv)
     print(output)
     return status
 

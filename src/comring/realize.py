@@ -182,27 +182,29 @@ def _fm_witness(rows: list[Row], m: int) -> list[Fraction] | None:
 
 
 def feasible_point(
-    equalities: list[LinRow], stricts: list[LinRow], dim: int
+    equalities: list[Row], stricts: list[Row], dim: int
 ) -> Vector | None:
-    """A rational point solving the mixed system, or None.
+    """A rational point solving the mixed system of integer rows, or None.
 
-    The equalities go into an integer reduced echelon flat, which makes
-    each pivot variable an affine function of the free ones; the strict
-    rows are reduced on that flat by positive multiples, so they keep
-    their direction, and Fourier-Motzkin decides them over the free
-    variables.  Equalities that already form a reduced flat, as the
-    covector walk passes them, are taken over unchanged.
+    Callers clear the denominators of an arrangement's rational rows
+    once, when they set up their rows.  The equalities go into an
+    integer reduced echelon flat, which makes each pivot variable an
+    affine function of the free ones; the strict rows are reduced on
+    that flat by positive multiples, so they keep their direction, and
+    Fourier-Motzkin decides them over the free variables.  Equalities
+    that already form a reduced flat, as the covector walk passes them,
+    are taken over unchanged.
     """
     flat: Flat | None = ()
-    for c, d in equalities:
-        flat = insert_row(flat, _int_row(c, d))
+    for row in equalities:
+        flat = insert_row(flat, row)
         if flat is None:
             return None
     pivots = {p for p, _ in flat}
     free = [k for k in range(dim) if k not in pivots]
     reduced = []
-    for c, d in stricts:
-        e, f = reduce_row(flat, _int_row(c, d))
+    for row in stricts:
+        e, f = reduce_row(flat, row)
         reduced.append((tuple(e[k] for k in free), f))
     basic = _fm_witness(reduced, len(free))
     if basic is None:
@@ -215,14 +217,12 @@ def feasible_point(
     return tuple(point)
 
 
-def strictly_feasible(
-    equalities: list[LinRow], stricts: list[LinRow], dim: int
-) -> bool:
+def strictly_feasible(equalities: list[Row], stricts: list[Row], dim: int) -> bool:
     return feasible_point(equalities, stricts, dim) is not None
 
 
 def region_point(arr: Arrangement) -> Vector | None:
-    return feasible_point([], list(arr.region.strict), arr.dim)
+    return feasible_point([], [_int_row(c, d) for c, d in arr.region.strict], arr.dim)
 
 
 def sign_vector_at_point(arr: Arrangement, p: Vector) -> SignVector:
@@ -261,12 +261,13 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         q, the crossing point of the segment from p to q is in C on the
         hyperplane.
     """
-    start = region_point(arr)
-    if start is None:
-        return []
     # Every row is a primitive integer row: a positive multiple of its
     # rational form, which leaves the side of p, t and the slack ratios
     # unchanged.  The strict row of a side is the row or its negation.
+    region = [_int_row(c, d) for c, d in arr.region.strict]
+    start = feasible_point([], region, arr.dim)
+    if start is None:
+        return []
     rows = [_int_row(h.a, h.b) for h in arr.hyperplanes]
     out: list[tuple[SignVector, Vector]] = []
 
@@ -318,7 +319,7 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
                 child_stricts = stricts + [side_row(k, s)]
                 branch(k + 1, signs + (s,), flat, child_stricts, witness[s])
 
-    branch(0, (), (), [_int_row(c, d) for c, d in arr.region.strict], start)
+    branch(0, (), (), region, start)
     return out
 
 
@@ -333,8 +334,8 @@ def geometric_circuits(arr: Arrangement) -> CircuitSet:
     shares only the support walk: every pattern is tested directly by
     feasibility of its open system inside the region.
     """
-    hyps = [(h.a, h.b) for h in arr.hyperplanes]
-    stricts0 = list(arr.region.strict)
+    hyps = [_int_row(h.a, h.b) for h in arr.hyperplanes]
+    stricts0 = [_int_row(c, d) for c, d in arr.region.strict]
 
     def unrealized(mask: int) -> list[int]:
         missing = []

@@ -468,45 +468,33 @@ def presentation(
     C = circuits(L)
     n = L.n
     circuit_list = C.unpaired() if reduced else list(C.circuits)
-    pairs = C.symmetric_pairs()
 
-    # The pair relation f_X is only a polynomial after the elimination
-    # e_i^- = u - e_i^+, so it is always built in those coordinates.
-    nv_elim = n + 1
-    u_elim = MPoly.var(nv_elim, n)
-    plus_elim = [MPoly.var(nv_elim, i) for i in range(n)]
-    # -e_i^- = -(u - e_i^+) = e_i^+ - u
-    minus_elim = [p - u_elim for p in plus_elim]
-
-    def e_vec_elim(x: SignVector) -> MPoly:
-        return _circuit_product(x, nv_elim, plus_elim, minus_elim)
+    # e_i^+ sits at index 2i, beside e_i^- at 2i + 1, when symmetric and
+    # at i otherwise; u is last.  The pair relation f_X is only a
+    # polynomial after the elimination -e_i^- = e_i^+ - u, so it is
+    # always built from the eliminated list.
+    nv = 2 * n + 1 if symmetric else n + 1
+    u = MPoly.var(nv, nv - 1)
+    plus = [MPoly.var(nv, (2 if symmetric else 1) * i) for i in range(n)]
+    eliminated = [p - u for p in plus]
 
     relations: list[Relation] = []
     if symmetric:
-        nv = 2 * n + 1
-        u = MPoly.var(nv, 2 * n)
-        plus = [MPoly.var(nv, 2 * i) for i in range(n)]
         minus = [MPoly.var(nv, 2 * i + 1) for i in range(n)]
-        for i in range(n):
-            relations.append(Relation("diag", plus[i] * minus[i], None))
-        for i in range(n):
-            relations.append(Relation("sum", plus[i] + minus[i] - u, None))
+        relations += [Relation("diag", p * m) for p, m in zip(plus, minus)]
+        relations += [Relation("sum", p + m - u) for p, m in zip(plus, minus)]
         neg_minus = [-m for m in minus]
-        for x in circuit_list:
-            relations.append(Relation("circuit", _circuit_product(x, nv, plus, neg_minus), x))
-        for x in pairs:
-            f = (e_vec_elim(x) - e_vec_elim(-x)).divexact(n)
-            relations.append(Relation("pair", _embed_eliminated(f, n), x))
         names = [f"e{i}{sgn}" for i in range(n) for sgn in "+-"]
     else:
-        for p in plus_elim:
-            relations.append(Relation("diag", p * (u_elim - p), None))
-        for x in circuit_list:
-            relations.append(Relation("circuit", e_vec_elim(x), x))
-        for x in pairs:
-            f = (e_vec_elim(x) - e_vec_elim(-x)).divexact(n)
-            relations.append(Relation("pair", f, x))
+        relations += [Relation("diag", p * (u - p)) for p in plus]
+        neg_minus = eliminated
         names = [f"e{i}+" for i in range(n)]
+    for x in circuit_list:
+        relations.append(Relation("circuit", _circuit_product(x, nv, plus, neg_minus), x))
+    for x in C.symmetric_pairs():
+        e_x = _circuit_product(x, nv, plus, eliminated)
+        e_minus_x = _circuit_product(-x, nv, plus, eliminated)
+        relations.append(Relation("pair", (e_x - e_minus_x).divexact(nv - 1), x))
     names.append("u")
 
     final = []
@@ -541,19 +529,3 @@ def _circuit_product(
         elif s < 0:
             acc = acc * neg[i]
     return acc
-
-
-def _embed_eliminated(p: MPoly, n: int) -> MPoly:
-    """Reindex a polynomial in (e_i^+, u) over (e_i^+, e_i^-, u).
-
-    e_i^+ and u keep their meaning in the larger ring, so the embedding
-    just spaces out the exponent tuples with zero e_i^- slots.
-    """
-    out = {}
-    for e, c in p.terms:
-        spaced = []
-        for i in range(n):
-            spaced.extend((e[i], 0))
-        spaced.append(e[n])
-        out[tuple(spaced)] = c
-    return MPoly.of(2 * n + 1, out)

@@ -22,7 +22,7 @@ from .minors import (
     verify_tope_recursion,
 )
 from .nbc import nbc_sets, order_with_maximum, verify_nbc_recursion, verify_nbc_tope
-from .realize import Arrangement, Hyperplane, OpenRegion, covectors, strictly_feasible
+from .realize import Arrangement, Hyperplane, OpenRegion, covectors, region_point
 from .rings import verify_presentation
 
 # Report keys of the checks that every instance must pass; a report
@@ -168,8 +168,9 @@ def generate_random_arrangement(
         rows = tuple(
             (vec(), Fraction(rng.randint(-5, 5))) for _ in range(k_ineqs)
         )
-        if strictly_feasible([], list(rows), d):
-            return Arrangement(d, hyps, OpenRegion(rows))
+        arr = Arrangement(d, hyps, OpenRegion(rows))
+        if region_point(arr) is not None:
+            return arr
 
 
 def corpus_arrangement(seed: int) -> Arrangement:

@@ -23,7 +23,7 @@ import time
 from itertools import product
 
 from comring.circuits import circuits
-from comring.cli import RunConfig, run
+from comring.cli import run
 from comring.core import Com, SignVector, compose, is_com, topes
 from comring.exactalg import determinant
 from comring.nbc import nbc_sets
@@ -235,11 +235,11 @@ def test_criterion_5_planar_goldens(gen3):
 def test_criterion_6_negative_controls(tmp_path):
     se_path = tmp_path / "se.json"
     se_path.write_text('{"n": 1, "covectors": ["+", "-"]}')
-    status_se, out_se = run(RunConfig("check", input_path=str(se_path)))
+    status_se, out_se = run(["check", str(se_path)])
     w_se = json.loads(out_se).get("witness", {})
     fs_path = tmp_path / "fs.json"
     fs_path.write_text('{"n": 2, "covectors": ["00", "++"]}')
-    status_fs, out_fs = run(RunConfig("check", input_path=str(fs_path)))
+    status_fs, out_fs = run(["check", str(fs_path)])
     w_fs = json.loads(out_fs).get("witness", {})
     ok = (
         status_se == 1

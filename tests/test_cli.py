@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from comring.cli import RunConfig, main, run
+from comring.cli import main, run
 from comring.core import Com, com_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -32,14 +32,14 @@ def write_com(tmp_path, n, words, name="input.json"):
 
 
 def test_check_accepts(gen3_file):
-    status, out = run(RunConfig("check", input_path=gen3_file))
+    status, out = run(["check", gen3_file])
     assert status == 0
     assert json.loads(out) == {"ok": True, "n": 3, "covectors": 13}
 
 
 def test_check_rejects_with_witness(tmp_path):
     path = write_com(tmp_path, 1, ["+", "-"])
-    status, out = run(RunConfig("check", input_path=path))
+    status, out = run(["check", path])
     assert status == 1
     data = json.loads(out)
     assert data["ok"] is False
@@ -48,7 +48,7 @@ def test_check_rejects_with_witness(tmp_path):
 
 def test_check_face_symmetry_witness(tmp_path):
     path = write_com(tmp_path, 2, ["00", "++"])
-    status, out = run(RunConfig("check", input_path=path))
+    status, out = run(["check", path])
     assert status == 1
     w = json.loads(out)["witness"]
     assert w["kind"] == "fs-violation"
@@ -57,13 +57,13 @@ def test_check_face_symmetry_witness(tmp_path):
 
 
 def test_topes(gen3_file):
-    status, out = run(RunConfig("topes", input_path=gen3_file))
+    status, out = run(["topes", gen3_file])
     assert status == 0
     assert json.loads(out)["topes"] == ["---", "-+-", "-++", "+--", "+-+", "+++"]
 
 
 def test_circuits_key(ex4_file):
-    status, out = run(RunConfig("circuits", input_path=ex4_file))
+    status, out = run(["circuits", ex4_file])
     assert status == 0
     data = json.loads(out)
     assert data["circuits"] == ["-+-0", "-+0-", "00+-", "+-+0"]
@@ -73,36 +73,37 @@ def test_circuits_key(ex4_file):
 
 
 def test_nbc_with_order(gen3_file):
-    status, out = run(RunConfig("nbc", input_path=gen3_file, order=(2, 0, 1)))
+    status, out = run(["nbc", gen3_file, "--order", "2,0,1"])
     assert status == 0
     data = json.loads(out)
     assert data["sets"] == [[], [0], [1], [2], [0, 2], [1, 2]]
     assert data["counts"] == [1, 3, 2]
 
 
+def usage_error(argv):
+    """The exit status with which argparse rejects argv."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
 def test_nbc_rejects_bad_order(gen3_file):
-    status, out = run(RunConfig("nbc", input_path=gen3_file, order=(0, 0, 1)))
-    assert status == 2
-    assert out.startswith("error:")
+    assert usage_error(["nbc", gen3_file, "--order", "0,0,1"]) == 2
 
 
 def test_minors(gen3_file):
-    status, out = run(RunConfig("minors", input_path=gen3_file, contract_element=0))
+    status, out = run(["minors", gen3_file, "--contract", "0"])
     assert status == 0
     data = json.loads(out)
     assert data["covectors"] == ["--", "00", "++"]
     assert data["label_map"] == {"0": 1, "1": 2}
 
-    status, _ = run(RunConfig("minors", input_path=gen3_file))
-    assert status == 2
-    status, _ = run(
-        RunConfig("minors", input_path=gen3_file, delete_element=0, contract_element=1)
-    )
-    assert status == 2
+    assert usage_error(["minors", gen3_file]) == 2
+    assert usage_error(["minors", gen3_file, "--delete", "0", "--contract", "1"]) == 2
 
 
 def test_realize_round_trip():
-    status, out = run(RunConfig("realize", input_path=str(FIXTURES / "gen3.json")))
+    status, out = run(["realize", str(FIXTURES / "gen3.json")])
     assert status == 0
     data = json.loads(out)
     assert data["n"] == 3
@@ -110,7 +111,7 @@ def test_realize_round_trip():
 
 
 def test_hilbert(gen3_file):
-    status, out = run(RunConfig("hilbert", input_path=gen3_file))
+    status, out = run(["hilbert", gen3_file])
     assert status == 0
     data = json.loads(out)
     assert data["coefficients"] == [1, 3, 2]
@@ -118,18 +119,14 @@ def test_hilbert(gen3_file):
 
 
 def test_presentation_text(gen3_file):
-    status, out = run(
-        RunConfig("presentation", input_path=gen3_file, output_format="text")
-    )
+    status, out = run(["presentation", gen3_file, "--format", "text"])
     assert status == 0
     assert out.splitlines()[0] == "mode: rees"
     assert "pair[--+]: e0+*e1+ - e0+*e2+ - e1+*e2+ + e2+*u = 0" in out.splitlines()
 
 
 def test_presentation_json(gen3_file):
-    status, out = run(
-        RunConfig("presentation", input_path=gen3_file, mode="gr", output_format="json")
-    )
+    status, out = run(["presentation", gen3_file, "--mode", "gr", "--format", "json"])
     assert status == 0
     data = json.loads(out)
     assert data["mode"] == "gr"
@@ -141,29 +138,27 @@ def test_presentation_json(gen3_file):
 
 
 def test_presentation_script(gen3_file):
-    status, out = run(
-        RunConfig("presentation", input_path=gen3_file, output_format="script")
-    )
+    status, out = run(["presentation", gen3_file, "--format", "script"])
     assert status == 0
     assert "PolynomialRing" in out and "quotient" in out
     assert "e0p" in out
 
 
 def test_verify(gen3_file, tmp_path):
-    status, out = run(RunConfig("verify", input_path=gen3_file))
+    status, out = run(["verify", gen3_file])
     assert status == 0
     report = json.loads(out)
     assert report["ok"] and report["is_com"]
     assert report["nbc_det"] in (1, -1)
 
     bad = write_com(tmp_path, 1, ["+", "-"], "bad.json")
-    status, out = run(RunConfig("verify", input_path=bad))
+    status, out = run(["verify", bad])
     assert status == 1
     assert json.loads(out)["is_com"] is False
 
 
 def test_corpus_smoke():
-    status, out = run(RunConfig("corpus", count=3, output_format="json"))
+    status, out = run(["corpus", "--count", "3", "--format", "json"])
     assert status == 0
     data = json.loads(out)
     assert data["instances"] == 3 and data["ok"]
@@ -171,13 +166,20 @@ def test_corpus_smoke():
 
 
 def test_corpus_parallel_matches_serial():
-    _, serial = run(RunConfig("corpus", count=4, jobs=1, output_format="json"))
-    _, parallel = run(RunConfig("corpus", count=4, jobs=2, output_format="json"))
+    _, serial = run(["corpus", "--count", "4", "--jobs", "1", "--format", "json"])
+    _, parallel = run(["corpus", "--count", "4", "--jobs", "2", "--format", "json"])
     assert json.loads(serial) == json.loads(parallel)
 
 
+@pytest.mark.parametrize("flag", ["--count", "--jobs"])
+@pytest.mark.parametrize("value", ["-3", "0", "x"])
+def test_corpus_rejects_counts_below_one(flag, value, capsys):
+    assert usage_error(["corpus", flag, value]) == 2
+    assert "instances" not in capsys.readouterr().out
+
+
 def test_missing_file_is_usage_error():
-    status, out = run(RunConfig("check", input_path="/nonexistent/com.json"))
+    status, out = run(["check", "/nonexistent/com.json"])
     assert status == 2
     assert out.startswith("error:")
 
@@ -185,7 +187,7 @@ def test_missing_file_is_usage_error():
 def test_malformed_json_is_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{]")
-    status, out = run(RunConfig("check", input_path=str(path)))
+    status, out = run(["check", str(path)])
     assert status == 2
 
 
@@ -197,7 +199,8 @@ def test_main_exit_codes(gen3_file, capsys):
 
 
 def test_main_rejects_bad_order(gen3_file, capsys):
-    assert main(["nbc", gen3_file, "--order", "2,x,1"]) == 2
+    assert usage_error(["nbc", gen3_file, "--order", "2,x,1"]) == 2
+    assert "bad order '2,x,1'" in capsys.readouterr().err
 
 
 def test_subprocess_entry_point(gen3_file):

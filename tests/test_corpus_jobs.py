@@ -3,7 +3,7 @@
 import pytest
 
 import comring.cli as cli
-from comring.cli import RunConfig, run
+from comring.cli import run
 
 
 @pytest.fixture()
@@ -40,7 +40,7 @@ def pool_sizes(monkeypatch):
     ],
 )
 def test_corpus_jobs_capped(monkeypatch, pool_sizes, jobs, count, cpus, expected):
-    serial = run(RunConfig("corpus", count=count))
+    serial = run(["corpus", "--count", str(count)])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert run(RunConfig("corpus", count=count, jobs=jobs)) == serial
+    assert run(["corpus", "--count", str(count), "--jobs", str(jobs)]) == serial
     assert pool_sizes == expected

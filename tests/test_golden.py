@@ -1,19 +1,22 @@
 """Byte-identity of the command outputs that reports are compared on.
 
-The digests are sha256 of the exact output text of ``run``, and of the
-JSON dump of the full corpus reports.  Any change to a reported value,
-to key order or to formatting changes a digest, so refactors of the
-library must leave these unchanged.
+The digests are sha256 of the exact output text of ``run``, of the JSON
+dump of the full corpus reports, and of every presentation variant's
+text and relation terms.  Any change to a reported value, to key order
+or to formatting changes a digest, so refactors of the library must
+leave these unchanged.
 """
 
 import hashlib
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from comring.cli import RunConfig, run
+from comring.cli import run
 from comring.core import com_to_json
+from comring.rings import presentation
 
 GOLDEN = {
     "verify ex4": "9e1093c64a8d68528b187376a7bbbb702ac430c64245e8da573d193c17b85a59",
@@ -23,6 +26,7 @@ GOLDEN = {
     "realize ex4": "2c85ffa019e56c88d2d644a958606078514ecccb6444f6de33023f9e0132eec9",
     "realize gen3": "3c1fa62ce1fca634ce96ce3594fcf7e635e15ee651f6ef5b0c84913bdd8655f8",
     "corpus results 100": "5f8ebc6114393ba0d5bd1cfe2c296ab6c24b50371d154be7dff5e8031bec0902",
+    "presentation variants": "d6298761d0d1fb7ddc54aaf6a6caad6e49af688fa671ae672cb5e86c3ae04ca8",
 }
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -43,25 +47,23 @@ def com_file(tmp_path, request, name: str) -> str:
 @pytest.mark.parametrize("name", ["ex4", "gen3"])
 def test_realize_golden(name):
     path = str(FIXTURES / f"{name}.json")
-    check_golden(f"realize {name}", *run(RunConfig("realize", input_path=path)))
+    check_golden(f"realize {name}", *run(["realize", path]))
 
 
 @pytest.mark.parametrize("name", ["ex4", "gen3"])
 def test_verify_golden(tmp_path, request, name):
     path = com_file(tmp_path, request, name)
-    check_golden(f"verify {name}", *run(RunConfig("verify", input_path=path)))
+    check_golden(f"verify {name}", *run(["verify", path]))
 
 
 def test_presentation_golden(tmp_path, request):
     path = com_file(tmp_path, request, "ex4")
-    config = RunConfig(
-        "presentation", input_path=path, mode="rees", reduced=True, output_format="json"
-    )
-    check_golden("presentation ex4", *run(config))
+    argv = ["presentation", path, "--mode", "rees", "--reduced", "--format", "json"]
+    check_golden("presentation ex4", *run(argv))
 
 
 def test_corpus_golden():
-    check_golden("corpus 12", *run(RunConfig("corpus", count=12)))
+    check_golden("corpus 12", *run(["corpus", "--count", "12"]))
 
 
 def test_full_corpus_results_golden(corpus_results):
@@ -69,3 +71,18 @@ def test_full_corpus_results_golden(corpus_results):
     acceptance tests share, so the corpus runs once per session."""
     _, results = corpus_results
     check_golden("corpus results 100", 0, json.dumps(results, indent=2))
+
+
+def test_presentation_variants_golden(ex4, gen3):
+    """All 12 mode x reduced x symmetric presentations of both fixtures."""
+    dump = [
+        {
+            "variant": [name, mode, reduced, symmetric],
+            "text": pres.text_lines(),
+            "terms": [[[c, list(e)] for e, c in r.poly.terms] for r in pres.relations],
+        }
+        for name, L in (("ex4", ex4), ("gen3", gen3))
+        for mode, reduced, symmetric in product(("rees", "gr", "vg"), (False, True), (False, True))
+        for pres in [presentation(L, mode, reduced=reduced, symmetric=symmetric)]
+    ]
+    check_golden("presentation variants", 0, json.dumps(dump, indent=2))

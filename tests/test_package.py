@@ -5,6 +5,7 @@ import importlib
 from pathlib import Path
 
 import comring
+import comring.cli
 import comring.minors
 import comring.nbc
 import comring.rings
@@ -20,12 +21,12 @@ def test_retired_names_are_gone():
     retired = (
         "UPoly", "ZERO_P", "ONE_P", "minor_report", "MinorReport",
         "TopeRecursionReport", "NbcRecursionReport", "NbcTopeReport",
-        "DisjointCovectorReport", "LiftReport",
+        "DisjointCovectorReport", "LiftReport", "RunConfig",
     )
     for name in retired:
         assert name not in comring.__all__
         assert not hasattr(comring, name)
-        for module in (comring.rings, comring.minors, comring.nbc):
+        for module in (comring.rings, comring.minors, comring.nbc, comring.cli):
             assert not hasattr(module, name), (module.__name__, name)
 
 

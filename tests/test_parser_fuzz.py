@@ -11,7 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comring.cli import RunConfig, run
+from comring.cli import run
 from comring.core import ComFormatError, parse_com_json
 from comring.realize import ArrangementFormatError, parse_arrangement_json
 
@@ -83,7 +83,7 @@ def check_rejected_by_cli(text: str, subcommand: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        status, out = run(RunConfig(subcommand, input_path=path))
+        status, out = run([subcommand, path])
     finally:
         os.unlink(path)
     assert status == 2, out

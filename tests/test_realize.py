@@ -29,7 +29,14 @@ F = Fraction
 
 
 def row(*vals):
+    """The integer row c.x > d (or c.x = d) of c_1, ..., c_m, d."""
     *c, d = vals
+    return tuple(c), d
+
+
+def lin_row(*vals):
+    """The same row over the rationals, as an arrangement holds it."""
+    c, d = row(*vals)
     return tuple(F(v) for v in c), F(d)
 
 
@@ -123,7 +130,7 @@ def test_empty_region_yields_nothing():
     arr = Arrangement(
         1,
         (Hyperplane((F(1),), F(0)),),
-        OpenRegion((row(1, 0), row(-1, 0))),
+        OpenRegion((lin_row(1, 0), lin_row(-1, 0))),
     )
     assert len(covectors(arr)) == 0
     assert geometric_circuits(arr).words() == ["0"]
@@ -135,7 +142,7 @@ def test_central_line_covectors():
 
 
 def test_half_line_region():
-    arr = Arrangement(1, (Hyperplane((F(1),), F(0)),), OpenRegion((row(1, 0),)))
+    arr = Arrangement(1, (Hyperplane((F(1),), F(0)),), OpenRegion((lin_row(1, 0),)))
     assert covectors(arr).words() == ["+"]
 
 
@@ -206,12 +213,14 @@ def oracle_covectors(arr):
     """Every sign vector among the 3^n whose mixed system is feasible."""
     found = set()
     for signs in product((-1, 0, 1), repeat=arr.n):
-        eqs, stricts = [], list(arr.region.strict)
+        eqs = []
+        stricts = [realize._int_row(c, d) for c, d in arr.region.strict]
         for s, h in zip(signs, arr.hyperplanes):
+            c, d = realize._int_row(h.a, h.b)
             if s == 0:
-                eqs.append((h.a, h.b))
+                eqs.append((c, d))
             else:
-                stricts.append((tuple(s * v for v in h.a), s * h.b))
+                stricts.append((tuple(s * v for v in c), s * d))
         if feasible_point(eqs, stricts, arr.dim) is not None:
             found.add(SignVector.from_signs(signs))
     return found
@@ -250,7 +259,7 @@ def counted_solves(monkeypatch, arr):
 
 
 def hyperplanes(*rows):
-    return tuple(Hyperplane(*row(*r)) for r in rows)
+    return tuple(Hyperplane(*lin_row(*r)) for r in rows)
 
 
 def test_node_case_constant_on_flat(monkeypatch):
@@ -285,7 +294,7 @@ def test_node_case_crossing(monkeypatch):
     # Inside x > 0, y > 0 the line x + y = -1 misses the region: the one
     # solve of its far side fails, and no zero child is tried.
     arr = Arrangement(
-        2, hyperplanes((1, 1, -1)), OpenRegion((row(1, 0, 0), row(0, 1, 0)))
+        2, hyperplanes((1, 1, -1)), OpenRegion((lin_row(1, 0, 0), lin_row(0, 1, 0)))
     )
     pairs, solves = counted_solves(monkeypatch, arr)
     assert [x.word() for x, _ in pairs] == ["+"]

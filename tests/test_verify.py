@@ -7,7 +7,7 @@ import pytest
 
 from comring import rings, verify
 from comring.circuits import circuits
-from comring.cli import RunConfig, run
+from comring.cli import run
 from comring.core import com_to_json, topes
 from comring.verify import full_verify
 
@@ -107,6 +107,6 @@ def test_failed_lift_names_its_first_element(monkeypatch, tmp_path, ex4):
     fail_lift(monkeypatch, ex4)
     path = tmp_path / "ex4.json"
     path.write_text(com_to_json(ex4))
-    status, out = run(RunConfig("verify", input_path=str(path)))
+    status, out = run(["verify", str(path)])
     assert status == 1
     assert json.loads(out)["lift_failed_at"] == 2
