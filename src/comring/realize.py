@@ -20,12 +20,23 @@ constant system is satisfied over R iff over Q, so back substitution
 produces a rational witness whenever the real system is solvable.
 
 Covector enumeration walks sign prefixes in hyperplane list order and
-keeps a rational witness point and the flat of its equalities per node.
-Each node is a convex cell, so at most one feasibility solve per node
-decides all three children: none when the next hyperplane is constant on
-the cell's flat or passes through the witness, else one for the side
-opposite the witness, whose answer also decides the hyperplane itself.
-That makes the search output sensitive.
+keeps, per node, a witness point as an integer vector over a positive
+denominator and the flat of its equalities.  Each node is a convex cell,
+so at most one feasibility solve per node decides all three children:
+none when the next hyperplane is constant on the cell's flat or passes
+through the witness, else one for the side opposite the witness, whose
+answer also decides the hyperplane itself.  That makes the search output
+sensitive.
+
+Every Fourier-Motzkin row carries a tag: the OR of the tags of the input
+rows it is a positive combination of.  A solve that fails thus names the
+rows of its Farkas refutation.  The walk tags each strict row with its
+(element, side) bit and remembers a refutation as that sign pattern plus
+the zeros of the node.  A later node whose pattern contains a remembered
+one for the same tested side is answered without a solve, because the
+same combination refutes every system that keeps those rows on a flat
+inside that flat.  When a hyperplane misses a cell, the child keeps the
+strict rows it had: the side row would be implied.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from operator import mul
 
 from .circuits import CircuitSet, minimal_support_walk, submasks
 from .core import Com, SignVector
@@ -42,6 +54,10 @@ from .exactalg import Flat, Row, insert_row, primitive_row, reduce_row
 
 Vector = tuple[Fraction, ...]
 LinRow = tuple[tuple[Fraction, ...], Fraction]
+# A strict row c.x > d with the tag of the input rows it combines.
+TaggedRow = tuple[tuple[int, ...], int, int]
+# The rational point X / D: an integer vector X and a denominator D > 0.
+IntPoint = tuple[list[int], int]
 
 
 class ArrangementFormatError(ValueError):
@@ -93,39 +109,33 @@ def _int_row(c: Vector, d: Fraction) -> Row:
     return primitive_row(coeffs, d.numerator * (denom // d.denominator))
 
 
-def _tightest(rows: list[Row]) -> list[Row] | None:
+def _tightest(rows: list[TaggedRow]) -> list[TaggedRow] | int:
     """Drop every strict row implied by a parallel row, and constant rows.
 
     Among rows whose coefficient vectors are positive multiples of one
-    another, c.x > d is the tightest when d / gcd(c) is largest.  Returns
-    None when a contradictory constant row 0 > d with d >= 0 appears.
+    another, c.x > d is the tightest when d / gcd(c) is largest; it keeps
+    its own tag.  Returns the tag of a contradictory constant row 0 > d
+    with d >= 0 when one appears.
     """
-    best: dict[tuple[int, ...], tuple[int, Row]] = {}
-    for c, d in rows:
+    best: dict[tuple[int, ...], tuple[int, TaggedRow]] = {}
+    for row in rows:
+        c, d, tag = row
         g = gcd(*c)
         if not g:
             if d >= 0:
-                return None
+                return tag
             continue
         key = tuple(v // g for v in c)
         old = best.get(key)
         if old is None or d * old[0] > old[1][1] * g:
-            best[key] = (g, (c, d))
+            best[key] = (g, row)
     return [r for _, r in best.values()]
 
 
-def _pair_count(rows: list[Row], j: int) -> int:
+def _pair_count(rows: list[TaggedRow], j: int) -> int:
     """Number of rows that eliminating variable j combines into one."""
-    pos = sum(1 for c, _ in rows if c[j] > 0)
-    return pos * sum(1 for c, _ in rows if c[j] < 0)
-
-
-def _bound(row: Row, j: int, point: list[Fraction]) -> Fraction:
-    """The value of x_j at which row c.x > d becomes tight, other x fixed;
-    x_j itself must still be 0 in point."""
-    c, d = row
-    rest = d - sum(ck * xk for ck, xk in zip(c, point) if ck and xk)
-    return Fraction(rest, c[j])
+    pos = sum(1 for r in rows if r[0][j] > 0)
+    return pos * sum(1 for r in rows if r[0][j] < 0)
 
 
 def _between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
@@ -143,42 +153,100 @@ def _between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     return (lo + hi) / 2
 
 
-def _fm_witness(rows: list[Row], m: int) -> list[Fraction] | None:
-    """Rational point satisfying all strict rows over m variables, or None.
+def _fm(rows: list[TaggedRow], m: int) -> IntPoint | int:
+    """A point X / D satisfying all strict rows over m variables, or the
+    OR of the tags of the rows whose positive combination refutes them.
 
     Fourier-Motzkin elimination that at each step removes the variable
     whose positive and negative row counts have the smallest product
     (the highest index on ties), keeping only the tightest of parallel
-    rows.  Back substitution then sets the variables in the reverse of
-    the elimination order, each strictly between the bounds of the rows
-    it was eliminated from; a variable that appears in no row is 0.
+    rows.  A combined row carries the OR of its two rows' tags, so a
+    contradictory constant row names the input rows it combines.  Back
+    substitution then sets the variables in the reverse of the
+    elimination order, each strictly between the bounds of the rows it
+    was eliminated from; a variable that appears in no row is 0.
     """
     current = _tightest(rows)
-    if current is None:
-        return None
+    if isinstance(current, int):
+        return current
     steps = []
     remaining = list(range(m))
     while current and remaining:
         j = min(remaining, key=lambda v: (_pair_count(current, v), -v))
         remaining.remove(j)
         pos, neg, out = [], [], []
-        for c, d in current:
-            (pos if c[j] > 0 else neg if c[j] < 0 else out).append((c, d))
-        for cp, dp in pos:
-            for cn, dn in neg:
+        for row in current:
+            v = row[0][j]
+            (pos if v > 0 else neg if v < 0 else out).append(row)
+        for cp, dp, tp in pos:
+            for cn, dn, tn in neg:
                 mp, mn = -cn[j], cp[j]
                 coeffs = [mp * a + mn * b for a, b in zip(cp, cn)]
-                out.append(primitive_row(coeffs, mp * dp + mn * dn))
+                out.append((*primitive_row(coeffs, mp * dp + mn * dn), tp | tn))
         steps.append((j, pos, neg))
         current = _tightest(out)
-        if current is None:
-            return None
-    point = [Fraction(0)] * m
+        if isinstance(current, int):
+            return current
+    point, denom = [0] * m, 1
     for j, pos, neg in reversed(steps):
-        lo = max((_bound(row, j, point) for row in pos), default=None)
-        hi = min((_bound(row, j, point) for row in neg), default=None)
-        point[j] = _between(lo, hi)
-    return point
+        # Row c.x > d is tight at x_j = (d D - c.X) / (c_j D), x_j still 0.
+        lo, hi = (
+            [
+                Fraction(d * denom - sum(map(mul, c, point)), c[j] * denom)
+                for c, d, _ in rows
+            ]
+            for rows in (pos, neg)
+        )
+        x = _between(max(lo, default=None), min(hi, default=None))
+        if denom % x.denominator:
+            scale = x.denominator // gcd(denom, x.denominator)
+            point = [v * scale for v in point]
+            denom *= scale
+        point[j] = x.numerator * (denom // x.denominator)
+    return point, denom
+
+
+def _lowest(point: list[int], denom: int) -> IntPoint:
+    """X / D in lowest terms, D > 0 given."""
+    g = gcd(*point, denom)
+    if g > 1:
+        return [v // g for v in point], denom // g
+    return point, denom
+
+
+def _solve(flat: Flat, stricts: list[TaggedRow], dim: int) -> IntPoint | int:
+    """A point X / D of the flat solving every strict row, or the OR of the
+    tags of the strict rows a refutation combines.
+
+    The flat is an integer reduced echelon flat, which makes each pivot
+    variable an affine function of the free ones; the strict rows are
+    reduced on it by positive multiples, so they keep their direction and
+    their tag, and Fourier-Motzkin decides them over the free variables.
+    """
+    pivots = {p for p, _ in flat}
+    free = [k for k in range(dim) if k not in pivots]
+    reduced = []
+    for c, d, tag in stricts:
+        e, f = reduce_row(flat, (c, d))
+        reduced.append((tuple(e[k] for k in free), f, tag))
+    found = _fm(reduced, len(free))
+    if isinstance(found, int):
+        return found
+    basic, denom = found
+    point = [0] * dim
+    for k, v in zip(free, basic):
+        point[k] = v
+    # Over the common denominator D L, every pivot row e.x = f gives
+    # x_p = (f D - e.X) L / e_p with L the lcm of the pivot entries.
+    scale = lcm(*(e[p] for p, (e, _) in flat))
+    out = [v * scale for v in point]
+    for p, (e, f) in flat:
+        out[p] = (f * denom - sum(map(mul, e, point))) * (scale // e[p])
+    return _lowest(out, denom * scale)
+
+
+def _fraction_point(point: list[int], denom: int) -> Vector:
+    return tuple(Fraction(v, denom) for v in point)
 
 
 def feasible_point(
@@ -188,33 +256,16 @@ def feasible_point(
 
     Callers clear the denominators of an arrangement's rational rows
     once, when they set up their rows.  The equalities go into an
-    integer reduced echelon flat, which makes each pivot variable an
-    affine function of the free ones; the strict rows are reduced on
-    that flat by positive multiples, so they keep their direction, and
-    Fourier-Motzkin decides them over the free variables.  Equalities
-    that already form a reduced flat, as the covector walk passes them,
-    are taken over unchanged.
+    integer reduced echelon flat and ``_solve`` decides the strict rows
+    on it.
     """
     flat: Flat | None = ()
     for row in equalities:
         flat = insert_row(flat, row)
         if flat is None:
             return None
-    pivots = {p for p, _ in flat}
-    free = [k for k in range(dim) if k not in pivots]
-    reduced = []
-    for row in stricts:
-        e, f = reduce_row(flat, row)
-        reduced.append((tuple(e[k] for k in free), f))
-    basic = _fm_witness(reduced, len(free))
-    if basic is None:
-        return None
-    point = [Fraction(0)] * dim
-    for k, v in zip(free, basic):
-        point[k] = v
-    for p, (e, f) in flat:
-        point[p] = Fraction(f - sum(e[k] * point[k] for k in free), e[p])
-    return tuple(point)
+    found = _solve(flat, [(c, d, 0) for c, d in stricts], dim)
+    return None if isinstance(found, int) else _fraction_point(*found)
 
 
 def strictly_feasible(equalities: list[Row], stricts: list[Row], dim: int) -> bool:
@@ -239,87 +290,128 @@ def sign_vector_at_point(arr: Arrangement, p: Vector) -> SignVector:
     return SignVector.from_signs(signs)
 
 
-def _dot(a: Vector, p: Vector) -> Fraction:
-    return sum((ak * pk for ak, pk in zip(a, p)), Fraction(0))
+def _sign_bit(k: int, s: int) -> int:
+    """The bit of sign s at element k in a sign pattern."""
+    return 1 << (3 * k + s + 1)
 
 
 def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]]:
     """All realized sign vectors, each with a rational witness point.
 
     Each node of the sign-prefix walk is a relatively open convex cell C
-    with a witness p; its equalities are kept as an integer reduced
-    echelon flat, which is also what its feasibility solves receive as
-    equalities.  For the next hyperplane a.x = b:
+    with a witness p = X / D, X an integer vector and D > 0; its
+    equalities are kept as an integer reduced echelon flat, which is also
+    what its feasibility solves receive.  For the next hyperplane
+    a.x = b, with v_p = a.X - b D:
 
     (a) a lies in the span of the equality normals: a.x - b is constant
         on C, so only the sign at p occurs and the cell is unchanged;
-    (b) a.p = b: a direction v in the flat with a.v != 0 moves p off the
-        hyperplane to both sides, by half the smallest slack ratio of
-        C's strict rows along v;
+    (b) v_p = 0: an integer direction V in the flat with a.V != 0 moves
+        p off the hyperplane to both sides, by half the smallest slack
+        ratio of C's strict rows along V;
     (c) otherwise the side of p is free and only the opposite side is
-        solved; if it is empty the hyperplane misses C, and if it holds
-        q, the crossing point of the segment from p to q is in C on the
+        asked for; if it is empty the hyperplane misses C, and if it
+        holds q = Q / E, the crossing point (v_p Q - v_q X) /
+        (v_p E - v_q D) of the segment from p to q is in C on the
         hyperplane.
+
+    In case (c) a side is first looked up among the remembered
+    refutations of the module docstring, and a missed hyperplane adds no
+    strict row to the child.
     """
     # Every row is a primitive integer row: a positive multiple of its
-    # rational form, which leaves the side of p, t and the slack ratios
-    # unchanged.  The strict row of a side is the row or its negation.
-    region = [_int_row(c, d) for c, d in arr.region.strict]
-    start = feasible_point([], region, arr.dim)
-    if start is None:
+    # rational form, which leaves the sides, the crossing point and the
+    # slack ratios unchanged.  The strict row of a side is the row or its
+    # negation, tagged with its bit in the sign pattern; region rows and
+    # the row a solve tests are tagged 0.
+    region = [(*_int_row(c, d), 0) for c, d in arr.region.strict]
+    start = _solve((), region, arr.dim)
+    if isinstance(start, int):
         return []
     rows = [_int_row(h.a, h.b) for h in arr.hyperplanes]
+    zeros = sum(_sign_bit(k, 0) for k in range(len(rows)))
+    refuted: dict[tuple[int, int], list[int]] = {}
     out: list[tuple[SignVector, Vector]] = []
 
-    def side_row(k: int, s: int) -> Row:
+    def side_row(k: int, s: int, tag: int) -> TaggedRow:
         c, d = rows[k]
-        return (c, d) if s > 0 else (tuple(-v for v in c), -d)
+        return (c, d, tag) if s > 0 else (tuple(-v for v in c), -d, tag)
+
+    def opposite(
+        k: int, s: int, pattern: int, flat: Flat, stricts: list[TaggedRow]
+    ) -> IntPoint | None:
+        """A point of the cell on side s of hyperplane k, or None."""
+        if any(old & pattern == old for old in refuted.get((k, s), ())):
+            return None
+        found = _solve(flat, stricts + [side_row(k, s, 0)], arr.dim)
+        if isinstance(found, int):
+            refuted.setdefault((k, s), []).append(found | pattern & zeros)
+            return None
+        return found
 
     def branch(
-        k: int, signs: tuple[int, ...], flat: Flat, stricts: list[Row], p: Vector
+        k: int,
+        signs: tuple[int, ...],
+        pattern: int,
+        flat: Flat,
+        stricts: list[TaggedRow],
+        p: IntPoint,
     ) -> None:
         if k == len(rows):
-            out.append((SignVector.from_signs(signs), p))
+            out.append((SignVector.from_signs(signs), _fraction_point(*p)))
             return
         a, b = rows[k]
-        value = _dot(a, p) - b
+        X, D = p
+        value = sum(map(mul, a, X)) - b * D
         side = (value > 0) - (value < 0)
         r, _ = reduce_row(flat, rows[k])
         col = next((j for j, v in enumerate(r) if v), None)
         if col is None:
-            branch(k + 1, signs + (side,), flat, stricts, p)
+            branch(k + 1, signs + (side,), pattern | _sign_bit(k, side), flat, stricts, p)
             return
         witness = {side: p}
         if side == 0:
-            # v solves the homogeneous equalities of the flat, and a.v > 0.
-            v = [Fraction(0)] * arr.dim
-            v[col] = Fraction(1 if r[col] > 0 else -1)
-            for pivot, (e, _) in flat:
-                v[pivot] = -e[col] * v[col] / e[pivot]
-            ratios = [
-                (_dot(c, p) - d) / abs(cv) for c, d in stricts if (cv := _dot(c, v))
+            # V solves the homogeneous equalities of the flat, and a.V > 0.
+            scale = lcm(*(e[q] for q, (e, _) in flat))
+            V = [0] * arr.dim
+            V[col] = scale if r[col] > 0 else -scale
+            for q, (e, _) in flat:
+                V[q] = -e[col] * V[col] // e[q]
+            # Row c.x > d allows p to move by (c.X - d D) / |c.V| times
+            # V / D.  It moves by half the smallest such step, or by V / D
+            # when no row varies along V.
+            steps = [
+                Fraction(sum(map(mul, c, X)) - d * D, abs(cv))
+                for c, d, _ in stricts
+                if (cv := sum(map(mul, c, V)))
             ]
-            eps = min(ratios) / 2 if ratios else Fraction(1)
-            witness[1] = tuple(pk + eps * vk for pk, vk in zip(p, v))
-            witness[-1] = tuple(pk - eps * vk for pk, vk in zip(p, v))
+            step = min(steps) / 2 if steps else Fraction(1)
+            num, den = step.numerator, step.denominator
+            for s in (1, -1):
+                witness[s] = _lowest([den * x + s * num * v for x, v in zip(X, V)], den * D)
         else:
-            eqs = [row for _, row in flat]
-            q = feasible_point(eqs, stricts + [side_row(k, -side)], arr.dim)
+            q = opposite(k, -side, pattern, flat, stricts)
             if q is not None:
-                t = value / (value - _dot(a, q) + b)
+                Q, E = q
+                vq = sum(map(mul, a, Q)) - b * E
+                cross = [value * y - vq * x for x, y in zip(X, Q)]
+                denom = value * E - vq * D
+                if denom < 0:
+                    cross, denom = [-v for v in cross], -denom
                 witness[-side] = q
-                witness[0] = tuple(pk + t * (qk - pk) for pk, qk in zip(p, q))
+                witness[0] = _lowest(cross, denom)
         for s in (-1, 0, 1):
             if s not in witness:
                 continue
+            bit = _sign_bit(k, s)
             if s == 0:
                 child_flat = insert_row(flat, rows[k])
-                branch(k + 1, signs + (0,), child_flat, stricts, witness[0])
+                branch(k + 1, signs + (0,), pattern | bit, child_flat, stricts, witness[0])
             else:
-                child_stricts = stricts + [side_row(k, s)]
-                branch(k + 1, signs + (s,), flat, child_stricts, witness[s])
+                child = stricts if len(witness) == 1 else stricts + [side_row(k, s, bit)]
+                branch(k + 1, signs + (s,), pattern | bit, flat, child, witness[s])
 
-    branch(0, (), (), region, start)
+    branch(0, (), 0, (), region, start)
     return out
 
 

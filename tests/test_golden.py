@@ -1,8 +1,9 @@
 """Byte-identity of the command outputs that reports are compared on.
 
 The digests are sha256 of the exact output text of ``run``, of the JSON
-dump of the full corpus reports, and of every presentation variant's
-text and relation terms.  Any change to a reported value, to key order
+dump of the full corpus reports, of every presentation variant's text
+and relation terms, and of the covector words, in walk order, of a wider
+set of realized arrangements.  Any change to a reported value, to key order
 or to formatting changes a digest, so refactors of the library must
 leave these unchanged.
 """
@@ -16,7 +17,9 @@ import pytest
 
 from comring.cli import run
 from comring.core import com_to_json
+from comring.realize import covectors_with_witnesses, sign_vector_at_point
 from comring.rings import presentation
+from comring.verify import corpus_arrangement, generate_random_arrangement
 
 GOLDEN = {
     "verify ex4": "9e1093c64a8d68528b187376a7bbbb702ac430c64245e8da573d193c17b85a59",
@@ -27,6 +30,7 @@ GOLDEN = {
     "realize gen3": "3c1fa62ce1fca634ce96ce3594fcf7e635e15ee651f6ef5b0c84913bdd8655f8",
     "corpus results 100": "5f8ebc6114393ba0d5bd1cfe2c296ab6c24b50371d154be7dff5e8031bec0902",
     "presentation variants": "d6298761d0d1fb7ddc54aaf6a6caad6e49af688fa671ae672cb5e86c3ae04ca8",
+    "covector words": "57d248fe0cbe7b0b0f8cdf88ea1f5329a759ab6d870606accb647918289aa6a8",
 }
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -86,3 +90,31 @@ def test_presentation_variants_golden(ex4, gen3):
         for pres in [presentation(L, mode, reduced=reduced, symmetric=symmetric)]
     ]
     check_golden("presentation variants", 0, json.dumps(dump, indent=2))
+
+
+# (d, n, region rows, central, seeds) of the benchmark's realize and
+# verify workload arrangements; the verify set repeats seeds 0-1 of the
+# first three shapes.
+WORKLOAD_SHAPES = (
+    (3, 8, 2, False, 5),
+    (4, 6, 2, False, 5),
+    (3, 8, 0, True, 5),
+    (2, 9, 2, False, 3),
+)
+
+
+def test_covector_words_golden():
+    """Covector words in walk order of corpus seeds 0-120 and the workload
+    arrangements; every witness point re-checks."""
+    arrangements = [(f"corpus {s}", corpus_arrangement(s)) for s in range(121)]
+    for d, n, k, central, seeds in WORKLOAD_SHAPES:
+        for s in range(seeds):
+            arr = generate_random_arrangement(s, d, n, k, central=central)
+            arrangements.append((f"d{d} n{n} k{k} central {central} seed {s}", arr))
+    lines = []
+    for key, arr in arrangements:
+        pairs = covectors_with_witnesses(arr)
+        for x, p in pairs:
+            assert sign_vector_at_point(arr, p) == x, (key, x.word(), p)
+        lines.append(f"{key}: {' '.join(x.word() for x, _ in pairs)}")
+    check_golden("covector words", 0, "\n".join(lines))

@@ -246,15 +246,16 @@ def test_covectors_match_oracle(gen3_arrangement, ex4_arrangement):
 def counted_solves(monkeypatch, arr):
     """The walk's output on arr and the number of feasibility solves it made."""
     calls = []
-    solve = realize.feasible_point
+    solve = realize._solve
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(realize, "feasible_point", counting)
-    pairs = assert_matches_oracle(arr)
+    monkeypatch.setattr(realize, "_solve", counting)
+    pairs = covectors_with_witnesses(arr)
     monkeypatch.undo()
+    assert assert_matches_oracle(arr) == pairs
     return pairs, len(calls)
 
 
@@ -301,6 +302,19 @@ def test_node_case_crossing(monkeypatch):
     assert solves == 2
 
 
+def test_refuted_pattern_answers_later_cells(monkeypatch):
+    # The region point is the origin, which x = 0 and y = 0 both pass
+    # through.  The first cell with x < 0 asks whether x = 1 meets it: the
+    # solve refutes x > 1 by the row x < 0 alone, and that pattern also
+    # answers the cells x < 0, y = 0 and x < 0, y > 0 without a solve.
+    # Where x > 0 the witness moves off each line onto x = 1, so nothing
+    # else is solved for.
+    arr = Arrangement(2, hyperplanes((1, 0, 0), (0, 1, 0), (1, 0, 1)), OpenRegion(()))
+    pairs, solves = counted_solves(monkeypatch, arr)
+    assert len(pairs) == 15
+    assert solves == 2
+
+
 def fixed_order_fm_feasible(rows, m):
     """Oracle: plain Fourier-Motzkin over Q, last variable first, no pruning.
 
@@ -336,12 +350,22 @@ def random_strict_system(rng):
     return rows, m
 
 
+def fm_kernel(rows, m):
+    """The kernel's rational point, or None and the input rows its
+    refutation combines."""
+    found = realize._fm([(c, d, 1 << i) for i, (c, d) in enumerate(rows)], m)
+    if isinstance(found, int):
+        return None, [r for i, r in enumerate(rows) if found >> i & 1]
+    point, denom = found
+    return [F(x, denom) for x in point], None
+
+
 def test_fm_kernel_matches_fixed_order_oracle():
     rng = random.Random(20221)
     verdicts = {True: 0, False: 0}
     for _ in range(600):
         rows, m = random_strict_system(rng)
-        point = realize._fm_witness(rows, m)
+        point, support = fm_kernel(rows, m)
         feasible = fixed_order_fm_feasible(rows, m)
         assert (point is not None) == feasible, rows
         verdicts[feasible] += 1
@@ -349,6 +373,10 @@ def test_fm_kernel_matches_fixed_order_oracle():
             assert len(point) == m
             for c, d in rows:
                 assert sum(ck * xk for ck, xk in zip(c, point)) > d, (rows, point)
+        else:
+            # The rows a refutation names are infeasible without the others,
+            # which lets the walk reuse it on every system that keeps them.
+            assert support and not fixed_order_fm_feasible(support, m), rows
     assert min(verdicts.values()) >= 100
 
 
