@@ -20,7 +20,9 @@ oriented matroid.  All values here are immutable and all operations are
 pure functions.  The axiom scans read mask pairs only, with one zero
 index per separator for strong elimination.  Results derived from a
 ``Com`` (the axiom verdict, its topes and coloops, its circuits, its NBC
-families) are computed once per instance and kept on it.
+families) are computed once per instance and kept on it.  Minors are
+shared by value within one minor tree (see ``minors``), which is sound
+because every memoized result is a pure function of ``(n, covectors)``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
+from weakref import WeakValueDictionary
 
 T = TypeVar("T")
 
@@ -162,11 +165,15 @@ class Com:
     The constructor sorts, deduplicates and validates; two Com values are
     equal exactly when their covector lists are equal.  Membership tests
     run against a frozen set of (plus, minus) mask pairs.  Immutable
-    results derived from the covectors are memoized per instance, never
-    by value: hashing a Com walks its whole covector tuple.
+    results derived from the covectors are memoized per instance, since
+    hashing a Com walks its whole covector tuple.  Within one minor tree,
+    though, equal minors are one instance: ``_tree`` is the table of
+    minors, held weakly, that the root and every minor derived from it
+    share; the first minor built creates it.  Sharing is sound because
+    every memoized result is a pure function of ``(n, covectors)``.
     """
 
-    __slots__ = ("n", "covectors", "_members", "_memo")
+    __slots__ = ("n", "covectors", "_members", "_memo", "_tree", "__weakref__")
 
     def __init__(self, n: int, covectors: Iterable[SignVector]):
         vecs = list(covectors)
@@ -182,6 +189,7 @@ class Com:
         self.covectors = tuple(deduped)
         self._members = frozenset((v.plus, v.minus) for v in self.covectors)
         self._memo: dict[object, object] = {}
+        self._tree: WeakValueDictionary[tuple[int, frozenset], Com] | None = None
 
     def _cached(self, key: object, compute: Callable[[], T]) -> T:
         """The memoized result under key, computed on first request.

@@ -2,10 +2,17 @@
 
 Both minors drop coordinate i and renumber the indices above it down by
 one.  Deletion keeps every covector; contraction keeps the covectors
-vanishing at i.  Each minor is built once per Com and element, so the
-checks that visit it share its circuits and NBC families.  ``label_map``
-reports the renumbering so callers can recover original hyperplane
-labels.
+vanishing at i.  Each minor is looked up once per Com and element, and
+is shared by value within its minor tree: the root and every minor
+derived from it share one table of minors keyed by ``(n, mask pairs)``.
+So deleting i then j or j then i, deleting and contracting in either
+order, and deleting or contracting a coloop each give one object, and
+the checks that reach it by any path share its circuits and NBC
+families.  That is sound because every memoized result is a pure
+function of ``(n, covectors)``.  The table holds its minors weakly, so
+it keeps nothing alive on its own, and it belongs to one root, so
+separately built equal roots share no minor.  ``label_map`` reports the
+renumbering so callers can recover original hyperplane labels.
 
 The tope recursion returns a bool, and its element is the witness; the
 disjoint covector and lift checks return the first failing circuit, or
@@ -16,6 +23,7 @@ their three verdicts are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 from .circuits import (
     circuits, in_generator_set, minimal_support_walk, realized_patterns, submasks
@@ -47,26 +55,39 @@ def inject(x: SignVector, i: int) -> SignVector:
     )
 
 
-def delete(L: Com, i: int) -> Com:
-    """The deletion at i; computed once per Com and element."""
+def _minor(L: Com, kind: str, i: int) -> Com:
+    """The deletion or contraction at i, memoized on L under (kind, i)
+    and shared by value within L's minor tree."""
     if not 0 <= i < L.n:
         raise ValueError("index outside ground set")
-    return L._cached(
-        ("delete", i), lambda: Com(L.n - 1, (project(v, i) for v in L.covectors))
-    )
+
+    def build() -> Com:
+        dropped = 1 << i if kind == "contract" else 0
+        members = frozenset(
+            (_drop_bit(p, i), _drop_bit(m, i))
+            for p, m in L._members
+            if not (p | m) & dropped
+        )
+        if L._tree is None:
+            L._tree = WeakValueDictionary()
+        M = L._tree.get((L.n - 1, members))
+        if M is None:
+            M = Com(L.n - 1, (SignVector(L.n - 1, p, m) for p, m in members))
+            M._tree = L._tree
+            L._tree[M.n, M._members] = M
+        return M
+
+    return L._cached((kind, i), build)
+
+
+def delete(L: Com, i: int) -> Com:
+    """The deletion at i; computed once per Com and element."""
+    return _minor(L, "delete", i)
 
 
 def contract(L: Com, i: int) -> Com:
     """The contraction at i; computed once per Com and element."""
-    if not 0 <= i < L.n:
-        raise ValueError("index outside ground set")
-    bit = 1 << i
-    return L._cached(
-        ("contract", i),
-        lambda: Com(
-            L.n - 1, (project(v, i) for v in L.covectors if not (v.support & bit))
-        ),
-    )
+    return _minor(L, "contract", i)
 
 
 def label_map(n: int, i: int) -> dict[int, int]:

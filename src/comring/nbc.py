@@ -111,6 +111,9 @@ def _nbc_family(L: Com, order: LinearOrder) -> NbcFamily:
 
     if not any(b == 0 for b in blockers):
         walk(0, 0)
+    # walk refers to itself through its closure; dropping it breaks the
+    # cycle, so L is freed without waiting for the cycle collector.
+    del walk
     sets = sorted(
         (frozenset(i for i in range(L.n) if (m >> i) & 1) for m in out),
         key=lambda s: (len(s), sorted(s)),

@@ -412,6 +412,9 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
                 branch(k + 1, signs + (s,), pattern | bit, flat, child, witness[s])
 
     branch(0, (), 0, (), region, start)
+    # branch refers to itself through its closure; dropping it breaks the
+    # cycle, so the walk's rows and refutations are freed at once.
+    del branch
     return out
 
 

@@ -1,6 +1,12 @@
-"""Results computed once per Com instance, and the mask kernel check."""
+"""Results computed once per Com instance, minors shared within one tree,
+and the mask kernel check."""
+
+import gc
+import weakref
 
 import pytest
+
+from comring import core, verify
 
 from comring.circuits import circuits, om_circuits
 from comring.core import Com, coloops, is_oriented_matroid, topes
@@ -8,7 +14,7 @@ from comring.minors import contract, delete
 from comring.nbc import LinearOrder, nbc_sets
 from comring.realize import covectors
 from comring.rings import e_X_eval, f_X_eval, verify_presentation
-from comring.verify import corpus_arrangement
+from comring.verify import corpus_arrangement, corpus_instance_report, full_verify
 
 
 def test_circuits_computed_once_per_instance(ex4):
@@ -87,3 +93,49 @@ def test_mask_kernel_check_matches_evaluation(ex4, gen3):
     coms += [minor(L, 0) for L in coms for minor in (delete, contract)]
     for L in coms:
         assert verify_presentation(L).kernel_ok == evaluated_kernel_ok(L)
+
+
+def test_corpus_builds_and_verifies_each_distinct_minor_once(monkeypatch):
+    built: list[tuple[int, tuple]] = []
+    verified: list[tuple[int, tuple]] = []
+    real_init, real_verify = core.Com.__init__, verify.full_verify
+
+    def counting_init(self, n, vecs):
+        real_init(self, n, vecs)
+        built.append((self.n, self.covectors))
+
+    def counting_verify(L):
+        verified.append((L.n, L.covectors))
+        return real_verify(L)
+
+    monkeypatch.setattr(core.Com, "__init__", counting_init)
+    monkeypatch.setattr(verify, "full_verify", counting_verify)
+    for seed in range(12):
+        built.clear()
+        verified.clear()
+        corpus_instance_report(seed)
+        assert len(built) == len(set(built))
+        L = covectors(corpus_arrangement(seed))
+        minors = {
+            (M.n, M.covectors)
+            for i in range(L.n)
+            for M in (delete(L, i), contract(L, i))
+        }
+        assert len(verified) == len(set(verified))
+        assert set(verified) == minors | {(L.n, L.covectors)}
+
+
+def test_verified_com_is_freed_without_the_cycle_collector():
+    arr = corpus_arrangement(11)
+    gc.collect()
+    gc.disable()
+    try:
+        L = covectors(arr)
+        assert full_verify(L)[0]
+        delete(delete(L, 0), 0)  # a second-order minor puts the shared table in play
+        ref = weakref.ref(L)
+        del L
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -65,6 +65,39 @@ def test_minor_commutation(ex4):
     assert contract(delete(L, 3), 1) == delete(contract(L, 1), 2)
 
 
+def test_second_order_deletions_are_one_object(gen3, ex4):
+    for L in (gen3, ex4):
+        for i in range(L.n - 1):
+            for j in range(i, L.n - 1):
+                assert delete(delete(L, i), j) is delete(delete(L, j + 1), i)
+
+
+def test_deletion_and_contraction_commute_to_one_object(gen3, ex4):
+    for L in (gen3, ex4):
+        for i in range(L.n):
+            for j in range(L.n - 1):
+                k = j if j < i else j + 1  # j in the labels of L
+                assert contract(delete(L, i), j) is delete(
+                    contract(L, k), i if i < k else i - 1
+                )
+
+
+def test_coloop_deletion_is_its_contraction():
+    L = Com.from_words(3, ["000", "+00", "-00", "+0+", "-0-", "+0-"])
+    assert coloops(L) == frozenset({1})
+    assert delete(L, 1) is contract(L, 1)
+    assert delete(L, 0) is not contract(L, 0)
+
+
+def test_equal_roots_share_no_minor(ex4):
+    twin = Com(ex4.n, ex4.covectors)
+    for minor in (delete, contract):
+        for i in range(ex4.n):
+            assert minor(twin, i) == minor(ex4, i)
+            assert minor(twin, i) is not minor(ex4, i)
+            assert delete(minor(twin, i), 0) is not delete(minor(ex4, i), 0)
+
+
 def test_is_wall(gen3):
     # first quadrant: bounded by the first two lines, the third only
     # meets its closure at the origin
