@@ -1,13 +1,12 @@
 """Exact linear algebra: Hermite normal form, determinant, spans, echelon.
 
-All arithmetic is over Python's arbitrary precision integers.  The
-Hermite normal form here is row style: pivots are positive, each pivot
-sits strictly to the right of the one above, entries above a pivot are
-reduced into [0, pivot), and zero rows are collected at the bottom.  The
-transform U with H = U * M is accumulated from the same row operations,
-so det(U) = +-1 by construction.
+All arithmetic is over Python's arbitrary precision integers.  Every
+elimination over Z runs on ``IntLattice``, an incremental gcd echelon:
+lattice membership, the signed determinant ``det``, and the row style
+Hermite normal form, read off the lattice of the rows of [M | I].
+Bareiss's ``determinant`` is kept as an independent oracle.
 
-Every exact elimination over Q goes through one integer reduced echelon
+Every elimination over Q goes through one integer reduced echelon
 kernel (``primitive_row``, ``reduce_row``, ``insert_row``).  It is
 fraction free like Bareiss's elimination, but keeps each row primitive
 by its gcd in place of Bareiss's exact division.  A flat is a tuple of
@@ -66,55 +65,38 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = []
-        for r in range(self.rows):
-            row = self.row(r)
-            out.append(
-                [
-                    sum(row[k] * other.at(k, c) for k in range(self.cols))
-                    for c in range(other.cols)
-                ]
-            )
-        return IntMatrix.from_rows(out)
+        out = tuple(
+            sum(v * other.at(k, c) for k, v in enumerate(self.row(r)))
+            for r in range(self.rows) for c in range(other.cols)
+        )
+        return IntMatrix(self.rows, other.cols, out)
 
 
 def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Return (H, U) with H = U * M in row style Hermite normal form."""
-    h = M.row_lists()
-    u = IntMatrix.identity(M.rows).row_lists()
-    top = 0
-    for col in range(M.cols):
-        pivot = next((r for r in range(top, M.rows) if h[r][col]), None)
-        if pivot is None:
-            continue
-        h[top], h[pivot] = h[pivot], h[top]
-        u[top], u[pivot] = u[pivot], u[top]
-        for r in range(top + 1, M.rows):
-            if not h[r][col]:
-                continue
-            # Combine rows top and r by the unimodular 2x2 transform
-            # [[s, t], [-b/g, a/g]] that puts gcd(a, b) at the pivot.
-            a, b = h[top][col], h[r][col]
-            g, s, t = _xgcd(a, b)
-            aa, bb = a // g, b // g
-            h[top], h[r] = (
-                [s * x + t * y for x, y in zip(h[top], h[r])],
-                [aa * y - bb * x for x, y in zip(h[top], h[r])],
-            )
-            u[top], u[r] = (
-                [s * x + t * y for x, y in zip(u[top], u[r])],
-                [aa * y - bb * x for x, y in zip(u[top], u[r])],
-            )
-        if h[top][col] < 0:
-            h[top] = [-v for v in h[top]]
-            u[top] = [-v for v in u[top]]
-        for r in range(top):
-            q = h[r][col] // h[top][col]
+    """Return (H, U) with H = U * M in row style Hermite normal form:
+    pivots positive, each strictly right of the one above, entries above
+    a pivot reduced into [0, pivot), and zero rows at the bottom.
+
+    The lattice of the rows of [M | I] holds them as [UM | U] with U
+    unimodular; ordered by pivot, those with a pivot in I are zero in H.
+    """
+    r, c = M.rows, M.cols
+    lattice = IntLattice(c + r)
+    for k in range(r):
+        lattice.add(M.row(k) + tuple(int(k == j) for j in range(r)))
+    pivots = sorted(lattice.pivot_row.items())
+    rows = [lattice.basis[p] for _, p in pivots]
+    for k, (col, _) in enumerate(pivots):
+        if col >= c:
+            break
+        for above in range(k):
+            q = rows[above][col] // rows[k][col]
             if q:
-                h[r] = [x - q * y for x, y in zip(h[r], h[top])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[top])]
-        top += 1
-    return IntMatrix.from_rows(h), IntMatrix.from_rows(u)
+                rows[above] = [x - q * y for x, y in zip(rows[above], rows[k])]
+    return (
+        IntMatrix(r, c, tuple(v for row in rows for v in row[:c])),
+        IntMatrix(r, r, tuple(v for row in rows for v in row[c:])),
+    )
 
 
 def determinant(M: IntMatrix) -> int:
@@ -201,21 +183,25 @@ class IntLattice:
     column, which is enough for membership tests; entries above pivots
     are not reduced.  ``add`` performs the gcd elimination of the new
     vector against the existing rows and ``contains`` reduces a vector
-    and checks that it vanishes.
+    and checks that it vanishes.  Each step of ``add`` has determinant 1
+    except the negation of a new row, which flips ``sign``.
     """
 
-    __slots__ = ("n", "basis", "pivot_row")
+    __slots__ = ("n", "basis", "pivot_row", "sign", "added")
 
     def __init__(self, n: int):
         self.n = n
         self.basis: list[list[int]] = []
         self.pivot_row: dict[int, int] = {}
+        self.sign = 1
+        self.added = 0
 
     def add(self, vec0: Sequence[int]) -> bool:
         """Insert a vector; True when it enlarges the lattice."""
         if len(vec0) != self.n:
             raise ValueError("vector length does not match ambient dimension")
         vec = list(vec0)
+        self.added += 1
         changed = False
         for j in range(self.n):
             if not vec[j]:
@@ -224,6 +210,7 @@ class IntLattice:
             if p is None:
                 if vec[j] < 0:
                     vec = [-v for v in vec]
+                    self.sign = -self.sign
                 self.basis.append(vec)
                 self.pivot_row[j] = len(self.basis) - 1
                 return True
@@ -261,6 +248,26 @@ class IntLattice:
 
     def rank(self) -> int:
         return len(self.basis)
+
+    def det(self) -> int:
+        """Determinant of the n added vectors in the order added; raises
+        unless exactly n were added.  At full rank the basis ordered by
+        pivot is triangular, so this is ``sign`` times the pivot product
+        times the parity of that order, and below full rank it is 0."""
+        if self.added != self.n:
+            raise ValueError("determinant needs exactly n added vectors")
+        if len(self.basis) < self.n:
+            return 0
+        det = self.sign
+        cols = list(self.pivot_row)  # the pivot of each row, in basis order
+        for p, j in enumerate(cols):
+            det *= self.basis[p][j]
+        for p in range(self.n):  # each swap sorting cols flips the sign
+            while cols[p] != p:
+                q = cols[p]
+                cols[p], cols[q] = cols[q], cols[p]
+                det = -det
+        return det
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -15,14 +15,13 @@ separately built equal roots share no minor.  ``label_map`` reports the
 renumbering so callers can recover original hyperplane labels.
 
 The tope recursion returns a bool, and its element is the witness; the
-disjoint covector and lift checks return the first failing circuit, or
-None when they pass.  Only the circuit minor laws keep a report, since
-their three verdicts are independent.
+disjoint covector and lift checks return the first failing circuit, and
+the circuit minor laws the name of the first failing law, or None when
+they pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from weakref import WeakValueDictionary
 
 from .circuits import (
@@ -148,20 +147,9 @@ def verify_tope_recursion(L: Com, i: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CircuitMinorReport:
-    element: int
-    deletion_ok: bool
-    contraction_ok: bool
-    projection_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.deletion_ok and self.contraction_ok and self.projection_ok
-
-
-def verify_circuit_minor_laws(L: Com, i: int) -> CircuitMinorReport:
-    """Check the three circuit laws for the minors at i.
+def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
+    """The name of the first of the three circuit laws for the minors at
+    i that fails ("deletion", "contraction" or "projection"), or None.
 
     (1) Circuits of the deletion are the projections of circuits
         vanishing at i.
@@ -173,9 +161,10 @@ def verify_circuit_minor_laws(L: Com, i: int) -> CircuitMinorReport:
     """
     bit = 1 << i
     C = circuits(L)
-    deletion_ok = set(circuits(delete(L, i)).circuits) == {
+    if set(circuits(delete(L, i)).circuits) != {
         project(x, i) for x in C.circuits if not (x.support & bit)
-    }
+    }:
+        return "deletion"
 
     def projected_blockers(mask: int) -> list[int]:
         out = []
@@ -189,18 +178,20 @@ def verify_circuit_minor_laws(L: Com, i: int) -> CircuitMinorReport:
         return out
 
     con_circ = circuits(contract(L, i))
-    contraction_ok = i in coloops(L) or (
-        minimal_support_walk(L.n - 1, projected_blockers).circuits == con_circ.circuits
-    )
+    if i not in coloops(L) and (
+        minimal_support_walk(L.n - 1, projected_blockers).circuits != con_circ.circuits
+    ):
+        return "contraction"
 
     # only nonzero projections; a circuit supported exactly at i drops
     # to the zero vector, which is a circuit just for empty minors
-    projection_ok = all(
+    if not all(
         project(x, i) in con_circ
         for x in C.circuits
         if x.support & bit and x.support != bit
-    )
-    return CircuitMinorReport(i, deletion_ok, contraction_ok, projection_ok)
+    ):
+        return "projection"
+    return None
 
 
 def verify_disjoint_covector(L: Com) -> SignVector | None:

@@ -16,10 +16,11 @@ circuit X the product e_X = prod_{X+} e_i^+ * prod_{X-}(-e_i^-)
 vanishes on every tope, and when -X is also a circuit the difference
 e_X - e_{-X} is divisible by u with quotient f_X, again vanishing.
 
-Verification is numeric: the NBC monomials are shown to be a Z-basis by
-a unimodular determinant, the filtration spans are checked by integer
-lattice membership, and the three presentations (plain, associated
-graded, Rees) are emitted as explicit polynomial relation lists.
+Verification is numeric, by integer lattices: the filtration spans are
+checked by membership and the NBC monomials shown to be a Z-basis by
+the determinant of one lattice, and the three presentations (plain,
+associated graded, Rees) are emitted as explicit polynomial relation
+lists.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import combinations
 
 from .circuits import circuits
 from .core import Com, SignVector, topes
-from .exactalg import Flat, IntLattice, IntMatrix, determinant, insert_row
+from .exactalg import IntLattice, IntMatrix, hermite_normal_form
 from .nbc import LinearOrder, nbc_sets
 
 
@@ -215,12 +216,14 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     """Numeric verification of the presentation on one covector set.
 
     Checks, in order: every circuit evaluation e_X and every pair
-    evaluation f_X vanishes; the NBC evaluation matrix is unimodular;
-    and each product h_S lies in the integer span of the NBC rows of
-    size at most |S|.  Membership at level |S| implies membership at
-    every higher level, since the row set only grows with the level, so
-    each subset is tested once.  Once every row is in and the matrix is
-    unimodular the lattice is all of Z^topes, so the test stops there.
+    evaluation f_X vanishes; each product h_S lies in the integer span
+    of the NBC rows of size at most |S|, which one lattice takes level by
+    level; and the lattice of all NBC rows has determinant +-1 (the rows
+    still go in after a failure).  Membership at level |S| implies it at
+    every higher level, so each subset is tested once.  Once every row is
+    in and the determinant is +-1 the lattice is all of Z^topes, so the
+    test stops there.  Raises when |NBC| != |topes|, which cannot happen
+    for a conditional oriented matroid.
 
     e_X is +-u^|X| on the topes extending X and 0 elsewhere, and for
     nonzero X no tope extends both X and -X, so f_X vanishes exactly
@@ -237,21 +240,24 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
         None,
     )
     fam = nbc_sets(L, order)
-    det = determinant(nbc_basis_matrix(L, order))
+    if len(fam.sets) != len(t):
+        raise ValueError("NBC count differs from tope count")
     by_size: dict[int, list[frozenset[int]]] = {}
     for S in fam.sets:
         by_size.setdefault(len(S), []).append(S)
     lattice = IntLattice(len(t))
+    failed_at = None
     for k in range(L.n + 1):
-        if k >= len(fam.counts) and abs(det) == 1:
+        if k >= len(fam.counts) and (failed_at is not None or abs(lattice.det()) == 1):
             break
         for S in by_size.get(k, []):
             lattice.add(_h_S_vector(t, S))
-        for combo in combinations(range(L.n), k):
-            S = frozenset(combo)
-            if not lattice.contains(_h_S_vector(t, S)):
-                return FiltrationReport(det, kernel_failed_at, S)
-    return FiltrationReport(det, kernel_failed_at)
+        if failed_at is None:
+            subsets = map(frozenset, combinations(range(L.n), k))
+            failed_at = next(
+                (S for S in subsets if not lattice.contains(_h_S_vector(t, S))), None
+            )
+    return FiltrationReport(lattice.det(), kernel_failed_at, failed_at)
 
 
 def hilbert_series(L: Com, order: LinearOrder | None = None) -> tuple[int, ...]:
@@ -272,10 +278,10 @@ def gr_multiply(
 ) -> dict[frozenset[int], int]:
     """Product of two NBC classes in the associated graded ring.
 
-    h_S1 * h_S2 = h_{S1 union S2} by idempotence; the result is expanded
-    over the NBC basis by an exact integer elimination (the coefficients
-    are integers since the basis is unimodular) and truncated to the
-    component of degree |S1| + |S2|.
+    h_S1 * h_S2 = h_{S1 union S2} by idempotence.  The NBC matrix M is
+    unimodular, so its Hermite normal form is U * M = I and the target
+    has the integer coefficients h_{S1 union S2} * U over the NBC basis;
+    they are truncated to degree |S1| + |S2|.  Raises unless U * M = I.
     """
     fam = nbc_sets(L, order)
     s1, s2 = frozenset(S1), frozenset(S2)
@@ -283,29 +289,13 @@ def gr_multiply(
     if s1 not in sets or s2 not in sets:
         raise ValueError("inputs must be NBC sets")
     t = topes(L)
-    target = _h_S_vector(t, s1 | s2)
-    rows = [_h_S_vector(t, S) for S in sets]
-    coeffs = _solve_int_combination(rows, target)
+    H, U = hermite_normal_form(nbc_basis_matrix(L, order))
+    if H != IntMatrix.identity(len(t)):
+        raise ValueError("NBC matrix is not unimodular")
+    target = IntMatrix(1, len(t), tuple(_h_S_vector(t, s1 | s2)))
+    coeffs = (target * U).entries
     degree = len(s1) + len(s2)
-    return {
-        S: c for S, c in zip(sets, coeffs) if c and len(S) == degree
-    }
-
-
-def _solve_int_combination(rows: list[list[int]], target: list[int]) -> list[int]:
-    """Coefficients c with sum c_i row_i = target; rows must be a basis."""
-    # One equation per coordinate of the target, in the unknowns c.
-    flat: Flat | None = ()
-    for col, v in enumerate(target):
-        flat = insert_row(flat, (tuple(row[col] for row in rows), v))
-        if flat is None:
-            raise ValueError("target is outside the row space")
-    coeffs = [0] * len(rows)
-    for p, (e, f) in flat:
-        if f % e[p]:
-            raise ValueError("combination is not integral")
-        coeffs[p] = f // e[p]
-    return coeffs
+    return {S: c for S, c in zip(sets, coeffs) if c and len(S) == degree}
 
 
 # Sparse integer polynomials.  Exponent tuples run over a fixed variable

@@ -109,6 +109,17 @@ def test_determinant_multiplicative(A, B):
     assert determinant(A * B) == determinant(A) * determinant(B)
 
 
+def test_zero_row_and_zero_column_shapes():
+    H, U = hermite_normal_form(IntMatrix(0, 3, ()))
+    assert (H.rows, H.cols, U.rows, U.cols) == (0, 3, 0, 0)
+    assert IntMatrix(0, 0, ()) * IntMatrix(0, 3, ()) == IntMatrix(0, 3, ())
+    assert IntMatrix(2, 0, ()) * IntMatrix(0, 3, ()) == IntMatrix(2, 3, (0,) * 6)
+    H, U = hermite_normal_form(IntMatrix(2, 0, ()))
+    assert H == IntMatrix(2, 0, ())
+    assert U * IntMatrix(2, 0, ()) == H
+    assert (U.rows, U.cols) == (2, 2) and abs(determinant(U)) == 1
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]]) * IntMatrix.from_rows([[1, 2]])
@@ -165,6 +176,54 @@ def test_lattice_contains_integer_combinations(rows, coeffs):
     for c, row in zip(coeffs, rows):
         combo = [a + c * b for a, b in zip(combo, row)]
     assert lat.contains(combo)
+
+
+# Small entries make singular matrices common.
+det_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((0, 0, 1, -1, 2, -3, 7)), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ).map(lambda rows: IntMatrix(n, n, tuple(v for r in rows for v in r)))
+)
+
+
+@settings(max_examples=300)
+@given(det_matrices)
+def test_lattice_det_matches_bareiss(M):
+    lat = IntLattice(M.cols)
+    for r in range(M.rows):
+        lat.add(M.row(r))
+    assert lat.det() == determinant(M)
+
+
+def test_lattice_det_goldens():
+    for rows, det in (
+        ([[0, 1], [1, 0]], -1),
+        ([[-1, 0], [0, 1]], -1),
+        ([[2, 4], [1, 1]], -2),
+        ([[6, 0], [10, 0]], 0),
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 1),
+    ):
+        M = IntMatrix.from_rows(rows)
+        lat = IntLattice(M.cols)
+        for r in range(M.rows):
+            lat.add(M.row(r))
+        assert lat.det() == det == determinant(M)
+    assert IntLattice(0).det() == 1
+
+
+def test_lattice_det_needs_exactly_n_vectors():
+    lat = IntLattice(3)
+    for row in ([1, 0, 0], [0, 1, 0]):
+        lat.add(row)
+    with pytest.raises(ValueError):
+        lat.det()
+    lat.add([0, 0, 1])
+    assert lat.det() == 1
+    lat.add([1, 1, 1])
+    with pytest.raises(ValueError):
+        lat.det()
 
 
 # The integer reduced echelon kernel, against a Fraction elimination oracle.

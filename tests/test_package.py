@@ -21,7 +21,7 @@ def test_retired_names_are_gone():
     retired = (
         "UPoly", "ZERO_P", "ONE_P", "minor_report", "MinorReport",
         "TopeRecursionReport", "NbcRecursionReport", "NbcTopeReport",
-        "DisjointCovectorReport", "LiftReport", "RunConfig",
+        "DisjointCovectorReport", "LiftReport", "RunConfig", "CircuitMinorReport",
     )
     for name in retired:
         assert name not in comring.__all__
@@ -45,3 +45,26 @@ def test_traced_functions_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (layer, attr)
+
+
+def test_modules_use_every_name_they_import():
+    """Every name a module imports is used in it, except on an import
+    marked ``# noqa: F401`` (a deliberate re-export)."""
+    for path in sorted((Path(__file__).parents[1] / "src" / "comring").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            marked = lines[node.lineno - 1 : node.end_lineno]
+            if any("# noqa: F401" in line for line in marked):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                assert name in used, (path.name, name)

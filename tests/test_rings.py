@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from comring.circuits import circuits
 from comring.core import Com, SignVector, topes
 from comring.exactalg import IntLattice, determinant
-from comring.nbc import LinearOrder
+from comring.nbc import LinearOrder, nbc_sets
+from comring.realize import covectors
 from comring.rings import (
     EMonomial,
     MPoly,
@@ -18,6 +21,7 @@ from comring.rings import (
     rho_eval,
     verify_presentation,
 )
+from comring.verify import corpus_arrangement, generate_random_arrangement
 
 V = SignVector.from_word
 
@@ -178,6 +182,36 @@ def test_verify_presentation_stops_once_lattice_is_full(gen3, ex4, monkeypatch):
         assert calls == expected
 
 
+# (d, n, region rows, central, seeds) of the benchmark's verify inputs.
+VERIFY_SHAPES = (
+    (3, 8, 2, False, 2),
+    (4, 6, 2, False, 2),
+    (3, 8, 0, True, 2),
+    (2, 9, 2, False, 3),
+)
+
+
+def test_nbc_det_matches_bareiss_with_sign():
+    signs = set()
+    for d, n, k, central, seeds in VERIFY_SHAPES:
+        for s in range(seeds):
+            L = covectors(generate_random_arrangement(s, d, n, k, central=central))
+            rep = verify_presentation(L)
+            assert rep.ok
+            assert rep.nbc_det == determinant(nbc_basis_matrix(L)), (d, n, k, s)
+            signs.add(rep.nbc_det)
+    assert signs == {1, -1}
+
+
+def test_nbc_det_after_a_filtration_failure(gen3, monkeypatch):
+    """After a failed membership test every NBC row still goes in, so
+    nbc_det is the determinant of all of them."""
+    monkeypatch.setattr(IntLattice, "contains", lambda lattice, v: False)
+    rep = verify_presentation(gen3)
+    assert rep.filtration_failed_at == frozenset()
+    assert rep.nbc_det == determinant(nbc_basis_matrix(gen3)) == -1
+
+
 def test_verify_presentation_order_invariant(gen3):
     for perm in ((0, 1, 2), (2, 0, 1), (1, 0, 2)):
         assert verify_presentation(gen3, LinearOrder(perm)).ok
@@ -218,6 +252,63 @@ def test_gr_multiply_top_degree_truncates(gen3):
     o = LinearOrder.identity(3)
     # degree 4 exceeds the filtration length, nothing survives
     assert gr_multiply(gen3, o, {0, 1}, {0, 2}) == {}
+
+
+def fraction_inverse(rows):
+    """The inverse of a square matrix, by Gauss-Jordan over Fractions on
+    [rows | I], with integral entries as ints."""
+    m = len(rows)
+    work = [
+        [Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(m)]
+        for i, r in enumerate(rows)
+    ]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [v / work[col][col] for v in work[col]]
+        for r in range(m):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [[int(v) if v.denominator == 1 else v for v in row[m:]] for row in work]
+
+
+def h_vector(t, S):
+    return [int(all(v.sign(i) > 0 for i in S)) for v in t]
+
+
+def test_gr_multiply_matches_fraction_solve_on_corpus():
+    """Every ordered NBC pair of corpus seeds 0-39: the expansion of
+    h_{S1 union S2} over the NBC basis is integral, sums back to the
+    target, and gr_multiply is its part of degree |S1| + |S2|."""
+    pairs = nonzero = 0
+    for seed in range(40):
+        L = covectors(corpus_arrangement(seed))
+        t = topes(L)
+        sets = nbc_sets(L, None).sets
+        rows = [h_vector(t, S) for S in sets]
+        inverse = fraction_inverse(rows)
+        for s1 in sets:
+            for s2 in sets:
+                # c * rows = target, so c = target * inverse.
+                target = h_vector(t, s1 | s2)
+                coeffs = [
+                    sum(v * inverse[i][j] for i, v in enumerate(target) if v)
+                    for j in range(len(sets))
+                ]
+                assert all(Fraction(c).denominator == 1 for c in coeffs)
+                assert [
+                    sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(t))
+                ] == target
+                degree = len(s1) + len(s2)
+                expected = {
+                    S: int(c) for S, c in zip(sets, coeffs) if c and len(S) == degree
+                }
+                got = gr_multiply(L, None, s1, s2)
+                assert got == expected, (seed, s1, s2)
+                pairs += 1
+                nonzero += bool(got)
+    assert pairs == 3253 and nonzero == 966
 
 
 def test_presentation_metadata(gen3):
