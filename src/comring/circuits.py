@@ -4,25 +4,30 @@ The generator test: a sign vector X blocks a covector set L when
 X o Y != Y for every Y in L.  Since (X o Y)_i = X_i wherever X_i != 0,
 the equation X o Y = Y holds exactly when Y agrees with X on the whole
 support of X.  So X blocks L if and only if no covector extends X, which
-is the membership test implemented here.
+is the membership test implemented here.  Every extension test ANDs the
+per-element covector bit sets of ``core.covector_columns``: the
+covectors extending X are the AND of the plus columns on X+ and the
+minus columns on X-.  That is exact for any covector set, COM or not.
 
 Circuits are the support minimal blockers.  Every circuit family here
 is a family of sign vectors cut down to its inclusion minimal supports:
 blockers, infeasible patterns (``realize.geometric_circuits``), vectors
 orthogonal to all covectors (``om_circuits``) and projected blockers (the
 contraction law in ``minors``).  ``minimal_support_walk`` takes any such
-family support by support, walks supports by cardinality and skips the
-supersets of supports found.  The pruning is exact for every family,
+family support by support, walks supports by cardinality and visits a
+k-set only when each of its (k-1)-subsets was visited and had no
+members, which is k set lookups.  That skips exactly the supersets of
+the supports found, since a found support strictly inside a k-set lies
+inside one of its (k-1)-subsets.  The pruning is exact for every family,
 upward closed or not, since such a superset cannot be minimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from .core import Com, SignVector, is_oriented_matroid
+from .core import Columns, Com, SignVector, covector_columns, is_oriented_matroid
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,20 @@ def in_generator_set(L: Com, x: SignVector) -> bool:
     """True when no covector of L extends x on the support of x."""
     if x.n != L.n:
         raise ValueError("ground sets differ")
-    return not any(
-        x.plus & ~v.plus == 0 and x.minus & ~v.minus == 0 for v in L.covectors
-    )
+    return not covector_columns(L).extending(x.plus, x.minus)
+
+
+def _patterns(cols: Columns, mask: int) -> list[tuple[int, int]]:
+    """Every sign pattern on the support mask, as its plus mask, paired
+    with the bit set of the covectors extending it."""
+    out = [(0, cols.every)]
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        p, m = cols.plus[i], cols.minus[i]
+        out = [q for pat, bits in out for q in ((pat | low, bits & p), (pat, bits & m))]
+        mask ^= low
+    return out
 
 
 def realized_patterns(L: Com, S: frozenset[int] | set[int]) -> frozenset[tuple[int, ...]]:
@@ -77,11 +93,11 @@ def realized_patterns(L: Com, S: frozenset[int] | set[int]) -> frozenset[tuple[i
         if i < 0 or i >= L.n:
             raise ValueError("index outside ground set")
         mask |= 1 << i
-    seen = set()
-    for v in L.covectors:
-        if v.support & mask == mask:
-            seen.add(tuple(1 if (v.plus >> i) & 1 else -1 for i in idx))
-    return frozenset(seen)
+    return frozenset(
+        tuple(1 if (pat >> i) & 1 else -1 for i in idx)
+        for pat, bits in _patterns(covector_columns(L), mask)
+        if bits
+    )
 
 
 def circuits(L: Com) -> CircuitSet:
@@ -92,56 +108,51 @@ def circuits(L: Com) -> CircuitSet:
     the minimal deficient supports.  Intended for ground sets up to
     around 16 elements.  Computed once per Com.
     """
-    cov = L.covectors
 
-    def unrealized(mask: int) -> list[int]:
-        target = 1 << bin(mask).count("1")
-        realized: set[int] = set()
-        for v in cov:
-            if v.support & mask == mask:
-                realized.add(v.plus & mask)
-                if len(realized) == target:
-                    return []
-        return [pat for pat in submasks(mask) if pat not in realized]
+    def compute() -> CircuitSet:
+        cols = covector_columns(L)
+        return minimal_support_walk(
+            L.n, lambda mask: [pat for pat, bits in _patterns(cols, mask) if not bits]
+        )
 
-    return L._cached("circuits", lambda: minimal_support_walk(L.n, unrealized))
+    return L._cached("circuits", compute)
 
 
 def minimal_support_walk(n: int, family: Callable[[int], list[int]]) -> CircuitSet:
     """The members of a family on its inclusion minimal supports.
 
     ``family(mask)`` returns the plus masks of the members with support
-    exactly ``mask``.  A visited support with members is minimal: its
-    proper subsets all came earlier without members, or it would have been
-    skipped.  Circuits come out canonically ordered, supports by size.
+    exactly ``mask``.  Supports are visited by size, each size in
+    ``combinations`` order, and a k-set is visited only when all of its
+    (k-1)-subsets were visited and had no members; so a visited support
+    with members is minimal.  Each k-set is reached from the (k-1)-set
+    without its highest element, which keeps that order.  Circuits come
+    out canonically ordered, supports by size.
     """
     found: list[SignVector] = []
-    minimal: list[int] = []
     supports: list[frozenset[int]] = []
-    for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(mask & d == d for d in minimal):
-                continue
+    level = [0]
+    while level:
+        clear: list[int] = []
+        for mask in level:
             members = family(mask)
             if not members:
+                clear.append(mask)
                 continue
-            minimal.append(mask)
-            supports.append(frozenset(combo))
+            supports.append(frozenset(i for i in range(n) if (mask >> i) & 1))
             found.extend(SignVector(n, pat, mask ^ pat) for pat in members)
-        if k == 0 and minimal:
-            # The zero sign vector is a member; no other support is minimal.
-            break
+        cleared = set(clear)
+        level = []
+        for mask in clear:
+            for j in range(mask.bit_length(), n):
+                grown = mask | 1 << j
+                rest = mask
+                while rest and grown ^ (rest & -rest) in cleared:
+                    rest &= rest - 1
+                if not rest:
+                    level.append(grown)
     found.sort(key=SignVector.sort_key)
     return CircuitSet(n, tuple(found), tuple(supports))
-
-
-def minimal_masks(masks: Iterable[int]) -> set[int]:
-    """The inclusion minimal members of a family of bit masks."""
-    family = set(masks)
-    return {s for s in family if not any(t != s and t & s == t for t in family)}
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -18,9 +18,14 @@ conditional oriented matroid:
 A conditional oriented matroid that contains the zero sign vector is an
 oriented matroid.  All values here are immutable and all operations are
 pure functions.  The axiom scans read mask pairs only, with one zero
-index per separator for strong elimination.  Results derived from a
-``Com`` (the axiom verdict, its topes and coloops, its circuits, its NBC
-families) are computed once per instance and kept on it.  Minors are
+index per separator for strong elimination.  ``covector_columns`` is the
+column index of a ``Com``: for each element, the covectors positive there
+and those negative there, each as one integer bit set, so that "which
+covectors extend this pattern?" is an AND over the pattern's support;
+the circuit, boolean extension, disjoint covector and kernel checks ask
+it that way.  Results derived from a ``Com`` (the axiom verdict, its
+column index, topes and coloops, its circuits, its NBC families) are
+computed once per instance and kept on it.  Minors are
 shared by value within one minor tree (see ``minors``), which is sound
 because every memoized result is a pure function of ``(n, covectors)``.
 """
@@ -316,6 +321,65 @@ def coloops(L: Com) -> frozenset[int]:
         return frozenset(i for i in range(L.n) if not (used >> i) & 1)
 
     return L._cached("coloops", compute)
+
+
+@dataclass(frozen=True)
+class Columns:
+    """The covectors of a ``Com`` as per-element bit sets.
+
+    Bit j of ``plus[i]`` (``minus[i]``) is set when covector j, in
+    canonical order, is positive (negative) at i; ``every`` has one bit
+    per covector.  A covector extends a pattern exactly when it lies in
+    the columns of every element the pattern signs, so every extension
+    test is one AND per signed element.
+    """
+
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
+    every: int
+
+    def extending(self, plus: int, minus: int) -> int:
+        """The covectors positive on the plus mask and negative on the
+        minus mask, as a bit set."""
+        bits = self.every
+        while plus:
+            low = plus & -plus
+            bits &= self.plus[low.bit_length() - 1]
+            plus ^= low
+        while minus:
+            low = minus & -minus
+            bits &= self.minus[low.bit_length() - 1]
+            minus ^= low
+        return bits
+
+    def vanishing(self, mask: int) -> int:
+        """The covectors zero at every element of mask, as a bit set."""
+        bits = self.every
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            bits &= ~(self.plus[i] | self.minus[i])
+            mask ^= low
+        return bits
+
+
+def covector_columns(L: Com) -> Columns:
+    """The column index of L.  Computed once per Com."""
+
+    def compute() -> Columns:
+        # One n-digit binary word per covector, the last covector first:
+        # element i of covector j is digit n-1-i of word j, so every n-th
+        # digit from n-1-i on spells column i, highest covector first.
+        n, rows = L.n, L.covectors[::-1]
+        plus = "".join(format(v.plus, f"0{n}b") for v in rows)
+        minus = "".join(format(v.minus, f"0{n}b") for v in rows)
+        return Columns(
+            tuple(int(plus[n - 1 - i :: n] or "0", 2) for i in range(n)),
+            tuple(int(minus[n - 1 - i :: n] or "0", 2) for i in range(n)),
+            (1 << len(rows)) - 1,
+        )
+
+    return L._cached("columns", compute)
 
 
 def topes(L: Com) -> tuple[SignVector, ...]:

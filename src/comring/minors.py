@@ -27,7 +27,7 @@ from weakref import WeakValueDictionary
 from .circuits import (
     circuits, in_generator_set, minimal_support_walk, realized_patterns, submasks
 )
-from .core import Com, SignVector, coloops, topes
+from .core import Com, SignVector, coloops, covector_columns, topes
 
 
 def _drop_bit(mask: int, i: int) -> int:
@@ -198,10 +198,11 @@ def verify_disjoint_covector(L: Com) -> SignVector | None:
     """The first symmetric circuit with no covector of disjoint support,
     or None when every symmetric circuit pair admits one."""
     C = circuits(L)
+    cols = covector_columns(L)
     for x in C.circuits:
         if x.is_zero() or not C.paired(x):
             continue
-        if not any(v.support & x.support == 0 for v in L.covectors):
+        if not cols.vanishing(x.support):
             return x
     return None
 

@@ -5,7 +5,12 @@ symmetric circuit pair {X, -X}, does not contain the broken circuit of
 X, which is the support of X with its order minimum removed.  Both
 blocking conditions are monotone, so the family is closed downward and
 a pruned depth first scan enumerates it without visiting blocked
-supersets.  The family size always equals the number of topes.
+supersets.  The walk grows each set by elements above its highest one,
+and a set it reaches holds no blocker, so a blocker inside the grown
+set must contain the new element as its highest: only the blockers
+with that top element are tested.  Non-minimal blockers are therefore
+harmless and are not filtered out.  The family size always equals the
+number of topes.
 
 Like the minor checks, ``verify_nbc_tope`` and ``verify_nbc_recursion``
 return a bool; the order (and its maximal element) is the witness.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import CircuitSet, circuits, minimal_masks
+from .circuits import CircuitSet, circuits
 from .core import Com, SignVector, coloops, topes
 from .minors import contract, delete
 
@@ -69,7 +74,7 @@ class NbcFamily:
         return len(self.sets)
 
 
-def _blocker_masks(C: CircuitSet, order: LinearOrder) -> list[int]:
+def _blocker_masks(C: CircuitSet, order: LinearOrder) -> set[int]:
     ranks = order.ranks()
     blockers: set[int] = set()
     for x in C.circuits:
@@ -81,8 +86,7 @@ def _blocker_masks(C: CircuitSet, order: LinearOrder) -> list[int]:
         if C.paired(x):
             m = min((i for i in range(x.n) if (sup >> i) & 1), key=lambda i: ranks[i])
             blockers.add(sup & ~(1 << m))
-    # Keep only inclusion minimal blockers; the rest are redundant.
-    return list(minimal_masks(blockers))
+    return blockers
 
 
 def nbc_sets(L: Com, order: LinearOrder | None = None) -> NbcFamily:
@@ -100,20 +104,20 @@ def nbc_sets(L: Com, order: LinearOrder | None = None) -> NbcFamily:
 def _nbc_family(L: Com, order: LinearOrder) -> NbcFamily:
     blockers = _blocker_masks(circuits(L), order)
     out: list[int] = []
-
-    def walk(mask: int, next_i: int) -> None:
-        out.append(mask)
-        for i in range(next_i, L.n):
-            grown = mask | (1 << i)
-            if any(grown & b == b for b in blockers):
-                continue
-            walk(grown, i + 1)
-
-    if not any(b == 0 for b in blockers):
-        walk(0, 0)
-    # walk refers to itself through its closure; dropping it breaks the
-    # cycle, so L is freed without waiting for the cycle collector.
-    del walk
+    # The empty blocker (the zero circuit, or the broken circuit of a
+    # pair on one element) blocks every set.
+    if 0 not in blockers:
+        by_top: list[list[int]] = [[] for _ in range(L.n)]
+        for b in blockers:
+            by_top[b.bit_length() - 1].append(b)
+        stack = [(0, 0)]
+        while stack:
+            mask, next_i = stack.pop()
+            out.append(mask)
+            for i in range(next_i, L.n):
+                grown = mask | (1 << i)
+                if not any(grown & b == b for b in by_top[i]):
+                    stack.append((grown, i + 1))
     sets = sorted(
         (frozenset(i for i in range(L.n) if (m >> i) & 1) for m in out),
         key=lambda s: (len(s), sorted(s)),

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .circuits import circuits
-from .core import Com, SignVector, topes
+from .core import Com, SignVector, covector_columns, topes
 from .exactalg import IntLattice, IntMatrix, hermite_normal_form
 from .nbc import LinearOrder, nbc_sets
 
@@ -231,12 +231,12 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     tope extends any circuit.
     """
     t = topes(L)
+    cols = covector_columns(L)
+    tope_bits = cols.every
+    for p, m in zip(cols.plus, cols.minus):
+        tope_bits &= p | m
     kernel_failed_at = next(
-        (
-            x
-            for x in circuits(L).circuits
-            if any(x.plus & ~v.plus == 0 and x.minus & ~v.minus == 0 for v in t)
-        ),
+        (x for x in circuits(L).circuits if cols.extending(x.plus, x.minus) & tope_bits),
         None,
     )
     fam = nbc_sets(L, order)
@@ -282,6 +282,7 @@ def gr_multiply(
     unimodular, so its Hermite normal form is U * M = I and the target
     has the integer coefficients h_{S1 union S2} * U over the NBC basis;
     they are truncated to degree |S1| + |S2|.  Raises unless U * M = I.
+    The pair (H, U) is computed once per Com and order.
     """
     fam = nbc_sets(L, order)
     s1, s2 = frozenset(S1), frozenset(S2)
@@ -289,7 +290,10 @@ def gr_multiply(
     if s1 not in sets or s2 not in sets:
         raise ValueError("inputs must be NBC sets")
     t = topes(L)
-    H, U = hermite_normal_form(nbc_basis_matrix(L, order))
+    H, U = L._cached(
+        ("nbc_hnf", fam.order.perm),
+        lambda: hermite_normal_form(nbc_basis_matrix(L, fam.order)),
+    )
     if H != IntMatrix.identity(len(t)):
         raise ValueError("NBC matrix is not unimodular")
     target = IntMatrix(1, len(t), tuple(_h_S_vector(t, s1 | s2)))

@@ -1,14 +1,17 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comring.circuits import (
     CircuitSet,
     circuits,
     in_generator_set,
+    minimal_support_walk,
     om_circuits,
     orthogonal,
     realized_patterns,
+    submasks,
 )
 from comring.core import Com, SignVector
 from comring.minors import contract, delete
@@ -182,3 +185,97 @@ def test_geometric_circuits_cross_check(gen3_arrangement, ex4_arrangement):
     for arr in (gen3_arrangement, ex4_arrangement):
         L = covectors(arr)
         assert set(geometric_circuits(arr).circuits) == set(circuits(L).circuits)
+
+
+# Kernel against scan: the column-index answers against plain loops over
+# the covector list, on arbitrary sign-vector sets (COMs or not).
+
+
+@st.composite
+def sign_vector_sets(draw):
+    """Any set of sign vectors with n <= 6, often holding the zero vector."""
+    n = draw(st.integers(0, 6))
+    words = draw(st.lists(st.text("+-0", min_size=n, max_size=n), max_size=24))
+    if draw(st.booleans()):
+        words.append("0" * n)
+    return Com.from_words(n, words)
+
+
+def scan_extending(L, plus, minus):
+    return [v for v in L.covectors if plus & ~v.plus == 0 and minus & ~v.minus == 0]
+
+
+def reference_walk(n, family):
+    """The support walk that skips every superset of a support found, by
+    testing it against each found support in turn."""
+    found, minimal, supports = [], [], []
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            mask = sum(1 << i for i in combo)
+            if any(mask & d == d for d in minimal):
+                continue
+            members = family(mask)
+            if not members:
+                continue
+            minimal.append(mask)
+            supports.append(frozenset(combo))
+            found.extend(SignVector(n, pat, mask ^ pat) for pat in members)
+    found.sort(key=SignVector.sort_key)
+    return CircuitSet(n, tuple(found), tuple(supports))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_vector_sets())
+def test_circuits_match_covector_scan(L):
+    def unrealized(mask):
+        return [p for p in submasks(mask) if not scan_extending(L, p, mask ^ p)]
+
+    expected = reference_walk(L.n, unrealized)
+    C = circuits(L)
+    assert C.circuits == expected.circuits
+    assert C.minimal_deficient_supports == expected.minimal_deficient_supports
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_vector_sets())
+def test_extension_queries_match_covector_scan(L):
+    for signs in product((-1, 0, 1), repeat=L.n):
+        x = SignVector.from_signs(signs)
+        assert in_generator_set(L, x) == (not scan_extending(L, x.plus, x.minus))
+    for k in range(L.n + 1):
+        for combo in combinations(range(L.n), k):
+            mask = sum(1 << i for i in combo)
+            expected = {
+                tuple(v.sign(i) for i in combo)
+                for v in L.covectors
+                if v.support & mask == mask
+            }
+            assert realized_patterns(L, set(combo)) == expected
+
+
+@st.composite
+def families(draw):
+    """A ground set size and arbitrary members on a few supports, so the
+    family is in general not upward closed."""
+    n = draw(st.integers(0, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    chosen = draw(st.dictionaries(masks, st.integers(0, (1 << 64) - 1), max_size=12))
+    members = {
+        mask: [p for k, p in enumerate(submasks(mask)) if (select >> k) & 1]
+        for mask, select in chosen.items()
+    }
+    return n, members
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_walk_matches_superset_skipping_walk(case):
+    n, members = case
+
+    def family(mask):
+        return members.get(mask, [])
+
+    walked = minimal_support_walk(n, family)
+    expected = reference_walk(n, family)
+    assert walked.circuits == expected.circuits
+    assert walked.minimal_deficient_supports == expected.minimal_deficient_supports

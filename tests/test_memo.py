@@ -6,14 +6,15 @@ import weakref
 
 import pytest
 
-from comring import core, verify
+from comring import core, rings, verify
 
 from comring.circuits import circuits, om_circuits
-from comring.core import Com, coloops, is_oriented_matroid, topes
+from comring.core import Com, coloops, covector_columns, is_oriented_matroid, topes
+from comring.exactalg import IntMatrix
 from comring.minors import contract, delete
 from comring.nbc import LinearOrder, nbc_sets
 from comring.realize import covectors
-from comring.rings import e_X_eval, f_X_eval, verify_presentation
+from comring.rings import e_X_eval, f_X_eval, gr_multiply, verify_presentation
 from comring.verify import corpus_arrangement, corpus_instance_report, full_verify
 
 
@@ -78,6 +79,73 @@ def test_nbc_sets_keyed_by_order(gen3):
     assert nbc_sets(L, LinearOrder((2, 0, 1))) is rotated
     fresh = Com(gen3.n, gen3.covectors)
     assert nbc_sets(fresh, LinearOrder((2, 0, 1))) == rotated
+
+
+def test_column_index_built_once_per_com(monkeypatch):
+    built = []
+    real_columns = core.Columns
+
+    def counting_columns(*args):
+        built.append(args)
+        return real_columns(*args)
+
+    monkeypatch.setattr(core, "Columns", counting_columns)
+    L = covectors(corpus_arrangement(11))
+    assert full_verify(L)[0]
+    coms = [L] + list(L._tree.values())
+    indexed = [M for M in coms if "columns" in M._memo]
+    assert len(indexed) > L.n
+    assert len(built) == len(indexed)
+    assert full_verify(L)[0]
+    for M in indexed:
+        cols = covector_columns(M)
+        assert cols is M._memo["columns"]
+        assert cols.every == (1 << len(M)) - 1
+    assert len(built) == len(indexed)
+    assert len({id(covector_columns(M)) for M in indexed}) == len(indexed)
+    M = delete(L, 0)
+    assert covector_columns(M) is not covector_columns(L)
+    assert covector_columns(Com(M.n, M.covectors)) == covector_columns(M)
+    assert len(built) == len(indexed) + 1
+
+
+def test_gr_multiply_hnf_computed_once_per_com_and_order(monkeypatch, gen3):
+    calls = []
+    real_hnf = rings.hermite_normal_form
+
+    def counting_hnf(M):
+        calls.append(M)
+        return real_hnf(M)
+
+    monkeypatch.setattr(rings, "hermite_normal_form", counting_hnf)
+    L = Com(gen3.n, gen3.covectors)
+    for perm in ((0, 1, 2), (2, 0, 1)):
+        order = LinearOrder(perm)
+        sets = nbc_sets(L, order).sets
+        for s1 in sets:
+            for s2 in sets:
+                gr_multiply(L, order, s1, s2)
+    assert gr_multiply(L, None, set(), set()) == {frozenset(): 1}
+    assert len(calls) == 2
+    gr_multiply(Com(gen3.n, gen3.covectors), LinearOrder((0, 1, 2)), {0}, {1})
+    assert len(calls) == 3
+
+
+def test_gr_multiply_raises_on_every_call_when_not_unimodular(monkeypatch, gen3):
+    """A memoized pair with H != I still fails the test on every call."""
+    calls = []
+
+    def doubled_hnf(M):
+        calls.append(M)
+        doubled = tuple(2 * v for v in IntMatrix.identity(M.rows).entries)
+        return IntMatrix(M.rows, M.rows, doubled), M
+
+    monkeypatch.setattr(rings, "hermite_normal_form", doubled_hnf)
+    L = Com(gen3.n, gen3.covectors)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not unimodular"):
+            gr_multiply(L, None, {0}, {1})
+    assert len(calls) == 1
 
 
 def evaluated_kernel_ok(L: Com) -> bool:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -87,6 +88,31 @@ def test_oracle_agreement_seeded():
         L = covectors(corpus_arrangement(seed))
         order = LinearOrder.identity(L.n)
         assert set(nbc_sets(L).sets) == brute_force_nbc(L, order)
+
+
+def test_oracle_agreement_corpus_random_orders():
+    """Corpus seeds 0-39 and all their minors, each under three random
+    orders: the walk that tests only the blockers topped by the element
+    just added, with non-minimal blockers kept, gives the family the
+    definition does, in canonical order."""
+    from comring.verify import corpus_arrangement
+    from comring.realize import covectors
+
+    rng = random.Random(2024)
+    checked = 0
+    for seed in range(40):
+        L = covectors(corpus_arrangement(seed))
+        for M in [L] + [m(L, i) for i in range(L.n) for m in (delete, contract)]:
+            for _ in range(3):
+                perm = list(range(M.n))
+                rng.shuffle(perm)
+                order = LinearOrder(tuple(perm))
+                fam = nbc_sets(M, order)
+                expected = sorted(brute_force_nbc(M, order), key=lambda s: (len(s), sorted(s)))
+                assert list(fam.sets) == expected, (seed, M.words(), perm)
+                assert sum(fam.counts) == len(expected)
+                checked += 1
+    assert checked > 1000
 
 
 def test_degenerate_families():

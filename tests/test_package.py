@@ -5,6 +5,7 @@ import importlib
 from pathlib import Path
 
 import comring
+import comring.circuits
 import comring.cli
 import comring.minors
 import comring.nbc
@@ -22,11 +23,13 @@ def test_retired_names_are_gone():
         "UPoly", "ZERO_P", "ONE_P", "minor_report", "MinorReport",
         "TopeRecursionReport", "NbcRecursionReport", "NbcTopeReport",
         "DisjointCovectorReport", "LiftReport", "RunConfig", "CircuitMinorReport",
+        "minimal_masks",
     )
+    modules = (comring.rings, comring.minors, comring.nbc, comring.cli, comring.circuits)
     for name in retired:
         assert name not in comring.__all__
         assert not hasattr(comring, name)
-        for module in (comring.rings, comring.minors, comring.nbc, comring.cli):
+        for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
 
 
