@@ -13,13 +13,13 @@ Circuits are the support minimal blockers.  Every circuit family here
 is a family of sign vectors cut down to its inclusion minimal supports:
 blockers, infeasible patterns (``realize.geometric_circuits``), vectors
 orthogonal to all covectors (``om_circuits``) and projected blockers (the
-contraction law in ``minors``).  ``minimal_support_walk`` takes any such
-family support by support, walks supports by cardinality and visits a
-k-set only when each of its (k-1)-subsets was visited and had no
-members, which is k set lookups.  That skips exactly the supersets of
-the supports found, since a found support strictly inside a k-set lies
-inside one of its (k-1)-subsets.  The pruning is exact for every family,
-upward closed or not, since such a superset cannot be minimal.
+contraction law in ``minors``).  They, and the NBC sets of ``nbc``, run
+one support walk, ``unblocked_levels``: it tests a k-set only when each
+of its (k-1)-subsets was tested and found unblocked, k set lookups that
+skip exactly the supersets of the blocked supports.  For a circuit
+family a support is blocked when the family has members on it, so every
+support with members the walk tests is minimal, whether the family is
+upward closed or not.  Supports are bit masks throughout.
 """
 
 from __future__ import annotations
@@ -27,16 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import Columns, Com, SignVector, covector_columns, is_oriented_matroid
+from .core import Columns, Com, SignVector, covector_columns, elements, is_oriented_matroid
 
 
 @dataclass(frozen=True)
 class CircuitSet:
-    """Circuits plus the minimal deficient supports they live on."""
+    """Circuits plus the minimal deficient supports they live on, as bit
+    masks."""
 
     n: int
     circuits: tuple[SignVector, ...]
-    minimal_deficient_supports: tuple[frozenset[int], ...]
+    minimal_deficient_supports: tuple[int, ...]
     _members: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -44,11 +45,11 @@ class CircuitSet:
         object.__setattr__(self, "_members", members)
 
     def __contains__(self, x: SignVector) -> bool:
-        return (x.plus, x.minus) in self._members
+        return x.n == self.n and (x.plus, x.minus) in self._members
 
     def paired(self, x: SignVector) -> bool:
         """True when -x is a circuit."""
-        return (x.minus, x.plus) in self._members
+        return x.n == self.n and (x.minus, x.plus) in self._members
 
     def words(self) -> list[str]:
         return [c.word() for c in self.circuits]
@@ -85,17 +86,15 @@ def _patterns(cols: Columns, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def realized_patterns(L: Com, S: frozenset[int] | set[int]) -> frozenset[tuple[int, ...]]:
-    """Full sign patterns on S realized by covectors, as tuples over sorted(S)."""
-    idx = sorted(S)
-    mask = 0
-    for i in idx:
-        if i < 0 or i >= L.n:
-            raise ValueError("index outside ground set")
-        mask |= 1 << i
+def realized_patterns(L: Com, S: int) -> frozenset[tuple[int, ...]]:
+    """Full sign patterns on the support mask S realized by covectors, as
+    tuples over the elements of S in ascending order."""
+    if S < 0 or S >> L.n:
+        raise ValueError("index outside ground set")
+    idx = elements(S)
     return frozenset(
         tuple(1 if (pat >> i) & 1 else -1 for i in idx)
-        for pat, bits in _patterns(covector_columns(L), mask)
+        for pat, bits in _patterns(covector_columns(L), S)
         if bits
     )
 
@@ -118,29 +117,22 @@ def circuits(L: Com) -> CircuitSet:
     return L._cached("circuits", compute)
 
 
-def minimal_support_walk(n: int, family: Callable[[int], list[int]]) -> CircuitSet:
-    """The members of a family on its inclusion minimal supports.
+def unblocked_levels(n: int, blocked: Callable[[int], object]) -> list[list[int]]:
+    """The supports on {0, ..., n-1} that hold no blocked support, by size.
 
-    ``family(mask)`` returns the plus masks of the members with support
-    exactly ``mask``.  Supports are visited by size, each size in
-    ``combinations`` order, and a k-set is visited only when all of its
-    (k-1)-subsets were visited and had no members; so a visited support
-    with members is minimal.  Each k-set is reached from the (k-1)-set
-    without its highest element, which keeps that order.  Circuits come
-    out canonically ordered, supports by size.
+    Level k lists the unblocked k-sets as bit masks in ``combinations``
+    order; the walk stops at the first empty level, so no level is empty.
+    A k-set is tested with ``blocked`` only when all of its (k-1)-subsets
+    are unblocked.  Each k-set is reached from the (k-1)-set without its
+    highest element, which keeps the order.
     """
-    found: list[SignVector] = []
-    supports: list[frozenset[int]] = []
+    levels: list[list[int]] = []
     level = [0]
     while level:
-        clear: list[int] = []
-        for mask in level:
-            members = family(mask)
-            if not members:
-                clear.append(mask)
-                continue
-            supports.append(frozenset(i for i in range(n) if (mask >> i) & 1))
-            found.extend(SignVector(n, pat, mask ^ pat) for pat in members)
+        clear = [mask for mask in level if not blocked(mask)]
+        if not clear:
+            break
+        levels.append(clear)
         cleared = set(clear)
         level = []
         for mask in clear:
@@ -151,6 +143,29 @@ def minimal_support_walk(n: int, family: Callable[[int], list[int]]) -> CircuitS
                     rest &= rest - 1
                 if not rest:
                     level.append(grown)
+    return levels
+
+
+def minimal_support_walk(n: int, family: Callable[[int], list[int]]) -> CircuitSet:
+    """The members of a family on its inclusion minimal supports.
+
+    ``family(mask)`` returns the plus masks of the members with support
+    exactly ``mask``.  A support with members blocks its supersets in
+    ``unblocked_levels``, which tests a support only when no smaller one
+    inside it had members; so every support with members that it tests
+    is minimal.  Circuits come out canonically ordered, supports by size.
+    """
+    found: list[SignVector] = []
+    supports: list[int] = []
+
+    def blocked(mask: int) -> bool:
+        members = family(mask)
+        if members:
+            supports.append(mask)
+            found.extend(SignVector(n, pat, mask ^ pat) for pat in members)
+        return bool(members)
+
+    unblocked_levels(n, blocked)
     found.sort(key=SignVector.sort_key)
     return CircuitSet(n, tuple(found), tuple(supports))
 

@@ -17,7 +17,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .circuits import circuits
-from .core import Com, ComFormatError, axiom_witness, com_to_json, parse_com_json, topes
+from .core import (
+    Com, ComFormatError, axiom_witness, com_to_json, elements, parse_com_json, topes
+)
 from .minors import contract, delete, label_map
 from .nbc import LinearOrder, nbc_sets
 from .realize import Arrangement, ArrangementFormatError, covectors, parse_arrangement_json
@@ -81,7 +83,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
                 "n": L.n,
                 "circuits": C.words(),
                 "minimal_deficient_supports": [
-                    sorted(s) for s in C.minimal_deficient_supports
+                    elements(s) for s in C.minimal_deficient_supports
                 ],
             },
             fmt,
@@ -91,7 +93,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
         L = _load_com(args.input)
         fam = nbc_sets(L, args.order)
         return 0, _emit(
-            {"sets": [sorted(s) for s in fam.sets], "counts": list(fam.counts)}, fmt
+            {"sets": [elements(s) for s in fam.sets], "counts": list(fam.counts)}, fmt
         )
 
     if cmd == "minors":

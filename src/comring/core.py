@@ -28,6 +28,10 @@ column index, topes and coloops, its circuits, its NBC families) are
 computed once per instance and kept on it.  Minors are
 shared by value within one minor tree (see ``minors``), which is sound
 because every memoized result is a pure function of ``(n, covectors)``.
+
+Subsets of the ground set (circuit supports, NBC sets, filtration
+witnesses) travel through the package as bit masks; ``elements`` lists
+one in ascending order where a report is written.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class SignVector:
         return self.plus | self.minus
 
     def support_set(self) -> frozenset[int]:
-        return frozenset(_mask_bits(self.support))
+        return frozenset(elements(self.support))
 
     def sign(self, i: int) -> int:
         bit = 1 << i
@@ -122,13 +126,21 @@ class SignVector:
         return f"SignVector({self.word()!r})"
 
 
-def _mask_bits(mask: int) -> Iterator[int]:
-    i = 0
+def elements(mask: int) -> list[int]:
+    """The elements of a subset given as a bit mask, ascending."""
+    out = []
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _drop_bit(mask: int, i: int) -> int:
+    """The mask with element i removed and the elements above it
+    renumbered down by one, as in a minor at i."""
+    low = mask & ((1 << i) - 1)
+    return low | ((mask >> (i + 1)) << i)
 
 
 def compose(x: SignVector, y: SignVector) -> SignVector:
@@ -147,7 +159,7 @@ def separator(x: SignVector, y: SignVector) -> frozenset[int]:
     """Indices where x and y carry opposite nonzero signs."""
     if x.n != y.n:
         raise ValueError("ground sets differ")
-    return frozenset(_mask_bits((x.plus & y.minus) | (x.minus & y.plus)))
+    return frozenset(elements((x.plus & y.minus) | (x.minus & y.plus)))
 
 
 @dataclass(frozen=True)
@@ -169,18 +181,21 @@ class Com:
 
     The constructor sorts, deduplicates and validates; two Com values are
     equal exactly when their covector lists are equal.  Membership tests
-    run against a frozen set of (plus, minus) mask pairs.  Immutable
-    results derived from the covectors are memoized per instance, since
-    hashing a Com walks its whole covector tuple.  Within one minor tree,
-    though, equal minors are one instance: ``_tree`` is the table of
-    minors, held weakly, that the root and every minor derived from it
-    share; the first minor built creates it.  Sharing is sound because
-    every memoized result is a pure function of ``(n, covectors)``.
+    compare the ground set, then look the (plus, minus) mask pair up in a
+    frozen set.  Immutable results derived from the covectors are
+    memoized per instance, since hashing a Com walks its whole covector
+    tuple.  Within one minor tree, though, equal minors are one instance:
+    ``_tree`` is the table of minors, held weakly, that the root and
+    every minor derived from it share; the first minor built creates it.
+    Sharing is sound because every memoized result is a pure function of
+    ``(n, covectors)``.
     """
 
     __slots__ = ("n", "covectors", "_members", "_memo", "_tree", "__weakref__")
 
     def __init__(self, n: int, covectors: Iterable[SignVector]):
+        if n < 0:
+            raise ValueError("ground set size must be nonnegative")
         vecs = list(covectors)
         for v in vecs:
             if v.n != n:
@@ -216,7 +231,7 @@ class Com:
         return cls(n, vecs)
 
     def __contains__(self, x: SignVector) -> bool:
-        return (x.plus, x.minus) in self._members
+        return x.n == self.n and (x.plus, x.minus) in self._members
 
     def __iter__(self) -> Iterator[SignVector]:
         return iter(self.covectors)

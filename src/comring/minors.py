@@ -27,12 +27,7 @@ from weakref import WeakValueDictionary
 from .circuits import (
     circuits, in_generator_set, minimal_support_walk, realized_patterns, submasks
 )
-from .core import Com, SignVector, coloops, covector_columns, topes
-
-
-def _drop_bit(mask: int, i: int) -> int:
-    low = mask & ((1 << i) - 1)
-    return low | ((mask >> (i + 1)) << i)
+from .core import Com, SignVector, _drop_bit, coloops, covector_columns, topes
 
 
 def project(x: SignVector, i: int) -> SignVector:
@@ -221,14 +216,14 @@ def verify_lift(L: Com, i: int) -> SignVector | None:
     return None
 
 
-def verify_boolean_extension(L: Com, J: frozenset[int] | set[int]) -> bool:
-    """All 2^|J| full sign patterns on J extend to covectors.
+def verify_boolean_extension(L: Com, J: int) -> bool:
+    """All 2^|J| full sign patterns on the support mask J extend to
+    covectors.
 
     Precondition: J contains no circuit support; raises ValueError when
     it does, since the guarantee only holds in that case.
     """
-    jset = frozenset(J)
     for s in circuits(L).minimal_deficient_supports:
-        if s <= jset:
+        if s & J == s:
             raise ValueError("J contains a circuit support")
-    return len(realized_patterns(L, jset)) == 1 << len(jset)
+    return len(realized_patterns(L, J)) == 1 << J.bit_count()

@@ -3,14 +3,14 @@
 A subset S is NBC when it contains no circuit support and, for every
 symmetric circuit pair {X, -X}, does not contain the broken circuit of
 X, which is the support of X with its order minimum removed.  Both
-blocking conditions are monotone, so the family is closed downward and
-a pruned depth first scan enumerates it without visiting blocked
-supersets.  The walk grows each set by elements above its highest one,
-and a set it reaches holds no blocker, so a blocker inside the grown
-set must contain the new element as its highest: only the blockers
-with that top element are tested.  Non-minimal blockers are therefore
-harmless and are not filtered out.  The family size always equals the
-number of topes.
+blocking conditions are monotone, so the family is closed downward, and
+it is the support walk of ``circuits.unblocked_levels`` with "is a
+blocker" as its test.  The walk tests a k-set only when all of its
+(k-1)-subsets are NBC, so the k-set holds a blocker exactly when it is
+one; non-minimal blockers are therefore harmless and are not filtered
+out.  The sets come out level by level in canonical order (size, then
+lexicographic), as bit masks, and the counts per size are the level
+sizes.  The family size always equals the number of topes.
 
 Like the minor checks, ``verify_nbc_tope`` and ``verify_nbc_recursion``
 return a bool; the order (and its maximal element) is the witness.
@@ -19,9 +19,11 @@ return a bool; the order (and its maximal element) is the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
-from .circuits import CircuitSet, circuits
-from .core import Com, SignVector, coloops, topes
+from .circuits import CircuitSet, circuits, unblocked_levels
+from .core import Com, SignVector, _drop_bit, coloops, elements, topes
 from .minors import contract, delete
 
 
@@ -46,7 +48,7 @@ class LinearOrder:
     def ranks(self) -> dict[int, int]:
         return {e: r for r, e in enumerate(self.perm)}
 
-    def minimum(self, subset: frozenset[int] | set[int]) -> int:
+    def minimum(self, subset: Iterable[int]) -> int:
         ranks = self.ranks()
         return min(subset, key=lambda i: ranks[i])
 
@@ -56,18 +58,22 @@ class LinearOrder:
         return self.perm[-1]
 
 
-def broken_circuit(x: SignVector, order: LinearOrder) -> frozenset[int]:
-    """Support of x with its order minimum removed; x must be nonzero."""
-    sup = x.support_set()
-    if not sup:
+def broken_circuit(x: SignVector, order: LinearOrder) -> int:
+    """Support mask of x with its order minimum removed; x must be nonzero.
+
+    The broken circuit of a one-element circuit is 0, the empty set."""
+    if x.is_zero():
         raise ValueError("zero sign vector has no broken circuit")
-    return sup - {order.minimum(sup)}
+    return x.support & ~(1 << order.minimum(elements(x.support)))
 
 
 @dataclass(frozen=True)
 class NbcFamily:
+    """The NBC sets as bit masks in canonical order, and their number
+    per size."""
+
     order: LinearOrder
-    sets: tuple[frozenset[int], ...]
+    sets: tuple[int, ...]
     counts: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -75,22 +81,17 @@ class NbcFamily:
 
 
 def _blocker_masks(C: CircuitSet, order: LinearOrder) -> set[int]:
-    ranks = order.ranks()
-    blockers: set[int] = set()
-    for x in C.circuits:
-        if x.is_zero():
-            blockers.add(0)
-            continue
-        sup = x.support
-        blockers.add(sup)
-        if C.paired(x):
-            m = min((i for i in range(x.n) if (sup >> i) & 1), key=lambda i: ranks[i])
-            blockers.add(sup & ~(1 << m))
+    """Every circuit support and the broken circuit of every symmetric
+    circuit pair.  The zero circuit gives the empty blocker 0."""
+    blockers = {x.support for x in C.circuits}
+    blockers.update(
+        broken_circuit(x, order) for x in C.circuits if not x.is_zero() and C.paired(x)
+    )
     return blockers
 
 
 def nbc_sets(L: Com, order: LinearOrder | None = None) -> NbcFamily:
-    """Enumerate the NBC family by pruned depth first search.
+    """Enumerate the NBC family by the support walk.
 
     Computed once per Com and order.
     """
@@ -102,38 +103,13 @@ def nbc_sets(L: Com, order: LinearOrder | None = None) -> NbcFamily:
 
 
 def _nbc_family(L: Com, order: LinearOrder) -> NbcFamily:
-    blockers = _blocker_masks(circuits(L), order)
-    out: list[int] = []
-    # The empty blocker (the zero circuit, or the broken circuit of a
-    # pair on one element) blocks every set.
-    if 0 not in blockers:
-        by_top: list[list[int]] = [[] for _ in range(L.n)]
-        for b in blockers:
-            by_top[b.bit_length() - 1].append(b)
-        stack = [(0, 0)]
-        while stack:
-            mask, next_i = stack.pop()
-            out.append(mask)
-            for i in range(next_i, L.n):
-                grown = mask | (1 << i)
-                if not any(grown & b == b for b in by_top[i]):
-                    stack.append((grown, i + 1))
-    sets = sorted(
-        (frozenset(i for i in range(L.n) if (m >> i) & 1) for m in out),
-        key=lambda s: (len(s), sorted(s)),
-    )
-    max_k = max((len(s) for s in sets), default=-1)
-    counts = tuple(sum(1 for s in sets if len(s) == k) for k in range(max_k + 1))
-    return NbcFamily(order, tuple(sets), counts)
+    levels = unblocked_levels(L.n, _blocker_masks(circuits(L), order).__contains__)
+    return NbcFamily(order, tuple(chain.from_iterable(levels)), tuple(map(len, levels)))
 
 
 def verify_nbc_tope(L: Com, order: LinearOrder | None = None) -> bool:
     """The NBC family under order has as many sets as L has topes."""
     return len(nbc_sets(L, order)) == len(topes(L))
-
-
-def _shift_down(s: frozenset[int], i: int) -> frozenset[int]:
-    return frozenset(j if j < i else j - 1 for j in s)
 
 
 def induced_order(order: LinearOrder, i: int) -> LinearOrder:
@@ -157,8 +133,9 @@ def verify_nbc_recursion(L: Com, order: LinearOrder | None = None) -> bool:
         raise ValueError("order maximal element is a coloop")
     fam = nbc_sets(L, order)
     sub = induced_order(order, i)
-    without = {_shift_down(s, i) for s in fam.sets if i not in s}
-    with_i = {_shift_down(s - {i}, i) for s in fam.sets if i in s}
+    bit = 1 << i
+    without = {_drop_bit(s, i) for s in fam.sets if not s & bit}
+    with_i = {_drop_bit(s, i) for s in fam.sets if s & bit}
     return without == set(nbc_sets(delete(L, i), sub).sets) and with_i == set(
         nbc_sets(contract(L, i), sub).sets
     )

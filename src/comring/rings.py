@@ -26,7 +26,7 @@ lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from .circuits import circuits
 from .core import Com, SignVector, covector_columns, topes
@@ -168,11 +168,9 @@ def f_X_eval(L: Com, x: SignVector) -> TopeFunction:
     return (e_X_eval(L, x) - e_X_eval(L, -x)).divexact_u()
 
 
-def _h_S_vector(tope_list: tuple[SignVector, ...], S: frozenset[int]) -> list[int]:
-    mask = 0
-    for i in S:
-        mask |= 1 << i
-    return [1 if v.plus & mask == mask else 0 for v in tope_list]
+def _h_S_vector(tope_list: tuple[SignVector, ...], S: int) -> list[int]:
+    """h_S on the topes, for the subset S given as a bit mask."""
+    return [1 if v.plus & S == S else 0 for v in tope_list]
 
 
 def nbc_basis_matrix(L: Com, order: LinearOrder | None = None) -> IntMatrix:
@@ -192,12 +190,12 @@ def nbc_basis_matrix(L: Com, order: LinearOrder | None = None) -> IntMatrix:
 @dataclass(frozen=True)
 class FiltrationReport:
     """The NBC determinant and the first failure of each presentation
-    check: a circuit some tope extends, and a subset S whose h_S lies
-    outside the span of the NBC rows of size at most |S|."""
+    check: a circuit some tope extends, and a subset S (a bit mask) whose
+    h_S lies outside the span of the NBC rows of size at most |S|."""
 
     nbc_det: int
     kernel_failed_at: SignVector | None = None
-    filtration_failed_at: frozenset[int] | None = None
+    filtration_failed_at: int | None = None
 
     @property
     def kernel_ok(self) -> bool:
@@ -242,18 +240,17 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     fam = nbc_sets(L, order)
     if len(fam.sets) != len(t):
         raise ValueError("NBC count differs from tope count")
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for S in fam.sets:
-        by_size.setdefault(len(S), []).append(S)
+    rows = iter(fam.sets)
     lattice = IntLattice(len(t))
     failed_at = None
     for k in range(L.n + 1):
-        if k >= len(fam.counts) and (failed_at is not None or abs(lattice.det()) == 1):
+        if k < len(fam.counts):
+            for S in islice(rows, fam.counts[k]):
+                lattice.add(_h_S_vector(t, S))
+        elif failed_at is not None or abs(lattice.det()) == 1:
             break
-        for S in by_size.get(k, []):
-            lattice.add(_h_S_vector(t, S))
         if failed_at is None:
-            subsets = map(frozenset, combinations(range(L.n), k))
+            subsets = (sum(1 << i for i in c) for c in combinations(range(L.n), k))
             failed_at = next(
                 (S for S in subsets if not lattice.contains(_h_S_vector(t, S))), None
             )
@@ -270,14 +267,10 @@ def hilbert_series(L: Com, order: LinearOrder | None = None) -> tuple[int, ...]:
     return nbc_sets(L, order).counts
 
 
-def gr_multiply(
-    L: Com,
-    order: LinearOrder | None,
-    S1: frozenset[int] | set[int],
-    S2: frozenset[int] | set[int],
-) -> dict[frozenset[int], int]:
+def gr_multiply(L: Com, order: LinearOrder | None, S1: int, S2: int) -> dict[int, int]:
     """Product of two NBC classes in the associated graded ring.
 
+    S1, S2 and the keys of the result are NBC sets as bit masks.
     h_S1 * h_S2 = h_{S1 union S2} by idempotence.  The NBC matrix M is
     unimodular, so its Hermite normal form is U * M = I and the target
     has the integer coefficients h_{S1 union S2} * U over the NBC basis;
@@ -285,9 +278,7 @@ def gr_multiply(
     The pair (H, U) is computed once per Com and order.
     """
     fam = nbc_sets(L, order)
-    s1, s2 = frozenset(S1), frozenset(S2)
-    sets = list(fam.sets)
-    if s1 not in sets or s2 not in sets:
+    if S1 not in fam.sets or S2 not in fam.sets:
         raise ValueError("inputs must be NBC sets")
     t = topes(L)
     H, U = L._cached(
@@ -296,10 +287,10 @@ def gr_multiply(
     )
     if H != IntMatrix.identity(len(t)):
         raise ValueError("NBC matrix is not unimodular")
-    target = IntMatrix(1, len(t), tuple(_h_S_vector(t, s1 | s2)))
+    target = IntMatrix(1, len(t), tuple(_h_S_vector(t, S1 | S2)))
     coeffs = (target * U).entries
-    degree = len(s1) + len(s2)
-    return {S: c for S, c in zip(sets, coeffs) if c and len(S) == degree}
+    degree = S1.bit_count() + S2.bit_count()
+    return {S: c for S, c in zip(fam.sets, coeffs) if c and S.bit_count() == degree}
 
 
 # Sparse integer polynomials.  Exponent tuples run over a fixed variable

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .circuits import circuits, in_generator_set, om_circuits
-from .core import AxiomWitness, Com, SignVector, axiom_witness, coloops, topes
+from .core import AxiomWitness, Com, SignVector, axiom_witness, coloops, elements, topes
 from .minors import (
     contract,
     delete,
@@ -68,9 +68,7 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     C = circuits(L)
     report["circuits"] = C.words()
     supports = C.minimal_deficient_supports
-    antichain = all(
-        not (a < b or b < a) for a in supports for b in supports if a is not b
-    )
+    antichain = all(a & b != a for a in supports for b in supports if a != b)
     report["circuits_ok"] = antichain and all(
         in_generator_set(L, x) for x in C.circuits
     )
@@ -104,15 +102,14 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     report["lifts_ok"] = lift_failed_at is None
 
     boolean_ok = True
-    small: list[frozenset[int]] = [frozenset()]
-    small += [frozenset({i}) for i in range(L.n)]
-    small += [frozenset({i, j}) for i in range(L.n) for j in range(i + 1, L.n)]
+    small = [0] + [1 << i for i in range(L.n)]
+    small += [1 << i | 1 << j for i in range(L.n) for j in range(i + 1, L.n)]
     for J in small:
-        if any(s <= J for s in supports):
+        if any(s & J == s for s in supports):
             continue
         if not verify_boolean_extension(L, J):
             boolean_ok = False
-            report["boolean_extension_failed_at"] = sorted(J)
+            report["boolean_extension_failed_at"] = elements(J)
             break
     report["boolean_extension_ok"] = boolean_ok
 
@@ -127,7 +124,7 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
             report["kernel_failed_at"] = pres.kernel_failed_at.word()
         report["kernel_ok"] = pres.kernel_ok
         if pres.filtration_failed_at is not None:
-            report["filtration_failed_at"] = sorted(pres.filtration_failed_at)
+            report["filtration_failed_at"] = elements(pres.filtration_failed_at)
         report["filtration_ok"] = pres.membership_ok
         presentation_ok = pres.ok
     report["presentation_ok"] = presentation_ok

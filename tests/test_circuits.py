@@ -13,7 +13,7 @@ from comring.circuits import (
     realized_patterns,
     submasks,
 )
-from comring.core import Com, SignVector
+from comring.core import Com, SignVector, elements
 from comring.minors import contract, delete
 from comring.realize import covectors, geometric_circuits
 from comring.verify import corpus_arrangement
@@ -64,7 +64,8 @@ def brute_force_om_circuits(L):
         (x for x in vectors if x.support_set() in minimal), key=SignVector.sort_key
     )
     by_size = sorted(minimal, key=lambda s: (len(s), sorted(s)))
-    return CircuitSet(L.n, tuple(out), tuple(by_size))
+    masks = tuple(sum(1 << i for i in s) for s in by_size)
+    return CircuitSet(L.n, tuple(out), masks)
 
 
 def test_oracle_agreement_planar(gen3):
@@ -95,7 +96,7 @@ def test_oracle_agreement_seeded():
 def test_planar_fixture_golden(gen3):
     C = circuits(gen3)
     assert C.words() == ["--+", "++-"]
-    assert [sorted(s) for s in C.minimal_deficient_supports] == [[0, 1, 2]]
+    assert [elements(s) for s in C.minimal_deficient_supports] == [[0, 1, 2]]
 
 
 def test_degenerate_goldens():
@@ -103,6 +104,16 @@ def test_degenerate_goldens():
     assert circuits(Com.from_words(1, ["0"])).words() == ["-", "+"]
     assert circuits(Com.from_words(1, ["+"])).words() == ["-"]
     assert circuits(Com.from_words(0, [""])).words() == []
+
+
+def test_circuit_membership_compares_ground_sets(gen3):
+    C = circuits(gen3)
+    x = SignVector.from_word("++-")
+    assert x in C and C.paired(x)
+    longer = SignVector.from_word("++-0")
+    assert longer not in C
+    assert not C.paired(longer)
+    assert not C.paired(SignVector.from_word("--+0"))
 
 
 def test_symmetric_pairs_and_unpaired(ex4):
@@ -114,14 +125,14 @@ def test_symmetric_pairs_and_unpaired(ex4):
 def test_deficient_supports_upward_closed(gen3, ex4):
     for L in (gen3, ex4):
         C = circuits(L)
-        full = frozenset(range(L.n))
+        full = (1 << L.n) - 1
         for s in C.minimal_deficient_supports:
             for extra in range(L.n):
-                sup = frozenset(s) | {extra}
-                assert len(realized_patterns(L, sup)) < 1 << len(sup)
-        for sup in ({0}, full):
-            deficient = len(realized_patterns(L, sup)) < 1 << len(sup)
-            has_minimal_below = any(frozenset(s) <= sup for s in C.minimal_deficient_supports)
+                sup = s | 1 << extra
+                assert len(realized_patterns(L, sup)) < 1 << sup.bit_count()
+        for sup in (0b1, full):
+            deficient = len(realized_patterns(L, sup)) < 1 << sup.bit_count()
+            has_minimal_below = any(s & sup == s for s in C.minimal_deficient_supports)
             assert deficient == has_minimal_below
 
 
@@ -135,11 +146,13 @@ def test_circuits_are_nonextendable(gen3, ex4):
 
 
 def test_realized_patterns_golden(gen3):
-    pats = realized_patterns(gen3, {0, 1, 2})
+    pats = realized_patterns(gen3, 0b111)
     assert len(pats) == 6
     assert (1, 1, -1) not in pats and (-1, -1, 1) not in pats
-    assert realized_patterns(gen3, set()) == {()}
-    assert realized_patterns(Com(2, []), set()) == frozenset()
+    assert realized_patterns(gen3, 0) == {()}
+    assert realized_patterns(Com(2, []), 0) == frozenset()
+    with pytest.raises(ValueError):
+        realized_patterns(gen3, 0b1000)
 
 
 def test_orthogonal():
@@ -218,7 +231,7 @@ def reference_walk(n, family):
             if not members:
                 continue
             minimal.append(mask)
-            supports.append(frozenset(combo))
+            supports.append(mask)
             found.extend(SignVector(n, pat, mask ^ pat) for pat in members)
     found.sort(key=SignVector.sort_key)
     return CircuitSet(n, tuple(found), tuple(supports))
@@ -250,7 +263,7 @@ def test_extension_queries_match_covector_scan(L):
                 for v in L.covectors
                 if v.support & mask == mask
             }
-            assert realized_patterns(L, set(combo)) == expected
+            assert realized_patterns(L, mask) == expected
 
 
 @st.composite

@@ -14,6 +14,7 @@ from comring.core import (
     coloops,
     com_to_json,
     compose,
+    elements,
     is_com,
     is_oriented_matroid,
     negate,
@@ -165,6 +166,27 @@ def test_empty_set_is_com():
     L = Com(3, [])
     assert is_com(L)
     assert len(L) == 0
+
+
+def test_negative_ground_set_rejected():
+    with pytest.raises(ValueError, match="ground set size must be nonnegative"):
+        Com(-1, [])
+    with pytest.raises(ValueError, match="ground set size must be nonnegative"):
+        SignVector(-1, 0, 0)
+
+
+def test_membership_compares_ground_sets():
+    L = Com.from_words(2, ["++", "--", "00"])
+    assert SignVector.from_word("++") in L
+    assert SignVector.from_word("++0") not in L
+    assert SignVector.from_word("0") not in L
+    assert SignVector.from_word("000") not in L
+
+
+def test_elements():
+    assert elements(0) == []
+    assert elements(0b1011) == [0, 1, 3]
+    assert elements(1 << 70) == [70]
 
 
 def test_json_round_trip(gen3):

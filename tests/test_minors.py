@@ -108,6 +108,9 @@ def test_is_wall(gen3):
         is_wall(gen3, t, 5)
     with pytest.raises(ValueError):
         is_wall(gen3, SignVector.from_word("0++"), 1)
+    # a tope of gen3 padded with a fourth element is no tope of gen3
+    with pytest.raises(ValueError, match="not a tope"):
+        is_wall(gen3, SignVector.from_word("+++0"), 0)
 
 
 def test_trichotomy_golden(gen3):
@@ -263,17 +266,17 @@ def test_witnesses_on_random_sets():
 
 
 def test_boolean_extension(gen3, ex4):
-    assert verify_boolean_extension(gen3, set())
-    assert verify_boolean_extension(gen3, {0, 1})
-    assert verify_boolean_extension(ex4, {0, 3})
-    assert verify_boolean_extension(ex4, {1, 2})
+    assert verify_boolean_extension(gen3, 0)
+    assert verify_boolean_extension(gen3, 0b0011)
+    assert verify_boolean_extension(ex4, 0b1001)
+    assert verify_boolean_extension(ex4, 0b0110)
 
 
 def test_boolean_extension_rejects_deficient_sets(gen3, ex4):
     with pytest.raises(ValueError):
-        verify_boolean_extension(gen3, {0, 1, 2})
+        verify_boolean_extension(gen3, 0b0111)
     with pytest.raises(ValueError):
-        verify_boolean_extension(ex4, {2, 3})
+        verify_boolean_extension(ex4, 0b1100)
 
 
 def test_deleting_all_elements_reaches_trivial(gen3):

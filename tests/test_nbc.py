@@ -2,9 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comring.circuits import circuits
-from comring.core import Com, SignVector, topes
+from comring.core import Com, SignVector, elements, topes
 from comring.minors import contract, delete
 from comring.nbc import (
     LinearOrder,
@@ -15,6 +16,7 @@ from comring.nbc import (
     verify_nbc_recursion,
     verify_nbc_tope,
 )
+from test_circuits import sign_vector_sets
 
 
 def brute_force_nbc(L, order):
@@ -39,6 +41,11 @@ def brute_force_nbc(L, order):
     return set(out)
 
 
+def as_sets(masks):
+    """NBC sets given as bit masks, as a set of frozensets."""
+    return {frozenset(elements(m)) for m in masks}
+
+
 def test_linear_order():
     o = LinearOrder((2, 0, 1))
     assert o.ranks() == {2: 0, 0: 1, 1: 2}
@@ -53,21 +60,22 @@ def test_linear_order():
 def test_broken_circuit():
     o = LinearOrder.identity(3)
     x = SignVector.from_word("++-")
-    assert broken_circuit(x, o) == {1, 2}
-    assert broken_circuit(x, LinearOrder((2, 0, 1))) == {0, 1}
+    assert broken_circuit(x, o) == 0b110
+    assert broken_circuit(x, LinearOrder((2, 0, 1))) == 0b011
+    assert broken_circuit(SignVector.from_word("0+0"), o) == 0
     with pytest.raises(ValueError):
         broken_circuit(SignVector.from_word("000"), o)
 
 
 def test_planar_fixture_golden(gen3):
     fam = nbc_sets(gen3)
-    assert [sorted(s) for s in fam.sets] == [[], [0], [1], [2], [0, 1], [0, 2]]
+    assert [elements(s) for s in fam.sets] == [[], [0], [1], [2], [0, 1], [0, 2]]
     assert fam.counts == (1, 3, 2)
 
 
 def test_quadrilateral_golden(ex4):
     fam = nbc_sets(ex4)
-    assert [sorted(s) for s in fam.sets] == [
+    assert [elements(s) for s in fam.sets] == [
         [], [0], [1], [2], [3], [0, 1], [0, 2], [0, 3], [1, 3]
     ]
     assert fam.counts == (1, 4, 4)
@@ -77,7 +85,7 @@ def test_oracle_agreement(gen3, ex4):
     for L in (gen3, ex4):
         for perm in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
             order = LinearOrder(perm if L.n == 3 else perm + (3,))
-            assert set(nbc_sets(L, order).sets) == brute_force_nbc(L, order)
+            assert as_sets(nbc_sets(L, order).sets) == brute_force_nbc(L, order)
 
 
 def test_oracle_agreement_seeded():
@@ -87,7 +95,7 @@ def test_oracle_agreement_seeded():
     for seed in (1, 5, 7):
         L = covectors(corpus_arrangement(seed))
         order = LinearOrder.identity(L.n)
-        assert set(nbc_sets(L).sets) == brute_force_nbc(L, order)
+        assert as_sets(nbc_sets(L).sets) == brute_force_nbc(L, order)
 
 
 def test_oracle_agreement_corpus_random_orders():
@@ -109,7 +117,9 @@ def test_oracle_agreement_corpus_random_orders():
                 order = LinearOrder(tuple(perm))
                 fam = nbc_sets(M, order)
                 expected = sorted(brute_force_nbc(M, order), key=lambda s: (len(s), sorted(s)))
-                assert list(fam.sets) == expected, (seed, M.words(), perm)
+                assert [elements(s) for s in fam.sets] == [sorted(s) for s in expected], (
+                    seed, M.words(), perm
+                )
                 assert sum(fam.counts) == len(expected)
                 checked += 1
     assert checked > 1000
@@ -119,8 +129,8 @@ def test_degenerate_families():
     assert nbc_sets(Com(2, [])).sets == ()
     assert nbc_sets(Com(2, [])).counts == ()
     assert nbc_sets(Com.from_words(1, ["0"])).sets == ()
-    assert nbc_sets(Com.from_words(1, ["+"])).sets == (frozenset(),)
-    assert nbc_sets(Com.from_words(0, [""])).sets == (frozenset(),)
+    assert nbc_sets(Com.from_words(1, ["+"])).sets == (0,)
+    assert nbc_sets(Com.from_words(0, [""])).sets == (0,)
 
 
 def test_count_is_order_independent(gen3, ex4):
@@ -137,8 +147,8 @@ def test_family_downward_closed(gen3, ex4):
     for L in (gen3, ex4):
         fam = set(nbc_sets(L).sets)
         for s in fam:
-            for x in s:
-                assert s - {x} in fam
+            for x in elements(s):
+                assert s & ~(1 << x) in fam
 
 
 def test_nbc_tope_identity(gen3, ex4):
@@ -180,3 +190,27 @@ def test_recursion_rejects_coloop():
     L = Com.from_words(2, ["0+", "00", "0-"])
     with pytest.raises(ValueError):
         verify_nbc_recursion(L, order_with_maximum(2, 0))
+
+
+@st.composite
+def sets_and_orders(draw):
+    """Any sign-vector set with n <= 6, COM or not, often holding the zero
+    vector, under a random order.  Often one element is zeroed in every
+    covector; then the unit vectors there form a symmetric circuit pair
+    on one element, whose broken circuit is empty."""
+    L = draw(sign_vector_sets())
+    if L.n and draw(st.booleans()):
+        keep = ~(1 << draw(st.integers(0, L.n - 1)))
+        L = Com(L.n, (SignVector(L.n, v.plus & keep, v.minus & keep) for v in L))
+    return L, LinearOrder(tuple(draw(st.permutations(range(L.n)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_and_orders())
+def test_oracle_agreement_any_sign_vector_set(case):
+    L, order = case
+    fam = nbc_sets(L, order)
+    expected = sorted(brute_force_nbc(L, order), key=lambda s: (len(s), sorted(s)))
+    assert [elements(s) for s in fam.sets] == [sorted(s) for s in expected]
+    sizes = [len(s) for s in expected]
+    assert fam.counts == tuple(sizes.count(k) for k in range(max(sizes, default=-1) + 1))

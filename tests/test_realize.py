@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from comring.circuits import circuits
-from comring.core import SignVector, is_com, topes
+from comring.core import SignVector, elements, is_com, topes
 from comring import realize
 from comring.realize import (
     Arrangement,
@@ -100,7 +100,7 @@ def test_quadrilateral_circuits(ex4_arrangement, ex4):
     C = circuits(ex4)
     assert C.words() == ["-+-0", "-+0-", "00+-", "+-+0"]
     assert geometric_circuits(ex4_arrangement).words() == C.words()
-    assert [sorted(s) for s in sorted(C.minimal_deficient_supports, key=sorted)] == [
+    assert sorted(elements(s) for s in C.minimal_deficient_supports) == [
         [0, 1, 2], [0, 1, 3], [2, 3]
     ]
 

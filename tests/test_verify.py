@@ -1,15 +1,17 @@
 """Failed `full_verify` checks name their witness."""
 
+import importlib
 import json
 from types import SimpleNamespace
 
 import pytest
 
-from comring import rings, verify
+from comring import core, rings, verify
 from comring.circuits import circuits
 from comring.cli import run
 from comring.core import com_to_json, topes
-from comring.verify import full_verify
+from comring.realize import covectors, geometric_circuits
+from comring.verify import corpus_arrangement, full_verify
 
 
 def keys_before(report, key):
@@ -56,7 +58,9 @@ def fail_lift(monkeypatch, L):
 
 
 def fail_boolean_extension(monkeypatch, L):
-    monkeypatch.setattr(verify, "verify_boolean_extension", lambda L, J: len(J) != 1)
+    monkeypatch.setattr(
+        verify, "verify_boolean_extension", lambda L, J: J.bit_count() != 1
+    )
     return [0]
 
 
@@ -110,3 +114,26 @@ def test_failed_lift_names_its_first_element(monkeypatch, tmp_path, ex4):
     status, out = run(["verify", str(path)])
     assert status == 1
     assert json.loads(out)["lift_failed_at"] == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+def test_faulty_column_index_fails_the_report(monkeypatch, seed):
+    """A column index that forgets where element 0 is positive gives
+    wrong circuits, and the report fails.  ``circuits_ok`` and
+    ``boolean_extension_ok`` cannot see this fault: they ask the same
+    faulty index that produced the circuits, so only the NBC count, the
+    recursions and (on oriented matroids) the OM cross check catch it."""
+    real = core.covector_columns
+
+    def faulty(L):
+        cols = real(L)
+        return core.Columns((0,) + cols.plus[1:], cols.minus, cols.every)
+
+    for layer in ("circuits", "minors", "rings"):
+        module = importlib.import_module(f"comring.{layer}")
+        monkeypatch.setattr(module, "covector_columns", faulty)
+    arr = corpus_arrangement(seed)
+    ok, report = full_verify(covectors(arr))
+    assert report["circuits"] != geometric_circuits(arr).words()
+    assert not ok and report["ok"] is False
+    assert report["nbc_tope_ok"] is False
