@@ -17,14 +17,23 @@ conditional oriented matroid:
 
 A conditional oriented matroid that contains the zero sign vector is an
 oriented matroid.  All values here are immutable and all operations are
-pure functions.  The axiom scans read mask pairs only, with one zero
-index per separator for strong elimination.  ``covector_columns`` is the
-column index of a ``Com``: for each element, the covectors positive there
-and those negative there, each as one integer bit set, so that "which
-covectors extend this pattern?" is an AND over the pattern's support;
-the circuit, boolean extension, disjoint covector and kernel checks ask
-it that way.  Results derived from a ``Com`` (the axiom verdict, its
-column index, topes and coloops, its circuits, its NBC families) are
+pure functions.  ``covector_columns`` is the column index of a ``Com``:
+for each element, the covectors positive there and those negative there,
+each as one integer bit set, so that "which covectors extend this
+pattern?" is an AND over the pattern's support; the circuit, boolean
+extension, disjoint covector and kernel checks ask it that way, and so
+does strong elimination.
+
+The axiom scans read mask pairs only.  Face symmetry implies closure
+under composition, since X o (-(X o (-Y))) = X o Y.  So X o Y and Y o X
+are members with equal support, and the pair (X o Y, Y o X) has the
+separator of (X, Y) and the same X o Y: it asks the same strong
+elimination question.  When face symmetry holds, the pairs of equal
+support therefore certify strong elimination; the canonical scan of all
+pairs runs only to name a witness, or when face symmetry fails.
+
+Results derived from a ``Com`` (the face symmetry and axiom verdicts,
+its column index, topes and coloops, its circuits, its NBC families) are
 computed once per instance and kept on it.  Minors are
 shared by value within one minor tree (see ``minors``), which is sound
 because every memoized result is a pure function of ``(n, covectors)``.
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, TypeVar
 from weakref import WeakValueDictionary
 
@@ -255,10 +265,33 @@ class Com:
 
 
 def check_face_symmetry(L: Com) -> AxiomWitness | None:
-    """Return the first (X, Y) with X o (-Y) missing, scanning canonically."""
+    """Return the first (X, Y) with X o (-Y) missing, scanning canonically.
+
+    X o (-Y) is X on the support of X and -Y off it, so the restrictions
+    of -Y to the zero set of X, one set per distinct support, are all the
+    scan tests.  A tope costs one lookup.  The covectors Y are rescanned
+    only to name the first failing one.  Computed once per Com.
+    """
+    return _face_symmetry(L)
+
+
+def _face_symmetry(L: Com) -> AxiomWitness | None:
+    return L._cached("face_symmetry", lambda: _scan_face_symmetry(L))
+
+
+def _scan_face_symmetry(L: Com) -> AxiomWitness | None:
     members = L._members
+    restrictions: dict[int, set[tuple[int, int]]] = {}
     for x in L.covectors:
-        free = ~x.support
+        support = x.support
+        free = ~support
+        rest = restrictions.get(support)
+        if rest is None:
+            rest = restrictions[support] = {
+                (y.minus & free, y.plus & free) for y in L.covectors
+            }
+        if all((x.plus | p, x.minus | m) in members for p, m in rest):
+            continue
         for y in L.covectors:
             if (x.plus | (y.minus & free), x.minus | (y.plus & free)) not in members:
                 return AxiomWitness("fs-violation", x, y)
@@ -269,34 +302,79 @@ def check_strong_elimination(L: Com) -> AxiomWitness | None:
     """Return the first (X, Y, i) without an eliminating covector.
 
     Outside the separator S, X o Y and Y o X agree, so unordered pairs
-    suffice.  The zero index of S, built when S first occurs, maps the
-    restriction of each covector Z outside S to the union of S & ~supp(Z)
-    over the Z sharing it, keyed by the one integer plus << n | minus of
-    that restriction.  A pair passes exactly when the entry for X o Y
-    is all of S; otherwise the lowest index missing from it is the witness
-    i, as in a canonical pair scan with i ascending.
+    suffice, and each pair asks one question keyed by S and the
+    restriction W of X o Y outside S: which e in S have a covector that
+    is zero at e and equals W outside S?  The answer is the AND of the
+    column index (``covector_columns``) over the elements outside S,
+    then one AND per e with e's zero column.  Each distinct question is
+    answered once per call.
+
+    Face symmetry implies closure under composition, since
+    X o (-(X o (-Y))) = X o Y.  So X o Y and Y o X are covectors with
+    equal support, the same separator S and the same X o Y, and every
+    pair asks what some equal-support pair asks.  When L is face
+    symmetric, the pairs within each support class are therefore a
+    certificate: if they all pass, L satisfies strong elimination.
+    Otherwise, or when L is not face symmetric, the canonical pair scan
+    (i ascending) runs with the same questions and names the first
+    witness, so the result does not depend on face symmetry.
     """
     vecs = L.covectors
+    ask = _elimination_question(L)
+    if _face_symmetry(L) is None:
+        classes: dict[int, list[SignVector]] = {}
+        for v in vecs:
+            classes.setdefault(v.support, []).append(v)
+        pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
+        if _first_elimination_failure(pairs, ask) is None:
+            return None
+    return _first_elimination_failure(combinations(vecs, 2), ask)
+
+
+def _elimination_question(L: Com) -> Callable[[int, int, int], int]:
+    """The strong elimination question as a function of (S, plus, minus),
+    the separator and the restriction W of X o Y outside it: the elements
+    of S at which no covector is zero while equal to W outside S.
+    Answers are kept for the lifetime of the returned function."""
+    cols = covector_columns(L)
+    zero = [cols.every & ~(p | m) for p, m in zip(cols.plus, cols.minus)]
     n = L.n
-    zero_index: dict[int, dict[int, int]] = {}
-    for a, x in enumerate(vecs):
-        free = ~x.support
-        for y in vecs[a:]:
-            sep = (x.plus & y.minus) | (x.minus & y.plus)
-            if not sep:
-                continue
-            keep = ~sep
-            index = zero_index.get(sep)
-            if index is None:
-                index = zero_index[sep] = {}
-                for z in vecs:
-                    if zeros := sep & ~z.support:
-                        key = (z.plus & keep) << n | (z.minus & keep)
-                        index[key] = index.get(key, 0) | zeros
-            key = ((x.plus | (y.plus & free)) & keep) << n | (
-                (x.minus | (y.minus & free)) & keep
+    full = (1 << n) - 1
+    vanishing: dict[int, int] = {}
+    answers: dict[int, int] = {}
+
+    def ask(sep: int, plus: int, minus: int) -> int:
+        key = (sep << n | plus) << n | minus
+        missing = answers.get(key)
+        if missing is None:
+            off = full & ~(sep | plus | minus)
+            agree = vanishing.get(off)
+            if agree is None:
+                agree = vanishing[off] = cols.vanishing(off)
+            agree &= cols.extending(plus, minus)
+            missing = rest = sep
+            while rest and agree:
+                low = rest & -rest
+                if agree & zero[low.bit_length() - 1]:
+                    missing ^= low
+                rest ^= low
+            answers[key] = missing
+        return missing
+
+    return ask
+
+
+def _first_elimination_failure(
+    pairs: Iterable[tuple[SignVector, SignVector]],
+    ask: Callable[[int, int, int], int],
+) -> AxiomWitness | None:
+    for x, y in pairs:
+        sep = (x.plus & y.minus) | (x.minus & y.plus)
+        if sep:
+            free, keep = ~x.support, ~sep
+            missing = ask(
+                sep, (x.plus | (y.plus & free)) & keep, (x.minus | (y.minus & free)) & keep
             )
-            missing = sep & ~index.get(key, 0)
             if missing:
                 return AxiomWitness("se-violation", x, y, (missing & -missing).bit_length() - 1)
     return None

@@ -119,6 +119,43 @@ def test_composition_closure_follows_from_axioms(gen3):
             assert compose(x, y) in gen3
 
 
+def face_symmetric_sets():
+    """The 1,500 random sets of ``tests/test_negative_corpus.py``, each
+    closed under X o (-Y)."""
+    rng = random.Random(20228)
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        vecs = {SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
+                for _ in range(rng.randint(1, 6))}
+        while True:
+            new = {compose(x, negate(y)) for x in vecs for y in vecs} - vecs
+            if not new:
+                break
+            vecs |= new
+        yield Com(n, vecs)
+
+
+def test_equal_support_pairs_ask_every_elimination_question(gen3):
+    """Face symmetry gives closure under composition, as
+    X o (-(X o (-Y))) = X o Y; and the pair (X o Y, Y o X) has equal
+    supports, the separator of (X, Y) and the same X o Y outside it.
+    This is why strong elimination may be certified on equal-support
+    pairs."""
+    coms = 0
+    for L in itertools.chain([gen3], face_symmetric_sets()):
+        assert check_face_symmetry(L) is None
+        for x in L:
+            for y in L:
+                xy, yx = compose(x, y), compose(y, x)
+                assert compose(x, negate(compose(x, negate(y)))) == xy
+                assert xy in L and yx in L
+                assert xy.support == yx.support
+                assert separator(xy, yx) == separator(x, y)
+                assert compose(xy, yx) == xy
+        coms += is_com(L)
+    assert coms == 1 + 677
+
+
 def test_face_symmetry_witness():
     L = Com.from_words(2, ["00", "++"])
     w = check_face_symmetry(L)

@@ -111,6 +111,37 @@ def test_column_index_built_once_per_com(monkeypatch):
     assert len(built) == len(indexed) + 1
 
 
+def test_face_symmetry_scanned_once_per_com(monkeypatch, gen3):
+    """Strong elimination reads the face symmetry verdict it needs from
+    the memo, and not through the public name, which the benchmark
+    counts."""
+    scanned = []
+    real_scan = core._scan_face_symmetry
+
+    def counting_scan(L):
+        scanned.append(L)
+        return real_scan(L)
+
+    def public_name(L):
+        raise AssertionError("strong elimination called check_face_symmetry")
+
+    monkeypatch.setattr(core, "_scan_face_symmetry", counting_scan)
+    for words, witness in ((["+", "-"], "se-violation"), (["00", "++"], "fs-violation")):
+        L = Com.from_words(len(words[0]), words)
+        assert core.axiom_witness(L).kind == witness
+        with monkeypatch.context() as m:
+            m.setattr(core, "check_face_symmetry", public_name)
+            first = core.check_strong_elimination(L)
+        assert first == core.check_strong_elimination(L)
+        assert core.check_face_symmetry(L) is core.check_face_symmetry(L)
+        assert scanned == [L]
+        scanned.clear()
+    L = Com(gen3.n, gen3.covectors)
+    assert core.check_strong_elimination(L) is None
+    assert core.is_com(L)
+    assert scanned == [L]
+
+
 def test_gr_multiply_hnf_computed_once_per_com_and_order(monkeypatch, gen3):
     calls = []
     real_hnf = rings.hermite_normal_form

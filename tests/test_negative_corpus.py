@@ -1,5 +1,6 @@
 """Axiom witnesses on negative corpora: COMs with one covector deleted,
-and random sign vector sets closed under face symmetry.
+random sign vector sets closed under face symmetry, and random sets that
+fail it, on which strong elimination is checked alone.
 
 No corpus instance fails an axiom, so the witness paths of the scans run
 only here.  Each reported witness must be a genuine violation and the
@@ -9,7 +10,9 @@ definitions on plain sign tuples, independently of the mask scans.
 
 import random
 
-from comring.core import Com, SignVector, axiom_witness
+from comring.core import (
+    Com, SignVector, axiom_witness, check_face_symmetry, check_strong_elimination
+)
 from comring.realize import covectors
 from comring.verify import corpus_arrangement
 
@@ -96,3 +99,32 @@ def test_face_symmetric_sets_match_the_oracle():
         assert got == first_violation([v.signs() for v in M.covectors]), f"set {trial}"
         kinds[None if w is None else w.kind] += 1
     assert kinds == {None: 677, "se-violation": 823}
+
+
+def first_se_violation(vecs):
+    """The strong elimination part of ``first_violation``."""
+    for a, x in enumerate(vecs):
+        for y in vecs[a:]:
+            for e in separator(x, y):
+                if se_violated(vecs, x, y, e):
+                    return ("se-violation", x, y, e)
+    return None
+
+
+def test_strong_elimination_on_sets_without_face_symmetry():
+    """Without face symmetry a set need not be closed under composition,
+    so pairs of equal support certify nothing; the scan must still give
+    the first canonical witness."""
+    rng = random.Random(16)
+    kinds = {None: 0, "se-violation": 0}
+    for trial in range(2500):
+        n = rng.randint(1, 4)
+        vecs = {tuple(rng.choice((-1, 0, 1)) for _ in range(n)) for _ in range(rng.randint(2, 8))}
+        M = Com(n, [SignVector.from_signs(v) for v in vecs])
+        if check_face_symmetry(M) is None:
+            continue
+        w = check_strong_elimination(M)
+        got = None if w is None else (w.kind, w.x.signs(), w.y.signs(), w.i)
+        assert got == first_se_violation([v.signs() for v in M.covectors]), f"set {trial}"
+        kinds[None if w is None else w.kind] += 1
+    assert kinds == {None: 471, "se-violation": 1463}
