@@ -56,9 +56,10 @@ class CircuitSet:
 
     def symmetric_pairs(self) -> list[SignVector]:
         """One representative per pair {X, -X} with both members present:
-        the one that comes first in canonical order."""
+        the first in canonical order, which is X unless its first nonzero
+        sign is +: ``plus & -support`` is that sign's bit when it is +."""
         return [
-            c for c in self.circuits if self.paired(c) and c.sort_key() <= (-c).sort_key()
+            c for c in self.circuits if self.paired(c) and not c.plus & -c.support
         ]
 
     def unpaired(self) -> list[SignVector]:

@@ -189,15 +189,17 @@ class AxiomWitness:
 class Com:
     """A set of sign vectors on a common ground set, canonically ordered.
 
-    The constructor sorts, deduplicates and validates; two Com values are
-    equal exactly when their covector lists are equal.  Membership tests
-    compare the ground set, then look the (plus, minus) mask pair up in a
-    frozen set.  Immutable results derived from the covectors are
-    memoized per instance, since hashing a Com walks its whole covector
-    tuple.  Within one minor tree, though, equal minors are one instance:
-    ``_tree`` is the table of minors, held weakly, that the root and
-    every minor derived from it share; the first minor built creates it.
-    Sharing is sound because every memoized result is a pure function of
+    The constructor validates and deduplicates in one pass keyed by the
+    (plus, minus) mask pair, then sorts the distinct vectors; two Com
+    values are equal exactly when their covector lists are equal.
+    Membership tests compare the ground set, then look the pair up in
+    ``_members``, the frozen set of mask pairs that the checks also read.
+    Immutable results derived from the covectors are memoized per
+    instance, since hashing a Com walks its whole covector tuple.  Within
+    one minor tree, though, equal minors are one instance: ``_tree`` is
+    the table of minors, held weakly, that the root and every minor
+    derived from it share; the first minor built creates it.  Sharing is
+    sound because every memoized result is a pure function of
     ``(n, covectors)``.
     """
 
@@ -206,18 +208,14 @@ class Com:
     def __init__(self, n: int, covectors: Iterable[SignVector]):
         if n < 0:
             raise ValueError("ground set size must be nonnegative")
-        vecs = list(covectors)
-        for v in vecs:
+        distinct: dict[tuple[int, int], SignVector] = {}
+        for v in covectors:
             if v.n != n:
                 raise ValueError("covector on wrong ground set")
-        vecs.sort(key=SignVector.sort_key)
-        deduped: list[SignVector] = []
-        for v in vecs:
-            if not deduped or deduped[-1] != v:
-                deduped.append(v)
+            distinct[v.plus, v.minus] = v
         self.n = n
-        self.covectors = tuple(deduped)
-        self._members = frozenset((v.plus, v.minus) for v in self.covectors)
+        self.covectors = tuple(sorted(distinct.values(), key=SignVector.sort_key))
+        self._members = frozenset(distinct)
         self._memo: dict[object, object] = {}
         self._tree: WeakValueDictionary[tuple[int, frozenset], Com] | None = None
 
@@ -401,7 +399,7 @@ def is_oriented_matroid(L: Com) -> bool:
     """
     if not is_com(L):
         raise ValueError("input is not a conditional oriented matroid")
-    return SignVector(L.n, 0, 0) in L
+    return (0, 0) in L._members
 
 
 def coloops(L: Com) -> frozenset[int]:

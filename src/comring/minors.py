@@ -14,19 +14,20 @@ it keeps nothing alive on its own, and it belongs to one root, so
 separately built equal roots share no minor.  ``label_map`` reports the
 renumbering so callers can recover original hyperplane labels.
 
-The tope recursion returns a bool, and its element is the witness; the
-disjoint covector and lift checks return the first failing circuit, and
-the circuit minor laws the name of the first failing law, or None when
-they pass.
+Inside the checks, sign vectors stay (plus, minus) mask pairs, looked up
+in ``Com._members`` or the column index and compared as sets.  The tope
+recursion returns a bool, and its element is the witness; the disjoint
+covector and lift checks return the first failing circuit, and the
+circuit minor laws the name of the first failing law, or None when they
+pass.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
 from weakref import WeakValueDictionary
 
-from .circuits import (
-    circuits, in_generator_set, minimal_support_walk, realized_patterns, submasks
-)
+from .circuits import circuits, minimal_support_walk, realized_patterns, submasks
 from .core import Com, SignVector, _drop_bit, coloops, covector_columns, topes
 
 
@@ -41,12 +42,18 @@ def inject(x: SignVector, i: int) -> SignVector:
     """Insert a zero coordinate at position i."""
     if not 0 <= i <= x.n:
         raise ValueError("insertion point outside range")
-    low = (1 << i) - 1
-    return SignVector(
-        x.n + 1,
-        (x.plus & low) | ((x.plus & ~low) << 1),
-        (x.minus & low) | ((x.minus & ~low) << 1),
-    )
+    return SignVector(x.n + 1, _insert_bit(x.plus, i), _insert_bit(x.minus, i))
+
+
+def _insert_bit(mask: int, i: int) -> int:
+    """The mask with a zero bit inserted at position i; ``_drop_bit`` undoes it."""
+    low = mask & ((1 << i) - 1)
+    return low | ((mask ^ low) << 1)
+
+
+def _projected(xs: Iterable[SignVector], i: int) -> list[tuple[int, int]]:
+    """The mask pairs of the projections at i, in order."""
+    return [(_drop_bit(x.plus, i), _drop_bit(x.minus, i)) for x in xs]
 
 
 def _minor(L: Com, kind: str, i: int) -> Com:
@@ -99,7 +106,7 @@ def is_wall(L: Com, x: SignVector, i: int) -> bool:
     if not 0 <= i < L.n:
         raise ValueError("index outside ground set")
     bit = 1 << i
-    return SignVector(L.n, x.plus & ~bit, x.minus & ~bit) in L
+    return (x.plus & ~bit, x.minus & ~bit) in L._members
 
 
 def tope_trichotomy(
@@ -114,9 +121,9 @@ def tope_trichotomy(
     plus: list[SignVector] = []
     minus: list[SignVector] = []
     non_wall: list[SignVector] = []
-    bit = 1 << i
+    bit, members = 1 << i, L._members
     for t in topes(L):
-        if SignVector(L.n, t.plus & ~bit, t.minus & ~bit) in L:
+        if (t.plus & ~bit, t.minus & ~bit) in members:
             (plus if t.plus & bit else minus).append(t)
         else:
             non_wall.append(t)
@@ -132,13 +139,9 @@ def verify_tope_recursion(L: Com, i: int) -> bool:
     bijections, so it is not tested apart.  Raises on coloops.
     """
     t_plus, t_minus, t_non = tope_trichotomy(L, i)
-    image_plus = [project(t, i) for t in t_plus]
-    image_rest = [project(t, i) for t in t_minus + t_non]
-    return (
-        len(set(image_plus)) == len(image_plus)
-        and set(image_plus) == set(topes(contract(L, i)))
-        and len(set(image_rest)) == len(image_rest)
-        and set(image_rest) == set(topes(delete(L, i)))
+    return all(
+        sorted(_projected(part, i)) == sorted((t.plus, t.minus) for t in topes(M))
+        for part, M in ((t_plus, contract(L, i)), (t_minus + t_non, delete(L, i)))
     )
 
 
@@ -155,21 +158,21 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
         circuits of the contraction.
     """
     bit = 1 << i
-    C = circuits(L)
-    if set(circuits(delete(L, i)).circuits) != {
-        project(x, i) for x in C.circuits if not (x.support & bit)
-    }:
+    C, cols = circuits(L), covector_columns(L)
+    if circuits(delete(L, i))._members != set(
+        _projected((x for x in C.circuits if not x.support & bit), i)
+    ):
         return "deletion"
 
     def projected_blockers(mask: int) -> list[int]:
+        # A pattern whose lift by 0 blocks has lifts by + and - that
+        # block too, so the lifts by + and - decide.
         out = []
-        for pat in submasks(mask):
-            y = inject(SignVector(L.n - 1, pat, mask ^ pat), i)
-            if any(
-                in_generator_set(L, SignVector(L.n, y.plus | p, y.minus | m))
-                for p, m in ((0, 0), (bit, 0), (0, bit))
-            ):
-                out.append(pat)
+        wide = _insert_bit(mask, i)
+        for pat in submasks(wide):
+            bits = cols.extending(pat, wide ^ pat)
+            if not bits & cols.plus[i] or not bits & cols.minus[i]:
+                out.append(_drop_bit(pat, i))
         return out
 
     con_circ = circuits(contract(L, i))
@@ -180,10 +183,8 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
 
     # only nonzero projections; a circuit supported exactly at i drops
     # to the zero vector, which is a circuit just for empty minors
-    if not all(
-        project(x, i) in con_circ
-        for x in C.circuits
-        if x.support & bit and x.support != bit
+    if not con_circ._members.issuperset(
+        _projected((x for x in C.circuits if x.support & bit and x.support != bit), i)
     ):
         return "projection"
     return None
@@ -207,11 +208,11 @@ def verify_lift(L: Com, i: int) -> SignVector | None:
     projection of a symmetric circuit of L, or None when all lift."""
     C = circuits(L)
     con = circuits(contract(L, i))
-    lifted = {project(c, i) for c in C.circuits if C.paired(c)}
+    lifted = set(_projected((c for c in C.circuits if C.paired(c)), i))
     for x in con.circuits:
         if x.is_zero() or not con.paired(x):
             continue
-        if x not in lifted:
+        if (x.plus, x.minus) not in lifted:
             return x
     return None
 

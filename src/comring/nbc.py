@@ -49,8 +49,7 @@ class LinearOrder:
         return {e: r for r, e in enumerate(self.perm)}
 
     def minimum(self, subset: Iterable[int]) -> int:
-        ranks = self.ranks()
-        return min(subset, key=lambda i: ranks[i])
+        return min(subset, key=self.perm.index)
 
     def maximum_element(self) -> int:
         if not self.perm:

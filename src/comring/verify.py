@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .circuits import circuits, in_generator_set, om_circuits
-from .core import AxiomWitness, Com, SignVector, axiom_witness, coloops, elements, topes
+from .core import AxiomWitness, Com, axiom_witness, coloops, elements, topes
 from .minors import (
     contract,
     delete,
@@ -113,7 +113,7 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
             break
     report["boolean_extension_ok"] = boolean_ok
 
-    if SignVector(L.n, 0, 0) in L:
+    if (0, 0) in L._members:
         report["om_cross_check_ok"] = om_circuits(L).circuits == C.circuits
 
     presentation_ok = False

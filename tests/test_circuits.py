@@ -214,6 +214,15 @@ def sign_vector_sets(draw):
     return Com.from_words(n, words)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sign_vector_sets())
+def test_symmetric_pairs_match_sort_key_rule(L):
+    """The mask rule picks the member of each pair that sorts first."""
+    C = circuits(L)
+    expected = [c for c in C.circuits if C.paired(c) and c.sort_key() <= (-c).sort_key()]
+    assert C.symmetric_pairs() == expected
+
+
 def scan_extending(L, plus, minus):
     return [v for v in L.covectors if plus & ~v.plus == 0 and minus & ~v.minus == 0]
 

@@ -212,6 +212,13 @@ def test_negative_ground_set_rejected():
         SignVector(-1, 0, 0)
 
 
+def test_covector_on_wrong_ground_set_rejected():
+    # "+0" and "+00" have equal masks, so the check may not rest on them
+    for words in (["+0", "+00"], ["+00", "+0"], ["-+-", "++"]):
+        with pytest.raises(ValueError, match="covector on wrong ground set"):
+            Com(3, map(SignVector.from_word, words))
+
+
 def test_membership_compares_ground_sets():
     L = Com.from_words(2, ["++", "--", "00"])
     assert SignVector.from_word("++") in L
@@ -272,3 +279,9 @@ def test_canonical_word_order():
     random.Random(3).shuffle(words)
     rank = str.maketrans("-0+", "012")
     assert Com.from_words(3, words).words() == sorted(words, key=lambda w: w.translate(rank))
+    repeated = words + random.Random(4).choices(words, k=40)
+    random.Random(5).shuffle(repeated)
+    L = Com.from_words(3, repeated)
+    assert L.words() == sorted(words, key=lambda w: w.translate(rank))
+    assert L == Com.from_words(3, words)
+    assert L._members == {(v.plus, v.minus) for v in L.covectors}

@@ -143,6 +143,70 @@ def test_tope_recursion_all_elements(gen3, ex4):
             assert n_t == n_del + n_con, i
 
 
+def random_sets(seed, count):
+    """Seeded random covector sets with n <= 4, most of them not COMs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        words = ["".join(w) for w in product("-0+", repeat=n)]
+        yield Com.from_words(n, rng.sample(words, rng.randint(0, len(words))))
+
+
+def brute_force_tope_recursion(L, i):
+    """Oracle for the tope trichotomy and recursion at a non-coloop i, on
+    sign words by a scan of the covectors: (walls positive at i, walls
+    negative at i, non-walls, verdict)."""
+    words = set(L.words())
+    topes_L = [w for w in L.words() if "0" not in w]
+
+    def drop(w):
+        return w[:i] + w[i + 1 :]
+
+    walls = [w for w in topes_L if w[:i] + "0" + w[i + 1 :] in words]
+    plus = [w for w in walls if w[i] == "+"]
+    minus = [w for w in walls if w[i] == "-"]
+    non_wall = [w for w in topes_L if w not in walls]
+    contraction_topes = {drop(w) for w in words if w[i] == "0" and "0" not in drop(w)}
+    deletion_topes = {drop(w) for w in words if "0" not in drop(w)}
+    verdict = True
+    for part, expected in ((plus, contraction_topes), (minus + non_wall, deletion_topes)):
+        image = [drop(w) for w in part]
+        verdict = verdict and len(set(image)) == len(image) and set(image) == expected
+    return plus, minus, non_wall, verdict
+
+
+def test_tope_recursion_matches_oracle_on_random_sets():
+    """The wall test, the trichotomy and the tope recursion agree with a
+    covector scan on sign words, and both verdicts occur."""
+    verdicts = {True: 0, False: 0}
+    for L in random_sets(7, 2000):
+        for i in range(L.n):
+            if i in coloops(L):
+                continue
+            plus, minus, non_wall, verdict = brute_force_tope_recursion(L, i)
+            split = tope_trichotomy(L, i)
+            assert [[t.word() for t in part] for part in split] == [plus, minus, non_wall]
+            for t in topes(L):
+                assert is_wall(L, t, i) == (t.word() not in non_wall), (L.words(), i)
+            assert verify_tope_recursion(L, i) == verdict, (L.words(), i)
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_minors_match_projected_covectors_on_random_sets():
+    """Deletion and contraction equal the Com of the projected covectors,
+    also where distinct covectors merge under deletion."""
+    merged = 0
+    for L in random_sets(11, 500):
+        for i in range(L.n):
+            dropped = [project(v, i) for v in L]
+            assert delete(L, i) == Com(L.n - 1, dropped), (L.words(), i)
+            kept = [project(v, i) for v in L if not v.sign(i)]
+            assert contract(L, i) == Com(L.n - 1, kept), (L.words(), i)
+            merged += len(delete(L, i)) < len(L)
+    assert merged
+
+
 def test_minor_tope_counts(gen3):
     assert verify_tope_recursion(gen3, 1)
     assert is_com(delete(gen3, 1)) and is_com(contract(gen3, 1))
@@ -195,14 +259,10 @@ def brute_force_minor_laws(L, i):
 
 def test_circuit_minor_laws_match_oracle_on_random_sets():
     """Seeded random covector sets with n <= 4, most of them not COMs."""
-    rng = random.Random(20221)
     pairs = 0
     failures = {"deletion": 0, "contraction": 0, "projection": 0}
-    for _ in range(1500):
-        n = rng.randint(1, 4)
-        words = ["".join(w) for w in product("-0+", repeat=n)]
-        L = Com.from_words(n, rng.sample(words, rng.randint(0, len(words))))
-        for i in range(n):
+    for L in random_sets(20221, 1500):
+        for i in range(L.n):
             failed = verify_circuit_minor_laws(L, i)
             assert failed == brute_force_minor_laws(L, i), (L.words(), i)
             pairs += 1
@@ -241,12 +301,8 @@ def test_lift(gen3, ex4):
 def test_witnesses_on_random_sets():
     """On seeded random covector sets, most of them not COMs, the disjoint
     covector and lift checks return a failing symmetric circuit, or None."""
-    rng = random.Random(5)
     disjoint_failures = lift_failures = 0
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        words = ["".join(w) for w in product("-0+", repeat=n)]
-        L = Com.from_words(n, rng.sample(words, rng.randint(0, len(words))))
+    for L in random_sets(5, 300):
         C = circuits(L)
         symmetric = [x for x in C.circuits if not x.is_zero() and C.paired(x)]
         expected = next(
@@ -255,7 +311,7 @@ def test_witnesses_on_random_sets():
         )
         assert verify_disjoint_covector(L) == expected, L.words()
         disjoint_failures += expected is not None
-        for i in range(n):
+        for i in range(L.n):
             x = verify_lift(L, i)
             if x is not None:
                 con = circuits(contract(L, i))

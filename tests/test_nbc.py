@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +55,15 @@ def test_linear_order():
     assert LinearOrder.identity(3) == LinearOrder((0, 1, 2))
     with pytest.raises(ValueError):
         LinearOrder((0, 0, 1))
+
+
+def test_order_minimum_follows_ranks():
+    for perm in permutations(range(4)):
+        order = LinearOrder(perm)
+        ranks = order.ranks()
+        for k in range(1, 5):
+            for subset in combinations(range(4), k):
+                assert order.minimum(subset) == min(subset, key=ranks.__getitem__)
 
 
 def test_broken_circuit():
