@@ -21,22 +21,26 @@ produces a rational witness whenever the real system is solvable.
 
 Covector enumeration walks sign prefixes in hyperplane list order and
 keeps, per node, a witness point as an integer vector over a positive
-denominator and the flat of its equalities.  Each node is a convex cell,
-so at most one feasibility solve per node decides all three children:
-none when the next hyperplane is constant on the cell's flat or passes
-through the witness, else one for the side opposite the witness, whose
-answer also decides the hyperplane itself.  That makes the search output
-sensitive.
+denominator and the flat of its equalities.  Each node is a relatively
+open convex cell, so at most one feasibility solve per node decides all
+three children: none when the next hyperplane is constant on the cell's
+flat or passes through the witness, else one that asks whether the
+hyperplane meets the cell.  A relatively open convex cell reaches the
+side opposite its witness exactly when the hyperplane meets it, so that
+solve runs on the flat with the hyperplane added, one free variable
+fewer.  That makes the search output sensitive.
 
 Every Fourier-Motzkin row carries a tag: the OR of the tags of the input
 rows it is a positive combination of.  A solve that fails thus names the
 rows of its Farkas refutation.  The walk tags each strict row with its
-(element, side) bit and remembers a refutation as that sign pattern plus
-the zeros of the node.  A later node whose pattern contains a remembered
-one for the same tested side is answered without a solve, because the
-same combination refutes every system that keeps those rows on a flat
-inside that flat.  When a hyperplane misses a cell, the child keeps the
-strict rows it had: the side row would be implied.
+(element, side) bit and remembers a refutation of hyperplane k as that
+sign pattern plus the zeros of the node.  It certifies that hyperplane k
+misses every cell that keeps those rows on a flat containing those
+zeros, whichever side its witness is on: such a flat lies inside the
+refuted one, so the same combination refutes its intersection with the
+hyperplane.  A later node whose pattern contains a remembered one for k
+is answered without a solve.  When a hyperplane misses a cell, the child
+keeps the strict rows it had: the side row would be implied.
 """
 
 from __future__ import annotations
@@ -214,6 +218,20 @@ def _lowest(point: list[int], denom: int) -> IntPoint:
     return point, denom
 
 
+def _step_off(p: IntPoint, V: list[int], stricts: list[TaggedRow]) -> IntPoint:
+    """The point p + V / (m D) for p = X / D, with m the least positive
+    integer that keeps every strict row strict: row c.x > d asks for m
+    above -c.V / (c.X - d D).  Steps of the form 1 / m keep witnesses small.
+    """
+    X, D = p
+    m = 1
+    for c, d, _ in stricts:
+        cv = sum(map(mul, c, V))
+        if cv < 0:
+            m = max(m, -cv // (sum(map(mul, c, X)) - d * D) + 1)
+    return _lowest([m * x + v for x, v in zip(X, V)], m * D)
+
+
 def _solve(flat: Flat, stricts: list[TaggedRow], dim: int) -> IntPoint | int:
     """A point X / D of the flat solving every strict row, or the OR of the
     tags of the strict rows a refutation combines.
@@ -307,47 +325,38 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
     (a) a lies in the span of the equality normals: a.x - b is constant
         on C, so only the sign at p occurs and the cell is unchanged;
     (b) v_p = 0: an integer direction V in the flat with a.V != 0 moves
-        p off the hyperplane to both sides, by half the smallest slack
-        ratio of C's strict rows along V;
-    (c) otherwise the side of p is free and only the opposite side is
-        asked for; if it is empty the hyperplane misses C, and if it
-        holds q = Q / E, the crossing point (v_p Q - v_q X) /
-        (v_p E - v_q D) of the segment from p to q is in C on the
-        hyperplane.
+        p off the hyperplane to both sides, by a step below the smallest
+        slack ratio of C's strict rows along +V or -V (``_step_off``);
+    (c) otherwise the side of p is free, and one solve asks whether the
+        hyperplane meets C.  The segment from p to any point of C on the
+        far side crosses the hyperplane inside C, and a point z of C on
+        the hyperplane can be pushed past it, away from p, and stay in C.
+        So if the solve fails the hyperplane misses C; if it finds z,
+        z is the zero child's witness and one step from z along z - p
+        is the far side's.
 
-    In case (c) a side is first looked up among the remembered
+    In case (c) the hyperplane is first looked up among the remembered
     refutations of the module docstring, and a missed hyperplane adds no
     strict row to the child.
     """
     # Every row is a primitive integer row: a positive multiple of its
-    # rational form, which leaves the sides, the crossing point and the
-    # slack ratios unchanged.  The strict row of a side is the row or its
-    # negation, tagged with its bit in the sign pattern; region rows and
-    # the row a solve tests are tagged 0.
+    # rational form, which leaves the sides, the flats and the slack
+    # ratios unchanged.  The strict row of a side is the row or its
+    # negation, tagged with its bit in the sign pattern; region rows are
+    # tagged 0.
     region = [(*_int_row(c, d), 0) for c, d in arr.region.strict]
     start = _solve((), region, arr.dim)
     if isinstance(start, int):
         return []
     rows = [_int_row(h.a, h.b) for h in arr.hyperplanes]
     zeros = sum(_sign_bit(k, 0) for k in range(len(rows)))
-    refuted: dict[tuple[int, int], list[int]] = {}
+    refuted: dict[int, list[int]] = {}
     out: list[tuple[SignVector, Vector]] = []
 
-    def side_row(k: int, s: int, tag: int) -> TaggedRow:
+    def side_row(k: int, s: int) -> TaggedRow:
         c, d = rows[k]
+        tag = _sign_bit(k, s)
         return (c, d, tag) if s > 0 else (tuple(-v for v in c), -d, tag)
-
-    def opposite(
-        k: int, s: int, pattern: int, flat: Flat, stricts: list[TaggedRow]
-    ) -> IntPoint | None:
-        """A point of the cell on side s of hyperplane k, or None."""
-        if any(old & pattern == old for old in refuted.get((k, s), ())):
-            return None
-        found = _solve(flat, stricts + [side_row(k, s, 0)], arr.dim)
-        if isinstance(found, int):
-            refuted.setdefault((k, s), []).append(found | pattern & zeros)
-            return None
-        return found
 
     def branch(
         k: int,
@@ -369,6 +378,7 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         if col is None:
             branch(k + 1, signs + (side,), pattern | _sign_bit(k, side), flat, stricts, p)
             return
+        zero_flat = insert_row(flat, rows[k])
         witness = {side: p}
         if side == 0:
             # V solves the homogeneous equalities of the flat, and a.V > 0.
@@ -377,38 +387,30 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
             V[col] = scale if r[col] > 0 else -scale
             for q, (e, _) in flat:
                 V[q] = -e[col] * V[col] // e[q]
-            # Row c.x > d allows p to move by (c.X - d D) / |c.V| times
-            # V / D.  It moves by half the smallest such step, or by V / D
-            # when no row varies along V.
-            steps = [
-                Fraction(sum(map(mul, c, X)) - d * D, abs(cv))
-                for c, d, _ in stricts
-                if (cv := sum(map(mul, c, V)))
-            ]
-            step = min(steps) / 2 if steps else Fraction(1)
-            num, den = step.numerator, step.denominator
             for s in (1, -1):
-                witness[s] = _lowest([den * x + s * num * v for x, v in zip(X, V)], den * D)
-        else:
-            q = opposite(k, -side, pattern, flat, stricts)
-            if q is not None:
-                Q, E = q
-                vq = sum(map(mul, a, Q)) - b * E
-                cross = [value * y - vq * x for x, y in zip(X, Q)]
-                denom = value * E - vq * D
-                if denom < 0:
-                    cross, denom = [-v for v in cross], -denom
-                witness[-side] = q
-                witness[0] = _lowest(cross, denom)
+                witness[s] = _step_off(p, [s * v for v in V], stricts)
+        elif not any(old & pattern == old for old in refuted.get(k, ())):
+            found = _solve(zero_flat, stricts, arr.dim)
+            if isinstance(found, int):
+                refuted.setdefault(k, []).append(found | pattern & zeros)
+            else:
+                # z = Z / E is in C on the hyperplane; the far side's
+                # witness is z + (z - p) / m, over the denominator E D.
+                Z, E = found
+                witness[0] = found
+                witness[-side] = _step_off(
+                    ([z * D for z in Z], E * D),
+                    [z * D - x * E for z, x in zip(Z, X)],
+                    stricts,
+                )
         for s in (-1, 0, 1):
             if s not in witness:
                 continue
             bit = _sign_bit(k, s)
             if s == 0:
-                child_flat = insert_row(flat, rows[k])
-                branch(k + 1, signs + (0,), pattern | bit, child_flat, stricts, witness[0])
+                branch(k + 1, signs + (0,), pattern | bit, zero_flat, stricts, witness[0])
             else:
-                child = stricts if len(witness) == 1 else stricts + [side_row(k, s, bit)]
+                child = stricts if len(witness) == 1 else stricts + [side_row(k, s)]
                 branch(k + 1, signs + (s,), pattern | bit, flat, child, witness[s])
 
     branch(0, (), 0, (), region, start)

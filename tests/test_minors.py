@@ -271,6 +271,26 @@ def test_circuit_minor_laws_match_oracle_on_random_sets():
     assert 0 < failures["contraction"] < pairs, failures
 
 
+@pytest.mark.parametrize("minor, law", [(delete, "deletion"), (contract, "projection")])
+def test_circuit_minor_laws_catch_corrupt_minor_circuits(gen3, ex4, minor, law):
+    """Emptying the member set of a minor's circuits fails exactly the law
+    that reads it: the deletion law compares the deletion's members, the
+    projection law looks circuits up in the contraction's, and the
+    contraction law compares circuit tuples, which stay intact."""
+    failed = 0
+    for words in (gen3.words(), ex4.words()):
+        # A fresh root per element, so no corrupt circuit set is shared.
+        for i in range(len(words[0])):
+            L = Com.from_words(len(words[0]), words)
+            assert verify_circuit_minor_laws(L, i) is None
+            L = Com.from_words(len(words[0]), words)
+            object.__setattr__(circuits(minor(L, i)), "_members", frozenset())
+            verdict = verify_circuit_minor_laws(L, i)
+            assert verdict in (None, law), (words, i)
+            failed += verdict == law
+    assert failed
+
+
 @pytest.mark.parametrize("past_end", [False, True])
 def test_element_indices_outside_ground_set_rejected(gen3, past_end):
     i = gen3.n if past_end else -1
