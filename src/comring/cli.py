@@ -4,8 +4,12 @@ Subcommands wire files to library operations; ``verify`` prints the
 report of ``verify.full_verify`` for one covector set, and ``corpus``
 runs the verification corpus of ``verify.corpus_instance_report`` over
 a range of seeds.  Exit codes: 0 success, 1 verification failure, 2
-input or usage error.  The argument parser is the one place that checks
-usage, so a malformed command line exits 2 through argparse.
+input or usage error, 3 internal error.  Input errors are a command line
+argparse rejects, a file that cannot be read or parsed, and a ``minors``
+element or ``--order`` that does not fit the input's ground set, which
+``_dispatch`` checks before calling the library.  Any other exception is
+a fault of this package: it exits 3 naming the subcommand, with the
+traceback on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .circuits import circuits
@@ -52,12 +57,22 @@ def _emit(data: dict[str, object], fmt: str) -> str:
 def run(argv: list[str] | None = None) -> tuple[int, str]:
     """Parse argv and execute one subcommand; returns (exit status,
     output text).  Bad usage exits 2 through argparse; bad input content
-    returns status 2 with an error line."""
+    returns status 2 with an error line, and an internal fault status 3."""
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ComFormatError, ArrangementFormatError, OSError, ValueError) as exc:
+    except (ComFormatError, ArrangementFormatError, OSError) as exc:
         return 2, f"error: {exc}"
+    except Exception as exc:
+        traceback.print_exc()
+        return 3, f"internal error in {args.subcommand}: {type(exc).__name__}: {exc}"
+
+
+def _bad_order(args: argparse.Namespace, L: Com) -> str | None:
+    """The error line for an --order that is not on L's ground set."""
+    if args.order is not None and args.order.n != L.n:
+        return f"error: --order has {args.order.n} elements, the ground set has {L.n}"
+    return None
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
@@ -91,6 +106,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
 
     if cmd == "nbc":
         L = _load_com(args.input)
+        if error := _bad_order(args, L):
+            return 2, error
         fam = nbc_sets(L, args.order)
         return 0, _emit(
             {"sets": [elements(s) for s in fam.sets], "counts": list(fam.counts)}, fmt
@@ -98,10 +115,11 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
 
     if cmd == "minors":
         L = _load_com(args.input)
-        if args.delete_element is not None:
-            i, M = args.delete_element, delete(L, args.delete_element)
-        else:
-            i, M = args.contract_element, contract(L, args.contract_element)
+        deleting = args.delete_element is not None
+        i = args.delete_element if deleting else args.contract_element
+        if not 0 <= i < L.n:
+            return 2, f"error: element {i} is not in the ground set of size {L.n}"
+        M = delete(L, i) if deleting else contract(L, i)
         return 0, _emit(
             {
                 "n": M.n,
@@ -117,6 +135,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
 
     if cmd == "hilbert":
         L = _load_com(args.input)
+        if error := _bad_order(args, L):
+            return 2, error
         coeffs = hilbert_series(L, args.order)
         return 0, _emit(
             {

@@ -54,6 +54,9 @@ from weakref import WeakValueDictionary
 T = TypeVar("T")
 
 SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
+# Bit j of a byte weighs 3^(7 - j): a byte of a plus or minus mask read as
+# eight ternary digits, its lowest bit the most significant.
+_TERNARY = tuple(sum(3 ** (7 - j) for j in range(8) if b >> j & 1) for b in range(256))
 
 
 class ComFormatError(ValueError):
@@ -125,9 +128,15 @@ class SignVector:
     def is_zero(self) -> bool:
         return self.plus == 0 and self.minus == 0
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Canonical order: lexicographic on signs, so '-' < '0' < '+'."""
-        return self.signs()
+    def sort_key(self) -> int:
+        """Canonical order: lexicographic on signs, so '-' < '0' < '+'.  The
+        key reads the signs as balanced ternary, element 0 most significant."""
+        key, plus, minus = 0, self.plus, self.minus
+        for _ in range(0, self.n, 8):
+            key = key * 3**8 + _TERNARY[plus & 255] - _TERNARY[minus & 255]
+            plus >>= 8
+            minus >>= 8
+        return key
 
     def __neg__(self) -> "SignVector":
         return SignVector(self.n, self.minus, self.plus)

@@ -19,13 +19,15 @@ Fourier-Motzkin eliminates variable by variable over Q, and the final
 constant system is satisfied over R iff over Q, so back substitution
 produces a rational witness whenever the real system is solvable.
 
-Covector enumeration walks sign prefixes in hyperplane list order and
-keeps, per node, a witness point as an integer vector over a positive
-denominator and the flat of its equalities.  Each node is a relatively
-open convex cell, so at most one feasibility solve per node decides all
-three children: none when the next hyperplane is constant on the cell's
-flat or passes through the witness, else one that asks whether the
-hyperplane meets the cell.  A relatively open convex cell reaches the
+Covector enumeration walks sign prefixes in hyperplane list order, as
+one loop over a stack of nodes: a node pushes its children in the order
++, 0, -, so they pop in prefix order, and no recursion limits the depth.
+Each node keeps its sign pattern, a witness point as an integer vector
+over a positive denominator, and the flat of its equalities.  It is a
+relatively open convex cell, so at most one feasibility solve per node
+decides all three children: none when the next hyperplane is constant on
+the cell's flat or passes through the witness, else one that asks
+whether the hyperplane meets the cell.  A relatively open convex cell reaches the
 side opposite its witness exactly when the hyperplane meets it, so that
 solve runs on the flat with the hyperplane added, one free variable
 fewer.  That makes the search output sensitive.
@@ -232,6 +234,18 @@ def _step_off(p: IntPoint, V: list[int], stricts: list[TaggedRow]) -> IntPoint:
     return _lowest([m * x + v for x, v in zip(X, V)], m * D)
 
 
+def _complete(flat: Flat, point: list[int], denom: int) -> IntPoint:
+    """X / D with the pivot coordinates of the reduced echelon flat filled
+    in: over D L, L the lcm of the pivot entries, pivot row e.x = f gives
+    x_p = (f D - e.X) L / e_p, X being 0 at every pivot.  With D = 0, X is
+    a direction and the result solves the homogeneous equalities."""
+    scale = lcm(*(e[p] for p, (e, _) in flat))
+    out = [v * scale for v in point]
+    for p, (e, f) in flat:
+        out[p] = (f * denom - sum(map(mul, e, point))) * (scale // e[p])
+    return out, denom * scale
+
+
 def _solve(flat: Flat, stricts: list[TaggedRow], dim: int) -> IntPoint | int:
     """A point X / D of the flat solving every strict row, or the OR of the
     tags of the strict rows a refutation combines.
@@ -254,13 +268,7 @@ def _solve(flat: Flat, stricts: list[TaggedRow], dim: int) -> IntPoint | int:
     point = [0] * dim
     for k, v in zip(free, basic):
         point[k] = v
-    # Over the common denominator D L, every pivot row e.x = f gives
-    # x_p = (f D - e.X) L / e_p with L the lcm of the pivot entries.
-    scale = lcm(*(e[p] for p, (e, _) in flat))
-    out = [v * scale for v in point]
-    for p, (e, f) in flat:
-        out[p] = (f * denom - sum(map(mul, e, point))) * (scale // e[p])
-    return _lowest(out, denom * scale)
+    return _lowest(*_complete(flat, point, denom))
 
 
 def _fraction_point(point: list[int], denom: int) -> Vector:
@@ -313,6 +321,13 @@ def _sign_bit(k: int, s: int) -> int:
     return 1 << (3 * k + s + 1)
 
 
+def _sign_vector(pattern: int, n: int) -> SignVector:
+    """The sign vector of a full pattern: of its 3n + 3 binary digits from
+    the left, digit 3(n - k) is element k's plus bit, 3(n - k) + 2 its minus."""
+    digits = f"{pattern:0{3 * n + 3}b}"
+    return SignVector(n, int(digits[::3], 2), int(digits[2::3], 2))
+
+
 def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]]:
     """All realized sign vectors, each with a rational witness point.
 
@@ -348,27 +363,17 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
     start = _solve((), region, arr.dim)
     if isinstance(start, int):
         return []
+    n = arr.n
     rows = [_int_row(h.a, h.b) for h in arr.hyperplanes]
-    zeros = sum(_sign_bit(k, 0) for k in range(len(rows)))
+    zeros = sum(_sign_bit(k, 0) for k in range(n))
     refuted: dict[int, list[int]] = {}
     out: list[tuple[SignVector, Vector]] = []
-
-    def side_row(k: int, s: int) -> TaggedRow:
-        c, d = rows[k]
-        tag = _sign_bit(k, s)
-        return (c, d, tag) if s > 0 else (tuple(-v for v in c), -d, tag)
-
-    def branch(
-        k: int,
-        signs: tuple[int, ...],
-        pattern: int,
-        flat: Flat,
-        stricts: list[TaggedRow],
-        p: IntPoint,
-    ) -> None:
-        if k == len(rows):
-            out.append((SignVector.from_signs(signs), _fraction_point(*p)))
-            return
+    stack = [(0, 0, (), region, start)]
+    while stack:
+        k, pattern, flat, stricts, p = stack.pop()
+        if k == n:
+            out.append((_sign_vector(pattern, n), _fraction_point(*p)))
+            continue
         a, b = rows[k]
         X, D = p
         value = sum(map(mul, a, X)) - b * D
@@ -376,17 +381,15 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         r, _ = reduce_row(flat, rows[k])
         col = next((j for j, v in enumerate(r) if v), None)
         if col is None:
-            branch(k + 1, signs + (side,), pattern | _sign_bit(k, side), flat, stricts, p)
-            return
+            stack.append((k + 1, pattern | _sign_bit(k, side), flat, stricts, p))
+            continue
         zero_flat = insert_row(flat, rows[k])
         witness = {side: p}
         if side == 0:
             # V solves the homogeneous equalities of the flat, and a.V > 0.
-            scale = lcm(*(e[q] for q, (e, _) in flat))
-            V = [0] * arr.dim
-            V[col] = scale if r[col] > 0 else -scale
-            for q, (e, _) in flat:
-                V[q] = -e[col] * V[col] // e[q]
+            unit = [0] * arr.dim
+            unit[col] = 1 if r[col] > 0 else -1
+            V, _ = _complete(flat, unit, 0)
             for s in (1, -1):
                 witness[s] = _step_off(p, [s * v for v in V], stricts)
         elif not any(old & pattern == old for old in refuted.get(k, ())):
@@ -403,20 +406,14 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
                     [z * D - x * E for z, x in zip(Z, X)],
                     stricts,
                 )
-        for s in (-1, 0, 1):
+        for s in (1, 0, -1):
             if s not in witness:
                 continue
             bit = _sign_bit(k, s)
-            if s == 0:
-                branch(k + 1, signs + (0,), pattern | bit, zero_flat, stricts, witness[0])
-            else:
-                child = stricts if len(witness) == 1 else stricts + [side_row(k, s)]
-                branch(k + 1, signs + (s,), pattern | bit, flat, child, witness[s])
-
-    branch(0, (), 0, (), region, start)
-    # branch refers to itself through its closure; dropping it breaks the
-    # cycle, so the walk's rows and refutations are freed at once.
-    del branch
+            child = stricts
+            if s and len(witness) > 1:
+                child = stricts + [(tuple(s * v for v in a), s * b, bit)]
+            stack.append((k + 1, pattern | bit, flat if s else zero_flat, child, witness[s]))
     return out
 
 

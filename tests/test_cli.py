@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from comring import cli
 from comring.cli import main, run
 from comring.core import Com, com_to_json
 
@@ -189,6 +190,35 @@ def test_malformed_json_is_usage_error(tmp_path):
     path.write_text("{]")
     status, out = run(["check", str(path)])
     assert status == 2
+
+
+@pytest.mark.parametrize("fault", [ValueError("bad state"), ZeroDivisionError("division")])
+def test_internal_fault_exits_3(gen3_file, monkeypatch, capsys, fault):
+    # A fault inside the library is not bad input, whatever its type.
+    def broken(L):
+        raise fault
+
+    monkeypatch.setattr(cli, "full_verify", broken)
+    status, out = run(["verify", gen3_file])
+    assert status == 3
+    assert out == f"internal error in verify: {type(fault).__name__}: {fault}"
+    assert "Traceback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minors", "--delete", "99"],
+        ["minors", "--contract", "3"],
+        ["minors", "--delete", "-1"],
+        ["nbc", "--order", "1,0"],
+        ["hilbert", "--order", "3,2,1,0"],
+    ],
+)
+def test_input_outside_the_ground_set_exits_2(gen3_file, argv):
+    status, out = run([argv[0], gen3_file, *argv[1:]])
+    assert status == 2
+    assert out.startswith("error: ") and "ground set" in out
 
 
 def test_main_exit_codes(gen3_file, capsys):

@@ -49,6 +49,25 @@ def test_word_round_trip():
     assert x.sign(2) == 0 and x.sign(0) == 1
 
 
+def test_sort_key_orders_as_signs():
+    # The key packs eight elements per mask byte, so the sizes straddle
+    # the byte boundaries.
+    for n in range(5):
+        signs = itertools.product((-1, 0, 1), repeat=n)
+        vectors = [SignVector.from_signs(t) for t in signs]
+        assert sorted(vectors, key=SignVector.sort_key) == vectors
+    rng = random.Random(128)
+    for n in (0, 1, 7, 8, 9, 16, 17, 24):
+        vectors = [
+            SignVector.from_signs(rng.choice((-1, 0, 1)) for _ in range(n))
+            for _ in range(500)
+        ]
+        by_key = sorted(vectors, key=SignVector.sort_key)
+        assert by_key == sorted(vectors, key=SignVector.signs)
+        # Distinct vectors get distinct keys.
+        assert len({x.sort_key() for x in vectors}) == len(set(vectors))
+
+
 def test_bad_words_rejected():
     with pytest.raises(ComFormatError):
         SignVector.from_word("+x-")

@@ -265,6 +265,26 @@ def test_seed7_five_dimensions_pinned():
     )
 
 
+def copied_lines(n):
+    """n central lines in Q^2, line k being x + (k mod 7 + 1) y = 0."""
+    hyps = tuple(Hyperplane((F(1), F(k % 7 + 1)), F(0)) for k in range(n))
+    return Arrangement(2, hyps, OpenRegion(()))
+
+
+def test_walk_depth_is_not_limited_by_recursion():
+    # A walk that recursed once per hyperplane fails here with
+    # RecursionError.  The 1,500 lines are 7 distinct lines, each copied,
+    # so every covector is one of the 7 lines' with each sign repeated.
+    arr = copied_lines(1500)
+    pairs = covectors_with_witnesses(arr)
+    assert len(pairs) == 29
+    for x, p in pairs:
+        assert sign_vector_at_point(arr, p) == x
+    distinct = [x.word() for x, _ in covectors_with_witnesses(copied_lines(7))]
+    expected = ["".join(w[k % 7] for k in range(1500)) for w in distinct]
+    assert [x.word() for x, _ in pairs] == expected
+
+
 def counted_solves(monkeypatch, arr):
     """The walk's output on arr and the number of feasibility solves it made."""
     calls = []
