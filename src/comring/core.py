@@ -491,22 +491,32 @@ def topes(L: Com) -> tuple[SignVector, ...]:
     )
 
 
-def parse_com_json(text: str) -> Com:
-    """Parse ``{"n": int, "covectors": ["+-0", ...]}``; strict on content."""
+def parse_json_object(
+    text: str, size_key: str, list_key: str, error: type[ValueError]
+) -> dict:
+    """The JSON object in text, which must hold both keys, with the value
+    at size_key a nonnegative integer no larger than the text's length;
+    raises error otherwise."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ComFormatError(f"invalid JSON: {exc}") from exc
+        raise error(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ComFormatError("top level must be an object")
-    if "n" not in data or "covectors" not in data:
-        raise ComFormatError('keys "n" and "covectors" are required')
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ComFormatError('"n" must be a nonnegative integer')
-    if n > len(text):
-        raise ComFormatError(f'"n" {n} exceeds input length {len(text)}')
-    words = data["covectors"]
+        raise error("top level must be an object")
+    if size_key not in data or list_key not in data:
+        raise error(f'keys "{size_key}" and "{list_key}" are required')
+    size = data[size_key]
+    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+        raise error(f'"{size_key}" must be a nonnegative integer')
+    if size > len(text):
+        raise error(f'"{size_key}" {size} exceeds input length {len(text)}')
+    return data
+
+
+def parse_com_json(text: str) -> Com:
+    """Parse ``{"n": int, "covectors": ["+-0", ...]}``; strict on content."""
+    data = parse_json_object(text, "n", "covectors", ComFormatError)
+    n, words = data["n"], data["covectors"]
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ComFormatError('"covectors" must be a list of sign words')
     return Com.from_words(n, words)

@@ -82,10 +82,8 @@ class NbcFamily:
 def _blocker_masks(C: CircuitSet, order: LinearOrder) -> set[int]:
     """Every circuit support and the broken circuit of every symmetric
     circuit pair.  The zero circuit gives the empty blocker 0."""
-    blockers = {x.support for x in C.circuits}
-    blockers.update(
-        broken_circuit(x, order) for x in C.circuits if not x.is_zero() and C.paired(x)
-    )
+    blockers = set(C.minimal_deficient_supports)
+    blockers.update(broken_circuit(x, order) for x in C.symmetric_pairs() if x.support)
     return blockers
 
 

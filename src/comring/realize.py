@@ -23,13 +23,16 @@ Covector enumeration walks sign prefixes in hyperplane list order, as
 one loop over a stack of nodes: a node pushes its children in the order
 +, 0, -, so they pop in prefix order, and no recursion limits the depth.
 Each node keeps its sign pattern, a witness point as an integer vector
-over a positive denominator, and the flat of its equalities.  It is a
-relatively open convex cell, so at most one feasibility solve per node
-decides all three children: none when the next hyperplane is constant on
-the cell's flat or passes through the witness, else one that asks
-whether the hyperplane meets the cell.  A relatively open convex cell reaches the
-side opposite its witness exactly when the hyperplane meets it, so that
-solve runs on the flat with the hyperplane added, one free variable
+over a positive denominator, and the flat of its equalities.  The
+pattern is one int, the plus, zero and minus masks side by side: sign s
+of element k is bit k + n (1 - s).  A node is a relatively open convex
+cell, so at most one feasibility solve decides all three children.  The
+node inserts the next hyperplane into its flat once, which tells whether
+the hyperplane is constant on the cell and else gives the zero child's
+flat.  No solve is needed when it is constant or passes through the
+witness; else one asks whether the hyperplane meets the cell.  A cell
+reaches the side opposite its witness exactly when the hyperplane meets
+it, so that solve runs on the zero child's flat, one free variable
 fewer.  That makes the search output sensitive.
 
 Every Fourier-Motzkin row carries a tag: the OR of the tags of the input
@@ -55,7 +58,7 @@ from math import ceil, floor, gcd, lcm
 from operator import mul
 
 from .circuits import CircuitSet, minimal_support_walk, submasks
-from .core import Com, SignVector
+from .core import Com, SignVector, parse_json_object
 from .exactalg import Flat, Row, insert_row, primitive_row, reduce_row
 
 Vector = tuple[Fraction, ...]
@@ -172,12 +175,13 @@ def _fm(rows: list[TaggedRow], m: int) -> IntPoint | int:
     elimination order, each strictly between the bounds of the rows it
     was eliminated from; a variable that appears in no row is 0.
     """
-    current = _tightest(rows)
-    if isinstance(current, int):
-        return current
-    steps = []
-    remaining = list(range(m))
-    while current and remaining:
+    current, steps, remaining = rows, [], list(range(m))
+    while True:
+        current = _tightest(current)
+        if isinstance(current, int):
+            return current
+        if not current or not remaining:
+            break
         j = min(remaining, key=lambda v: (_pair_count(current, v), -v))
         remaining.remove(j)
         pos, neg, out = [], [], []
@@ -190,9 +194,7 @@ def _fm(rows: list[TaggedRow], m: int) -> IntPoint | int:
                 coeffs = [mp * a + mn * b for a, b in zip(cp, cn)]
                 out.append((*primitive_row(coeffs, mp * dp + mn * dn), tp | tn))
         steps.append((j, pos, neg))
-        current = _tightest(out)
-        if isinstance(current, int):
-            return current
+        current = out
     point, denom = [0] * m, 1
     for j, pos, neg in reversed(steps):
         # Row c.x > d is tight at x_j = (d D - c.X) / (c_j D), x_j still 0.
@@ -309,23 +311,14 @@ def sign_vector_at_point(arr: Arrangement, p: Vector) -> SignVector:
     for c, d in arr.region.strict:
         if sum(ck * pk for ck, pk in zip(c, p)) <= d:
             raise ValueError("point lies outside the region")
-    signs = []
-    for h in arr.hyperplanes:
+    plus = minus = 0
+    for k, h in enumerate(arr.hyperplanes):
         v = sum(ak * pk for ak, pk in zip(h.a, p)) - h.b
-        signs.append(1 if v > 0 else -1 if v < 0 else 0)
-    return SignVector.from_signs(signs)
-
-
-def _sign_bit(k: int, s: int) -> int:
-    """The bit of sign s at element k in a sign pattern."""
-    return 1 << (3 * k + s + 1)
-
-
-def _sign_vector(pattern: int, n: int) -> SignVector:
-    """The sign vector of a full pattern: of its 3n + 3 binary digits from
-    the left, digit 3(n - k) is element k's plus bit, 3(n - k) + 2 its minus."""
-    digits = f"{pattern:0{3 * n + 3}b}"
-    return SignVector(n, int(digits[::3], 2), int(digits[2::3], 2))
+        if v > 0:
+            plus |= 1 << k
+        elif v < 0:
+            minus |= 1 << k
+    return SignVector(arr.n, plus, minus)
 
 
 def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]]:
@@ -337,11 +330,13 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
     what its feasibility solves receive.  For the next hyperplane
     a.x = b, with v_p = a.X - b D:
 
-    (a) a lies in the span of the equality normals: a.x - b is constant
-        on C, so only the sign at p occurs and the cell is unchanged;
-    (b) v_p = 0: an integer direction V in the flat with a.V != 0 moves
-        p off the hyperplane to both sides, by a step below the smallest
-        slack ratio of C's strict rows along +V or -V (``_step_off``);
+    (a) inserting a.x = b into the flat gives None or the flat itself:
+        a.x - b is constant on C, so only the sign at p occurs and the
+        cell is unchanged;
+    (b) v_p = 0: V, the unit vector at the new pivot column completed on
+        the flat and signed so that a.V > 0, moves p off the hyperplane
+        to both sides, by a step below the smallest slack ratio of C's
+        strict rows along +V or -V (``_step_off``);
     (c) otherwise the side of p is free, and one solve asks whether the
         hyperplane meets C.  The segment from p to any point of C on the
         far side crosses the hyperplane inside C, and a point z of C on
@@ -365,31 +360,33 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         return []
     n = arr.n
     rows = [_int_row(h.a, h.b) for h in arr.hyperplanes]
-    zeros = sum(_sign_bit(k, 0) for k in range(n))
+    full = (1 << n) - 1
+    zeros = full << n
     refuted: dict[int, list[int]] = {}
     out: list[tuple[SignVector, Vector]] = []
     stack = [(0, 0, (), region, start)]
     while stack:
         k, pattern, flat, stricts, p = stack.pop()
         if k == n:
-            out.append((_sign_vector(pattern, n), _fraction_point(*p)))
+            out.append((SignVector(n, pattern & full, pattern >> 2 * n), _fraction_point(*p)))
             continue
         a, b = rows[k]
         X, D = p
         value = sum(map(mul, a, X)) - b * D
         side = (value > 0) - (value < 0)
-        r, _ = reduce_row(flat, rows[k])
-        col = next((j for j, v in enumerate(r) if v), None)
-        if col is None:
-            stack.append((k + 1, pattern | _sign_bit(k, side), flat, stricts, p))
-            continue
         zero_flat = insert_row(flat, rows[k])
+        if zero_flat is None or zero_flat is flat:
+            stack.append((k + 1, pattern | 1 << (k + n * (1 - side)), flat, stricts, p))
+            continue
         witness = {side: p}
         if side == 0:
-            # V solves the homogeneous equalities of the flat, and a.V > 0.
+            # V solves the flat's homogeneous equalities and is free only
+            # at the zero flat's new pivot, where a.V != 0.
             unit = [0] * arr.dim
-            unit[col] = 1 if r[col] > 0 else -1
+            unit[zero_flat[-1][0]] = 1
             V, _ = _complete(flat, unit, 0)
+            if sum(map(mul, a, V)) < 0:
+                V = [-v for v in V]
             for s in (1, -1):
                 witness[s] = _step_off(p, [s * v for v in V], stricts)
         elif not any(old & pattern == old for old in refuted.get(k, ())):
@@ -409,7 +406,7 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         for s in (1, 0, -1):
             if s not in witness:
                 continue
-            bit = _sign_bit(k, s)
+            bit = 1 << (k + n * (1 - s))
             child = stricts
             if s and len(witness) > 1:
                 child = stricts + [(tuple(s * v for v in a), s * b, bit)]
@@ -478,20 +475,8 @@ def parse_arrangement_json(text: str) -> Arrangement:
     or "2/3"; no decimal or exponent form.  Only the relation ">" is
     accepted; encode c.x < d as (-c).x > -d.
     """
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ArrangementFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ArrangementFormatError("top level must be an object")
-    if "dim" not in data or "hyperplanes" not in data:
-        raise ArrangementFormatError('keys "dim" and "hyperplanes" are required')
-    dim = data["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-        raise ArrangementFormatError('"dim" must be a nonnegative integer')
-    if dim > len(text):
-        raise ArrangementFormatError(f'"dim" {dim} exceeds input length {len(text)}')
-    raw_hyps = data["hyperplanes"]
+    data = parse_json_object(text, "dim", "hyperplanes", ArrangementFormatError)
+    dim, raw_hyps = data["dim"], data["hyperplanes"]
     if not isinstance(raw_hyps, list):
         raise ArrangementFormatError('"hyperplanes" must be a list')
     hyps = []

@@ -319,13 +319,15 @@ def test_node_case_constant_on_flat(monkeypatch):
 def test_node_case_witness_on_hyperplane(monkeypatch):
     # Central coordinate planes: the region point is the origin and every
     # witness lies on every later plane, so both strict children come from
-    # moving off the plane and only the region point is solved for.
-    arr = Arrangement(
-        3, hyperplanes((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), OpenRegion(())
-    )
-    pairs, solves = counted_solves(monkeypatch, arr)
-    assert len(pairs) == 27
-    assert solves == 1
+    # moving off the plane and only the region point is solved for.  With
+    # the planes negated each reduced row leads with a negative entry, so
+    # the direction off the plane must be flipped to point to its + side.
+    for sign in (1, -1):
+        planes = [[sign * (i == j) for j in range(3)] + [0] for i in range(3)]
+        arr = Arrangement(3, hyperplanes(*planes), OpenRegion(()))
+        pairs, solves = counted_solves(monkeypatch, arr)
+        assert len(pairs) == 27
+        assert solves == 1
 
 
 def test_node_case_crossing(monkeypatch):
