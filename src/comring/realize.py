@@ -13,7 +13,9 @@ the reduced echelon kernel of ``exactalg``, which also rewrites the
 strict rows over the free variables, and Fourier-Motzkin elimination
 decides the strict part.
 Fourier-Motzkin removes, at each step, the variable that combines the
-fewest pairs of rows, and keeps only the tightest of parallel rows.
+fewest pairs of rows, and keeps only the tightest of parallel rows.  The
+last variable is decided by its tightest lower and upper bound alone, and
+back substitution runs in integers.
 A strict rational system has a real solution iff it has a rational one:
 Fourier-Motzkin eliminates variable by variable over Q, and the final
 constant system is satisfied over R iff over Q, so back substitution
@@ -37,15 +39,26 @@ fewer.  That makes the search output sensitive.
 
 Every Fourier-Motzkin row carries a tag: the OR of the tags of the input
 rows it is a positive combination of.  A solve that fails thus names the
-rows of its Farkas refutation.  The walk tags each strict row with its
-(element, side) bit and remembers a refutation of hyperplane k as that
-sign pattern plus the zeros of the node.  It certifies that hyperplane k
-misses every cell that keeps those rows on a flat containing those
-zeros, whichever side its witness is on: such a flat lies inside the
-refuted one, so the same combination refutes its intersection with the
-hyperplane.  A later node whose pattern contains a remembered one for k
-is answered without a solve.  When a hyperplane misses a cell, the child
-keeps the strict rows it had: the side row would be implied.
+rows of its Farkas refutation.  Each input row of a solve has a tag bit
+of its own, so the tag is also the row's Chernikov history: after k
+eliminations a row whose history has more than k + 1 members is implied
+by rows with smaller histories, and is never built (Chernikov 1965;
+Imbert 1990).  Dropping the looser of two parallel rows must respect
+tags, or the bound may cut the only combination left that refutes the
+system: a parallel row goes only when a row at least as tight has a tag
+that is a subset of its own.
+
+The walk tags each strict row with its (element, side) bit and region row
+i with bit 3n + i.  Every cell keeps the region rows, so their bits are
+masked off before a refutation is stored: the walk remembers a
+refutation of hyperplane k as its sign pattern plus the zeros of the
+node.  It certifies that hyperplane k misses every cell that keeps those
+rows on a flat containing those zeros, whichever side its witness is on:
+such a flat lies inside the refuted one, so the same combination refutes
+its intersection with the hyperplane.  A later node whose pattern
+contains a remembered one for k is answered without a solve.  When a
+hyperplane misses a cell, the child keeps the strict rows it had: the
+side row would be implied.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .circuits import CircuitSet, minimal_support_walk, submasks
@@ -67,6 +80,8 @@ LinRow = tuple[tuple[Fraction, ...], Fraction]
 TaggedRow = tuple[tuple[int, ...], int, int]
 # The rational point X / D: an integer vector X and a denominator D > 0.
 IntPoint = tuple[list[int], int]
+# The rational p / q as integers with q > 0.
+Ratio = tuple[int, int]
 
 
 class ArrangementFormatError(ValueError):
@@ -119,14 +134,20 @@ def _int_row(c: Vector, d: Fraction) -> Row:
 
 
 def _tightest(rows: list[TaggedRow]) -> list[TaggedRow] | int:
-    """Drop every strict row implied by a parallel row, and constant rows.
+    """Drop constant rows, and every strict row implied by a parallel row
+    whose tag it contains.
 
     Among rows whose coefficient vectors are positive multiples of one
-    another, c.x > d is the tightest when d / gcd(c) is largest; it keeps
-    its own tag.  Returns the tag of a contradictory constant row 0 > d
-    with d >= 0 when one appears.
+    another, c.x > d is tighter when d / gcd(c) is larger.  A row goes only
+    when a row at least as tight has a tag that is a subset of its own:
+    the tag is the row's Chernikov history, and a looser row with a history
+    the tighter one lacks may be the only way to a combination that the
+    history bound still admits.  Returns the tag of a contradictory
+    constant row 0 > d with d >= 0 when one appears.  ``_fm`` runs this
+    before each elimination but not on the last variable's rows, which
+    only its two tightest bounds decide.
     """
-    best: dict[tuple[int, ...], tuple[int, TaggedRow]] = {}
+    best: dict[tuple[int, ...], list[tuple[int, TaggedRow]]] = {}
     for row in rows:
         c, d, tag = row
         g = gcd(*c)
@@ -135,10 +156,22 @@ def _tightest(rows: list[TaggedRow]) -> list[TaggedRow] | int:
                 return tag
             continue
         key = tuple(v // g for v in c)
-        old = best.get(key)
-        if old is None or d * old[0] > old[1][1] * g:
-            best[key] = (g, row)
-    return [r for _, r in best.values()]
+        kept = best.get(key)
+        if kept is None:
+            best[key] = [(g, row)]
+        elif not any(e * g >= d * h and not t & ~tag for h, (_, e, t) in kept):
+            kept[:] = [(h, r) for h, r in kept if tag & ~r[2] or r[1] * g > d * h]
+            kept.append((g, row))
+    return [row for kept in best.values() for _, row in kept]
+
+
+def _split(rows: list[TaggedRow], j: int) -> tuple[list[TaggedRow], ...]:
+    """The rows with a positive, a negative and a zero coefficient at j."""
+    pos, neg, out = [], [], []
+    for row in rows:
+        v = row[0][j]
+        (pos if v > 0 else neg if v < 0 else out).append(row)
+    return pos, neg, out
 
 
 def _pair_count(rows: list[TaggedRow], j: int) -> int:
@@ -147,19 +180,22 @@ def _pair_count(rows: list[TaggedRow], j: int) -> int:
     return pos * sum(1 for r in rows if r[0][j] < 0)
 
 
-def _between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
-    """A rational strictly between lo and hi (None is unbounded): the
-    integer nearest 0 in that open interval if there is one, else the
-    midpoint.  Small witnesses keep later exact arithmetic cheap."""
-    if (lo is None or lo < 0) and (hi is None or hi > 0):
-        return Fraction(0)
-    if lo is not None and lo >= 0:
-        x = Fraction(floor(lo) + 1)
+def _between(lo: Ratio | None, hi: Ratio | None) -> Ratio:
+    """A rational p / q strictly between lo and hi (None is unbounded):
+    the integer nearest 0 in that open interval if there is one, else the
+    midpoint in lowest terms.  Small witnesses keep later exact arithmetic
+    cheap."""
+    if (lo is None or lo[0] < 0) and (hi is None or hi[0] > 0):
+        return 0, 1
+    if lo is not None and lo[0] >= 0:
+        x = lo[0] // lo[1] + 1
     else:
-        x = Fraction(ceil(hi) - 1)
-    if (lo is None or lo < x) and (hi is None or x < hi):
-        return x
-    return (lo + hi) / 2
+        x = -(-hi[0] // hi[1]) - 1
+    if (lo is None or lo[0] < x * lo[1]) and (hi is None or x * hi[1] < hi[0]):
+        return x, 1
+    p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _fm(rows: list[TaggedRow], m: int) -> IntPoint | int:
@@ -168,49 +204,67 @@ def _fm(rows: list[TaggedRow], m: int) -> IntPoint | int:
 
     Fourier-Motzkin elimination that at each step removes the variable
     whose positive and negative row counts have the smallest product
-    (the highest index on ties), keeping only the tightest of parallel
-    rows.  A combined row carries the OR of its two rows' tags, so a
-    contradictory constant row names the input rows it combines.  Back
-    substitution then sets the variables in the reverse of the
-    elimination order, each strictly between the bounds of the rows it
-    was eliminated from; a variable that appears in no row is 0.
+    (the highest index on ties) and drops parallel rows by ``_tightest``.
+    A combined row carries the OR of its two rows' tags, so a
+    contradictory constant row names the input rows it combines.  With a
+    tag bit per input row the tag is also the row's Chernikov history, and
+    after k eliminations no row that combines more than k + 1 input rows
+    is built: rows that combine fewer imply it.  The last variable is
+    decided by its two bounds alone: it gets no tightest pass and no
+    combination step, its constant rows are checked, and a tightest lower
+    bound not below the tightest upper bound refutes the system by those
+    two rows.  Back substitution sets the variables in the reverse of the
+    elimination order, in integers, each strictly between the bounds of
+    the rows it was eliminated from; a variable that appears in no row
+    is 0.
     """
     current, steps, remaining = rows, [], list(range(m))
-    while True:
+    for k in range(1, m):
         current = _tightest(current)
         if isinstance(current, int):
             return current
-        if not current or not remaining:
+        if not current:
             break
         j = min(remaining, key=lambda v: (_pair_count(current, v), -v))
         remaining.remove(j)
-        pos, neg, out = [], [], []
-        for row in current:
-            v = row[0][j]
-            (pos if v > 0 else neg if v < 0 else out).append(row)
+        pos, neg, out = _split(current, j)
         for cp, dp, tp in pos:
             for cn, dn, tn in neg:
+                tag = tp | tn
+                if tag.bit_count() > k + 1:
+                    continue
                 mp, mn = -cn[j], cp[j]
                 coeffs = [mp * a + mn * b for a, b in zip(cp, cn)]
-                out.append((*primitive_row(coeffs, mp * dp + mn * dn), tp | tn))
+                out.append((*primitive_row(coeffs, mp * dp + mn * dn), tag))
         steps.append((j, pos, neg))
         current = out
+    if remaining:
+        pos, neg, current = _split(current, remaining[0])
+        steps.append((remaining[0], pos, neg))
+    for _, d, tag in current:
+        if d >= 0:
+            return tag
     point, denom = [0] * m, 1
     for j, pos, neg in reversed(steps):
         # Row c.x > d is tight at x_j = (d D - c.X) / (c_j D), x_j still 0.
-        lo, hi = (
-            [
-                Fraction(d * denom - sum(map(mul, c, point)), c[j] * denom)
-                for c, d, _ in rows
-            ]
-            for rows in (pos, neg)
-        )
-        x = _between(max(lo, default=None), min(hi, default=None))
-        if denom % x.denominator:
-            scale = x.denominator // gcd(denom, x.denominator)
+        lo = hi = None
+        for c, d, tag in pos:
+            bound = d * denom - sum(map(mul, c, point)), c[j] * denom
+            if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
+                lo, tl = bound, tag
+        for c, d, tag in neg:
+            bound = sum(map(mul, c, point)) - d * denom, -c[j] * denom
+            if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
+                hi, th = bound, tag
+        if lo and hi and lo[0] * hi[1] >= hi[0] * lo[1]:
+            # Only the last variable's rows were never combined in pairs.
+            return tl | th
+        p, q = _between(lo, hi)
+        if denom % q:
+            scale = q // gcd(denom, q)
             point = [v * scale for v in point]
             denom *= scale
-        point[j] = x.numerator * (denom // x.denominator)
+        point[j] = p * (denom // q)
     return point, denom
 
 
@@ -292,7 +346,7 @@ def feasible_point(
         flat = insert_row(flat, row)
         if flat is None:
             return None
-    found = _solve(flat, [(c, d, 0) for c, d in stricts], dim)
+    found = _solve(flat, [(c, d, 1 << i) for i, (c, d) in enumerate(stricts)], dim)
     return None if isinstance(found, int) else _fraction_point(*found)
 
 
@@ -352,16 +406,19 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
     # Every row is a primitive integer row: a positive multiple of its
     # rational form, which leaves the sides, the flats and the slack
     # ratios unchanged.  The strict row of a side is the row or its
-    # negation, tagged with its bit in the sign pattern; region rows are
-    # tagged 0.
-    region = [(*_int_row(c, d), 0) for c, d in arr.region.strict]
+    # negation, tagged with its bit in the sign pattern; region row i is
+    # tagged with bit 3n + i, above the pattern.
+    n = arr.n
+    region = [
+        (*_int_row(c, d), 1 << 3 * n + i) for i, (c, d) in enumerate(arr.region.strict)
+    ]
     start = _solve((), region, arr.dim)
     if isinstance(start, int):
         return []
-    n = arr.n
     rows = [_int_row(h.a, h.b) for h in arr.hyperplanes]
     full = (1 << n) - 1
     zeros = full << n
+    sides = (1 << 3 * n) - 1
     refuted: dict[int, list[int]] = {}
     out: list[tuple[SignVector, Vector]] = []
     stack = [(0, 0, (), region, start)]
@@ -392,7 +449,7 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         elif not any(old & pattern == old for old in refuted.get(k, ())):
             found = _solve(zero_flat, stricts, arr.dim)
             if isinstance(found, int):
-                refuted.setdefault(k, []).append(found | pattern & zeros)
+                refuted.setdefault(k, []).append(found & sides | pattern & zeros)
             else:
                 # z = Z / E is in C on the hyperplane; the far side's
                 # witness is z + (z - p) / m, over the denominator E D.

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -250,18 +251,36 @@ def test_random_arrangements_match_oracle(seed, d):
     assert_matches_oracle(generate_random_arrangement(seed, d, 5, 2))
 
 
-def test_seed7_five_dimensions_pinned():
-    # At d = 5 the cost of each solve shows: asking whether each
-    # hyperplane meets the cell realizes this in under half a second
-    # (Python 3.11, 2 vCPU); asking for its far open side took 14 s.
-    arr = generate_random_arrangement(7, 5, 8, 2)
+def assert_pinned(arr, count, digest):
+    """The walk finds count covectors, every witness re-checks, and the
+    words hash to digest."""
     pairs = covectors_with_witnesses(arr)
-    assert len(pairs) == 1761
+    assert len(pairs) == count
     for x, p in pairs:
         assert sign_vector_at_point(arr, p) == x
     words = "\n".join(x.word() for x, _ in pairs)
-    assert hashlib.sha256(words.encode()).hexdigest() == (
-        "a381617f65331612efea81e859f09b257499ea2ac131caee90343c034b93c1ec"
+    assert hashlib.sha256(words.encode()).hexdigest() == digest
+
+
+def test_seed7_five_dimensions_pinned():
+    # At d = 5 the cost of each solve shows: asking whether each
+    # hyperplane meets the cell realizes this in about 0.2 s (Python
+    # 3.11, 2 vCPU); asking for its far open side took 14 s.
+    assert_pinned(
+        generate_random_arrangement(7, 5, 8, 2),
+        1761,
+        "a381617f65331612efea81e859f09b257499ea2ac131caee90343c034b93c1ec",
+    )
+
+
+def test_seed7_six_dimensions_pinned():
+    # At d = 6 plain Fourier-Motzkin blows up: without the history bound
+    # this took 45-60 s and (6, 8) built 729,580 combined rows.  With it,
+    # about 1 s (Python 3.11, 2 vCPU).
+    assert_pinned(
+        generate_random_arrangement(7, 6, 9, 2),
+        5699,
+        "869b5948973f267299b898b0ad895fb7c8f6a73e807356c5ce87cd63026683c9",
     )
 
 
@@ -361,14 +380,39 @@ def test_refuted_pattern_answers_later_cells(monkeypatch):
     assert solves == 2
 
 
+def test_refutation_with_a_region_row_answers_later_cells(monkeypatch):
+    # Inside y > 0 the line x + y = 0 misses the cell x > 0, y < 2: the
+    # solve on it refutes by the side row x > 0 plus the region row
+    # y > 0.  Every cell keeps the region row, so the remembered pattern
+    # is x > 0 alone, and it answers the cells x > 0, y = 2 and x > 0,
+    # y > 2 without a solve.  On x = 0 the region row alone refutes the
+    # line, and the pattern x = 0 answers the cell x = 0, y > 2.  A
+    # pattern that kept a region row's bit would match no cell and cost
+    # these three solves.
+    arr = Arrangement(
+        2, hyperplanes((1, 0, 0), (0, 1, 2), (1, 1, 0)), OpenRegion((lin_row(0, 1, 0),))
+    )
+    _, solves = counted_solves(monkeypatch, arr)
+    assert solves == 8
+
+
 def fixed_order_fm_feasible(rows, m):
-    """Oracle: plain Fourier-Motzkin over Q, last variable first, no pruning.
+    """Oracle: Fourier-Motzkin over Q, last variable first, with no tags
+    and no history bound.
 
     A strict system c.x > d is solvable iff every positive combination
-    that cancels all variables leaves 0 > d with d < 0.
+    that cancels all variables leaves 0 > d with d < 0.  Of rows with one
+    direction only the tightest is kept, as it implies the others; without
+    that, systems of many parallel rows build millions of rows.
     """
     system = [(tuple(F(v) for v in c), F(d)) for c, d in rows]
     for j in reversed(range(m)):
+        tightest = {}
+        for c, d in system:
+            g = max(map(abs, c)) or 1
+            key = tuple(v / g for v in c)
+            tightest[key] = max(tightest.get(key, d / g), d / g)
+        system = list(tightest.items())
         pos = [r for r in system if r[0][j] > 0]
         neg = [r for r in system if r[0][j] < 0]
         system = [r for r in system if r[0][j] == 0]
@@ -396,6 +440,25 @@ def random_strict_system(rng):
     return rows, m
 
 
+def parallel_strict_system(rng):
+    """Up to 12 integer rows over 2 to 5 variables, most of them positive
+    multiples or duplicates of earlier rows with shifted constants: the
+    parallel rows that the history bound must not prune unsoundly.  A few
+    are negative multiples, so that about half the systems are
+    infeasible."""
+    m = rng.randint(2, 5)
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        if rows and rng.random() < 0.7:
+            c, d = rng.choice(rows)
+            k = rng.choice((1, 1, 2, 3, -1))
+            rows.append((tuple(k * v for v in c), k * d + rng.randint(-2, 2)))
+        else:
+            c = tuple(rng.randint(-3, 3) for _ in range(m))
+            rows.append((c, rng.randint(-4, 4)))
+    return rows, m
+
+
 def fm_kernel(rows, m):
     """The kernel's rational point, or None and the input rows its
     refutation combines."""
@@ -407,23 +470,64 @@ def fm_kernel(rows, m):
 
 
 def test_fm_kernel_matches_fixed_order_oracle():
-    rng = random.Random(20221)
-    verdicts = {True: 0, False: 0}
-    for _ in range(600):
-        rows, m = random_strict_system(rng)
-        point, support = fm_kernel(rows, m)
-        feasible = fixed_order_fm_feasible(rows, m)
-        assert (point is not None) == feasible, rows
-        verdicts[feasible] += 1
-        if point is not None:
-            assert len(point) == m
-            for c, d in rows:
-                assert sum(ck * xk for ck, xk in zip(c, point)) > d, (rows, point)
-        else:
-            # The rows a refutation names are infeasible without the others,
-            # which lets the walk reuse it on every system that keeps them.
-            assert support and not fixed_order_fm_feasible(support, m), rows
-    assert min(verdicts.values()) >= 100
+    for seed, system, runs in (
+        (20221, random_strict_system, 600),
+        (7, parallel_strict_system, 300),
+    ):
+        rng = random.Random(seed)
+        verdicts = {True: 0, False: 0}
+        for _ in range(runs):
+            rows, m = system(rng)
+            point, support = fm_kernel(rows, m)
+            feasible = fixed_order_fm_feasible(rows, m)
+            assert (point is not None) == feasible, rows
+            verdicts[feasible] += 1
+            if point is not None:
+                assert len(point) == m
+                for c, d in rows:
+                    assert sum(ck * xk for ck, xk in zip(c, point)) > d, (rows, point)
+            else:
+                # The rows a refutation names are infeasible without the
+                # others, which lets the walk reuse it on every system that
+                # keeps them.
+                assert support and not fixed_order_fm_feasible(support, m), rows
+        assert min(verdicts.values()) >= runs // 6, (system, verdicts)
+
+
+def test_tightest_drops_parallel_rows_only_for_a_subset_tag():
+    # x > 1 combines rows {0, 1} and is tighter than x > 0, row {0}, yet
+    # cannot stand in for it under the history bound: both stay.  2x > 2
+    # is as tight as x > 1 and combines more rows, so it goes.  x > 2,
+    # row {0}, is tighter than both and its history is in each of theirs.
+    a, b, c, d = ((1,), 1, 0b011), ((1,), 0, 0b001), ((2,), 2, 0b111), ((1,), 2, 0b001)
+    assert realize._tightest([a, b, c]) == [a, b]
+    assert realize._tightest([a, b, c, d]) == [d]
+
+
+def test_fm_history_bound_prunes_rows(monkeypatch):
+    # With one tag shared by every row no history exceeds one member, so
+    # the bound never fires and the kernel runs as plain Fourier-Motzkin;
+    # with a bit per row it builds fewer rows and finds a point as well.
+    rng = random.Random(1)
+    rows = [
+        (tuple(rng.randint(-3, 3) for _ in range(5)), rng.randint(-4, 4)) for _ in range(8)
+    ]
+    built = []
+    primitive_row = realize.primitive_row
+
+    def counting(*args):
+        built.append(args)
+        return primitive_row(*args)
+
+    monkeypatch.setattr(realize, "primitive_row", counting)
+    counts = []
+    for tags in ([1] * len(rows), [1 << i for i in range(len(rows))]):
+        built.clear()
+        point, denom = realize._fm([(c, d, t) for (c, d), t in zip(rows, tags)], 5)
+        counts.append(len(built))
+        for c, d in rows:
+            assert sum(map(mul, c, point)) > d * denom
+    assert counts[1] < counts[0], counts
 
 
 def test_generate_random_arrangement_rejects_dimension_zero():
