@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import Columns, Com, SignVector, covector_columns, elements, is_oriented_matroid
+from .core import Columns, Com, SignVector, covector_columns, is_oriented_matroid
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,12 @@ def _patterns(cols: Columns, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def realized_patterns(L: Com, S: int) -> frozenset[tuple[int, ...]]:
-    """Full sign patterns on the support mask S realized by covectors, as
-    tuples over the elements of S in ascending order."""
+def realized_patterns(L: Com, S: int) -> frozenset[int]:
+    """The full sign patterns on the support mask S realized by covectors,
+    each as its plus mask."""
     if S < 0 or S >> L.n:
         raise ValueError("index outside ground set")
-    idx = elements(S)
-    return frozenset(
-        tuple(1 if (pat >> i) & 1 else -1 for i in idx)
-        for pat, bits in _patterns(covector_columns(L), S)
-        if bits
-    )
+    return frozenset(pat for pat, bits in _patterns(covector_columns(L), S) if bits)
 
 
 def circuits(L: Com) -> CircuitSet:

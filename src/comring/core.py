@@ -20,9 +20,9 @@ oriented matroid.  All values here are immutable and all operations are
 pure functions.  ``covector_columns`` is the column index of a ``Com``:
 for each element, the covectors positive there and those negative there,
 each as one integer bit set, so that "which covectors extend this
-pattern?" is an AND over the pattern's support; the circuit, boolean
-extension, disjoint covector and kernel checks ask it that way, and so
-does strong elimination.
+pattern?" is an AND over the pattern's support; the circuit, disjoint
+covector and kernel checks ask it that way, and so does strong
+elimination.
 
 The axiom scans read mask pairs only.  Face symmetry implies closure
 under composition, since X o (-(X o (-Y))) = X o Y.  So X o Y and Y o X
@@ -108,9 +108,6 @@ class SignVector:
     def support(self) -> int:
         return self.plus | self.minus
 
-    def support_set(self) -> frozenset[int]:
-        return frozenset(elements(self.support))
-
     def sign(self, i: int) -> int:
         bit = 1 << i
         if self.plus & bit:
@@ -170,15 +167,11 @@ def compose(x: SignVector, y: SignVector) -> SignVector:
     return SignVector(x.n, x.plus | (y.plus & free), x.minus | (y.minus & free))
 
 
-def negate(x: SignVector) -> SignVector:
-    return -x
-
-
-def separator(x: SignVector, y: SignVector) -> frozenset[int]:
-    """Indices where x and y carry opposite nonzero signs."""
+def separator(x: SignVector, y: SignVector) -> int:
+    """The mask of the indices where x and y carry opposite nonzero signs."""
     if x.n != y.n:
         raise ValueError("ground sets differ")
-    return frozenset(elements((x.plus & y.minus) | (x.minus & y.plus)))
+    return (x.plus & y.minus) | (x.minus & y.plus)
 
 
 @dataclass(frozen=True)
@@ -411,14 +404,15 @@ def is_oriented_matroid(L: Com) -> bool:
     return (0, 0) in L._members
 
 
-def coloops(L: Com) -> frozenset[int]:
-    """Indices at which every covector is zero.  Computed once per Com."""
+def coloops(L: Com) -> int:
+    """The mask of the indices at which every covector is zero.  Computed
+    once per Com."""
 
-    def compute() -> frozenset[int]:
+    def compute() -> int:
         used = 0
         for v in L.covectors:
             used |= v.support
-        return frozenset(i for i in range(L.n) if not (used >> i) & 1)
+        return ((1 << L.n) - 1) & ~used
 
     return L._cached("coloops", compute)
 

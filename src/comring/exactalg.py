@@ -166,16 +166,6 @@ def insert_row(flat: Flat, row: Row) -> Flat | None:
     return tuple((p, reduce_row(new, r)) for p, r in flat) + new
 
 
-def in_row_span(M: IntMatrix, v: Sequence[int]) -> bool:
-    """True when v is an integer combination of the rows of M."""
-    if len(v) != M.cols:
-        raise ValueError("vector length does not match column count")
-    lattice = IntLattice(M.cols)
-    for r in range(M.rows):
-        lattice.add(M.row(r))
-    return lattice.contains(v)
-
-
 class IntLattice:
     """Integer row lattice with incremental insertion.
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 from weakref import WeakValueDictionary
 
-from .circuits import circuits, minimal_support_walk, realized_patterns, submasks
+from .circuits import circuits, minimal_support_walk, submasks
 from .core import Com, SignVector, _drop_bit, coloops, covector_columns, topes
 
 
@@ -98,25 +98,15 @@ def label_map(n: int, i: int) -> dict[int, int]:
     return {j if j < i else j - 1: j for j in range(n) if j != i}
 
 
-def is_wall(L: Com, x: SignVector, i: int) -> bool:
-    """True when zeroing coordinate i of the tope x stays inside L."""
-    full = (1 << L.n) - 1
-    if x not in L or x.support != full:
-        raise ValueError("x is not a tope of L")
-    if not 0 <= i < L.n:
-        raise ValueError("index outside ground set")
-    bit = 1 << i
-    return (x.plus & ~bit, x.minus & ~bit) in L._members
-
-
 def tope_trichotomy(
     L: Com, i: int
 ) -> tuple[tuple[SignVector, ...], tuple[SignVector, ...], tuple[SignVector, ...]]:
     """Split topes by wall sign at i: (wall and positive, wall and negative,
-    not a wall).  Raises on coloops, where no tope has a sign at i."""
+    not a wall).  A tope is a wall at i when zeroing its sign at i gives a
+    covector.  Raises on coloops, where no tope has a sign at i."""
     if not 0 <= i < L.n:
         raise ValueError("index outside ground set")
-    if i in coloops(L):
+    if coloops(L) >> i & 1:
         raise ValueError("coordinate is a coloop")
     plus: list[SignVector] = []
     minus: list[SignVector] = []
@@ -176,7 +166,7 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
         return out
 
     con_circ = circuits(contract(L, i))
-    if i not in coloops(L) and (
+    if not coloops(L) >> i & 1 and (
         minimal_support_walk(L.n - 1, projected_blockers).circuits != con_circ.circuits
     ):
         return "contraction"
@@ -222,9 +212,12 @@ def verify_boolean_extension(L: Com, J: int) -> bool:
     covectors.
 
     Precondition: J contains no circuit support; raises ValueError when
-    it does, since the guarantee only holds in that case.
+    it does, since the guarantee only holds in that case.  The patterns
+    are counted by a scan of the covectors, not by the column index that
+    the circuits come from, so a faulty index cannot certify itself.
     """
     for s in circuits(L).minimal_deficient_supports:
         if s & J == s:
             raise ValueError("J contains a circuit support")
-    return len(realized_patterns(L, J)) == 1 << J.bit_count()
+    realized = {v.plus & J for v in L.covectors if v.support & J == J}
+    return len(realized) == 1 << J.bit_count()

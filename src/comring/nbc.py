@@ -126,7 +126,7 @@ def verify_nbc_recursion(L: Com, order: LinearOrder | None = None) -> bool:
     if order is None:
         order = LinearOrder.identity(L.n)
     i = order.maximum_element()
-    if i in coloops(L):
+    if coloops(L) >> i & 1:
         raise ValueError("order maximal element is a coloop")
     fam = nbc_sets(L, order)
     sub = induced_order(order, i)

@@ -69,6 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import Sequence
 
 from .circuits import CircuitSet, minimal_support_walk, submasks
 from .core import Com, SignVector, parse_json_object
@@ -79,7 +80,7 @@ LinRow = tuple[tuple[Fraction, ...], Fraction]
 # A strict row c.x > d with the tag of the input rows it combines.
 TaggedRow = tuple[tuple[int, ...], int, int]
 # The rational point X / D: an integer vector X and a denominator D > 0.
-IntPoint = tuple[list[int], int]
+IntPoint = tuple[Sequence[int], int]
 # The rational p / q as integers with q > 0.
 Ratio = tuple[int, int]
 
@@ -268,14 +269,6 @@ def _fm(rows: list[TaggedRow], m: int) -> IntPoint | int:
     return point, denom
 
 
-def _lowest(point: list[int], denom: int) -> IntPoint:
-    """X / D in lowest terms, D > 0 given."""
-    g = gcd(*point, denom)
-    if g > 1:
-        return [v // g for v in point], denom // g
-    return point, denom
-
-
 def _step_off(p: IntPoint, V: list[int], stricts: list[TaggedRow]) -> IntPoint:
     """The point p + V / (m D) for p = X / D, with m the least positive
     integer that keeps every strict row strict: row c.x > d asks for m
@@ -287,7 +280,7 @@ def _step_off(p: IntPoint, V: list[int], stricts: list[TaggedRow]) -> IntPoint:
         cv = sum(map(mul, c, V))
         if cv < 0:
             m = max(m, -cv // (sum(map(mul, c, X)) - d * D) + 1)
-    return _lowest([m * x + v for x, v in zip(X, V)], m * D)
+    return primitive_row([m * x + v for x, v in zip(X, V)], m * D)
 
 
 def _complete(flat: Flat, point: list[int], denom: int) -> IntPoint:
@@ -324,10 +317,10 @@ def _solve(flat: Flat, stricts: list[TaggedRow], dim: int) -> IntPoint | int:
     point = [0] * dim
     for k, v in zip(free, basic):
         point[k] = v
-    return _lowest(*_complete(flat, point, denom))
+    return primitive_row(*_complete(flat, point, denom))
 
 
-def _fraction_point(point: list[int], denom: int) -> Vector:
+def _fraction_point(point: Sequence[int], denom: int) -> Vector:
     return tuple(Fraction(v, denom) for v in point)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .circuits import circuits, in_generator_set, om_circuits
+from .circuits import circuits, om_circuits
 from .core import AxiomWitness, Com, axiom_witness, coloops, elements, topes
 from .minors import (
     contract,
@@ -69,18 +69,26 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     report["circuits"] = C.words()
     supports = C.minimal_deficient_supports
     antichain = all(a & b != a for a in supports for b in supports if a != b)
+    # The composition of all covectors is a covector whose support is
+    # every element but the coloops; call the covectors of that support
+    # widest (the topes, unless there are coloops).  A covector Y extends X
+    # exactly when the widest covector Y o T does, for any widest T.  So
+    # the generator test scans the widest covectors, not the column index
+    # that the circuits come from.
+    cl = coloops(L)
+    support = ((1 << L.n) - 1) & ~cl
+    widest = [(v.plus, v.minus) for v in L.covectors if v.support == support]
     report["circuits_ok"] = antichain and all(
-        in_generator_set(L, x) for x in C.circuits
+        all(x.plus & ~p or x.minus & ~m for p, m in widest) for x in C.circuits
     )
 
     report["n_topes"] = len(topes(L))
     report["nbc_counts"] = list(nbc_sets(L).counts)
     report["nbc_tope_ok"] = verify_nbc_tope(L)
 
-    cl = coloops(L)
     recursions_ok = True
     for i in range(L.n):
-        if i in cl:
+        if cl >> i & 1:
             continue
         if not verify_tope_recursion(L, i):
             recursions_ok = False

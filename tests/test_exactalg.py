@@ -9,7 +9,6 @@ from comring.exactalg import (
     IntMatrix,
     determinant,
     hermite_normal_form,
-    in_row_span,
     insert_row,
     primitive_row,
     reduce_row,
@@ -125,20 +124,28 @@ def test_matmul_shape_mismatch():
         IntMatrix.from_rows([[1, 2]]) * IntMatrix.from_rows([[1, 2]])
 
 
-def test_in_row_span_goldens():
-    assert not in_row_span(IntMatrix.from_rows([[2]]), [1])
-    assert in_row_span(IntMatrix.from_rows([[2]]), [4])
-    assert in_row_span(IntMatrix.from_rows([[1, 1], [0, 2]]), [1, 3])
-    assert not in_row_span(IntMatrix.from_rows([[1, 1], [0, 2]]), [1, 2])
-    assert in_row_span(IntMatrix.from_rows([[1, 0], [0, 1]]), [7, -3])
-    assert in_row_span(IntMatrix.from_rows([[1, 1]]), [0, 0])
+def lattice_of(rows):
+    """The lattice spanned by the integer rows."""
+    lattice = IntLattice(len(rows[0]))
+    for row in rows:
+        lattice.add(row)
+    return lattice
 
 
-def test_in_row_span_respects_rational_obstruction():
+def test_row_span_membership_goldens():
+    assert not lattice_of([[2]]).contains([1])
+    assert lattice_of([[2]]).contains([4])
+    assert lattice_of([[1, 1], [0, 2]]).contains([1, 3])
+    assert not lattice_of([[1, 1], [0, 2]]).contains([1, 2])
+    assert lattice_of([[1, 0], [0, 1]]).contains([7, -3])
+    assert lattice_of([[1, 1]]).contains([0, 0])
+
+
+def test_row_span_membership_respects_rational_obstruction():
     # rationally dependent but not an integer combination
-    M = IntMatrix.from_rows([[2, 0], [0, 2]])
-    assert not in_row_span(M, [1, 1])
-    assert in_row_span(M, [2, -4])
+    lattice = lattice_of([[2, 0], [0, 2]])
+    assert not lattice.contains([1, 1])
+    assert lattice.contains([2, -4])
 
 
 def test_lattice_incremental():

@@ -29,9 +29,10 @@ def brute_force_nbc(L, order):
     members = {(c.plus, c.minus) for c in C.circuits}
     blockers = []
     for c in C.circuits:
-        blockers.append(c.support_set())
+        support = frozenset(elements(c.support))
+        blockers.append(support)
         if (c.minus, c.plus) in members and not c.is_zero():
-            blockers.append(c.support_set() - {order.minimum(c.support_set())})
+            blockers.append(support - {order.minimum(support)})
     out = []
     for k in range(L.n + 1):
         for combo in combinations(range(L.n), k):

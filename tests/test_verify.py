@@ -9,7 +9,8 @@ import pytest
 from comring import core, rings, verify
 from comring.circuits import circuits
 from comring.cli import run
-from comring.core import com_to_json, topes
+from comring.core import Com, com_to_json, topes
+from comring.minors import inject
 from comring.realize import covectors, geometric_circuits
 from comring.verify import corpus_arrangement, full_verify
 
@@ -116,24 +117,57 @@ def test_failed_lift_names_its_first_element(monkeypatch, tmp_path, ex4):
     assert json.loads(out)["lift_failed_at"] == 2
 
 
+def install_faulty_columns(monkeypatch, fault):
+    """Replace the column index, as the circuit, minor and ring layers
+    see it, by fault(real index)."""
+    real = core.covector_columns
+    for layer in ("circuits", "minors", "rings"):
+        module = importlib.import_module(f"comring.{layer}")
+        monkeypatch.setattr(module, "covector_columns", lambda L: fault(real(L)))
+
+
+def forget_plus_at_0(cols):
+    return core.Columns((0,) + cols.plus[1:], cols.minus, cols.every)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
 def test_faulty_column_index_fails_the_report(monkeypatch, seed):
     """A column index that forgets where element 0 is positive gives
-    wrong circuits, and the report fails.  ``circuits_ok`` and
-    ``boolean_extension_ok`` cannot see this fault: they ask the same
-    faulty index that produced the circuits, so only the NBC count, the
-    recursions and (on oriented matroids) the OM cross check catch it."""
-    real = core.covector_columns
-
-    def faulty(L):
-        cols = real(L)
-        return core.Columns((0,) + cols.plus[1:], cols.minus, cols.every)
-
-    for layer in ("circuits", "minors", "rings"):
-        module = importlib.import_module(f"comring.{layer}")
-        monkeypatch.setattr(module, "covector_columns", faulty)
+    wrong circuits, and the report fails."""
+    install_faulty_columns(monkeypatch, forget_plus_at_0)
     arr = corpus_arrangement(seed)
     ok, report = full_verify(covectors(arr))
     assert report["circuits"] != geometric_circuits(arr).words()
     assert not ok and report["ok"] is False
     assert report["nbc_tope_ok"] is False
+    assert report["circuits_ok"] is False
+
+
+def test_faulty_column_index_fails_the_report_with_a_coloop(monkeypatch, ex4):
+    """ex4 with a coloop appended has no tope, and the same fault leaves
+    every other key True: the generator test scans the covectors of
+    widest support, not the topes, and fails."""
+    L = Com(ex4.n + 1, [inject(v, ex4.n) for v in ex4])
+    assert full_verify(L)[0] and not topes(L)
+    install_faulty_columns(monkeypatch, forget_plus_at_0)
+    # A fresh Com, so no result memoized before the fault is reused.
+    ok, report = full_verify(Com(L.n, L.covectors))
+    assert not ok and report["circuits_ok"] is False
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_column_index_hiding_circuits_fails_boolean_extension(monkeypatch, seed):
+    """A column index in which every covector is both positive and
+    negative at element 0 hides the circuits through 0, and the boolean
+    extension check, which scans the covectors, sees a circuit-free set
+    with an unrealized pattern."""
+    install_faulty_columns(
+        monkeypatch,
+        lambda cols: core.Columns(
+            (cols.every,) + cols.plus[1:], (cols.every,) + cols.minus[1:], cols.every
+        ),
+    )
+    ok, report = full_verify(covectors(corpus_arrangement(seed)))
+    assert not ok
+    assert report["boolean_extension_ok"] is False
+    assert 0 in report["boolean_extension_failed_at"]
