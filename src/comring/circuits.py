@@ -8,6 +8,8 @@ is the membership test implemented here.  Every extension test ANDs the
 per-element covector bit sets of ``core.covector_columns``: the
 covectors extending X are the AND of the plus columns on X+ and the
 minus columns on X-.  That is exact for any covector set, COM or not.
+``circuits`` sweeps the patterns of a support by extending its parent's
+sweep, the support without its top element, by that element's columns.
 
 Circuits are the support minimal blockers.  Every circuit family here
 is a family of sign vectors cut down to its inclusion minimal supports:
@@ -20,6 +22,13 @@ skip exactly the supersets of the blocked supports.  For a circuit
 family a support is blocked when the family has members on it, so every
 support with members the walk tests is minimal, whether the family is
 upward closed or not.  Supports are bit masks throughout.
+
+The orthogonality test of ``om_circuits`` runs on per-element bit sets
+of its own, built from the covector list and not from the column index,
+so the cross check does not share the index with ``circuits``.  OR-ing
+the sets over a pattern X gives A, the covectors that agree with X
+somewhere, and O, those that oppose it somewhere; X is orthogonal to
+every covector exactly when A == O.
 """
 
 from __future__ import annotations
@@ -27,22 +36,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import Columns, Com, SignVector, covector_columns, is_oriented_matroid
+from .core import Columns, Com, SignVector, covector_columns, elements, is_oriented_matroid
 
 
 @dataclass(frozen=True)
 class CircuitSet:
     """Circuits plus the minimal deficient supports they live on, as bit
-    masks."""
+    masks.  ``pair_supports`` holds the supports of ``symmetric_pairs()``,
+    in the same order."""
 
     n: int
     circuits: tuple[SignVector, ...]
     minimal_deficient_supports: tuple[int, ...]
     _members: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    pair_supports: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = frozenset((c.plus, c.minus) for c in self.circuits)
         object.__setattr__(self, "_members", members)
+        pairs = tuple(c.support for c in self.symmetric_pairs())
+        object.__setattr__(self, "pair_supports", pairs)
 
     def __contains__(self, x: SignVector) -> bool:
         return x.n == self.n and (x.plus, x.minus) in self._members
@@ -100,15 +113,34 @@ def circuits(L: Com) -> CircuitSet:
 
     A support S is deficient when the covectors realize fewer than 2^|S|
     full sign patterns on it; the circuits are the missing patterns on
-    the minimal deficient supports.  Intended for ground sets up to
-    around 16 elements.  Computed once per Com.
+    the minimal deficient supports.  The walk lists the children of a
+    support one after another, each the parent plus one element above its
+    top, so the sweep of the last parent is kept and each child costs one
+    AND per parent pattern and sign of its top element.  A child whose
+    parent is not the kept one has the parent's sweep built from scratch,
+    which keeps the result independent of the call order.  Intended for
+    ground sets up to around 16 elements.  Computed once per Com.
     """
 
     def compute() -> CircuitSet:
         cols = covector_columns(L)
-        return minimal_support_walk(
-            L.n, lambda mask: [pat for pat, bits in _patterns(cols, mask) if not bits]
-        )
+        parent, sweep = -1, []
+
+        def missing(mask: int) -> list[int]:
+            nonlocal parent, sweep
+            if not mask:
+                return [] if cols.every else [0]
+            i = mask.bit_length() - 1
+            top = 1 << i
+            if mask ^ top != parent:
+                parent = mask ^ top
+                sweep = _patterns(cols, parent)
+            p, m = cols.plus[i], cols.minus[i]
+            return [pat | top for pat, bits in sweep if not bits & p] + [
+                pat for pat, bits in sweep if not bits & m
+            ]
+
+        return minimal_support_walk(L.n, missing)
 
     return L._cached("circuits", compute)
 
@@ -176,13 +208,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _orthogonal(xp: int, xm: int, yp: int, ym: int) -> bool:
-    """Orthogonality of the sign vectors with these plus and minus masks."""
-    agree = (xp & yp) | (xm & ym)
-    oppose = (xp & ym) | (xm & yp)
-    return (agree == 0) == (oppose == 0)
-
-
 def orthogonal(x: SignVector, y: SignVector) -> bool:
     """Orthogonality of sign vectors.
 
@@ -191,7 +216,9 @@ def orthogonal(x: SignVector, y: SignVector) -> bool:
     """
     if x.n != y.n:
         raise ValueError("ground sets differ")
-    return _orthogonal(x.plus, x.minus, y.plus, y.minus)
+    agree = (x.plus & y.plus) | (x.minus & y.minus)
+    oppose = (x.plus & y.minus) | (x.minus & y.plus)
+    return (agree == 0) == (oppose == 0)
 
 
 def om_circuits(L: Com) -> CircuitSet:
@@ -199,22 +226,38 @@ def om_circuits(L: Com) -> CircuitSet:
 
     Only defined for oriented matroids; raises ValueError otherwise.
     For oriented matroids this set equals circuits(L); as a cross check
-    it shares only the support walk with ``circuits`` and tests each
-    pattern for orthogonality to the covectors restricted to its support,
-    not for extension.
+    it shares only the support walk with ``circuits``, and builds its own
+    per-element bit sets from ``L.covectors``, not ``covector_columns``.
+    Each pattern X on a support is swept with the pair (A, O): A ORs the
+    plus sets on X+ and the minus sets on X-, the covectors agreeing with
+    X somewhere, and O the other two, those opposing it somewhere.  A
+    covector Y is orthogonal to X when it is in both or neither, so X is
+    orthogonal to every covector exactly when A == O.
     """
     if not is_oriented_matroid(L):
         raise ValueError("input is not an oriented matroid")
-    cov = L.covectors
+    plus, minus = [0] * L.n, [0] * L.n
+    for k, v in enumerate(L.covectors):
+        bit = 1 << k
+        for i in elements(v.plus):
+            plus[i] |= bit
+        for i in elements(v.minus):
+            minus[i] |= bit
 
     def vectors(mask: int) -> list[int]:
         if not mask:
             return []
-        rows = {(v.plus & mask, v.minus & mask) for v in cov}
-        return [
-            pat
-            for pat in submasks(mask)
-            if all(_orthogonal(pat, mask ^ pat, yp, ym) for yp, ym in rows)
-        ]
+        sweep = [(0, 0, 0)]
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            p, m = plus[i], minus[i]
+            sweep = [
+                q
+                for pat, a, o in sweep
+                for q in ((pat | low, a | p, o | m), (pat, a | m, o | p))
+            ]
+            mask ^= low
+        return [pat for pat, a, o in sweep if a == o]
 
     return minimal_support_walk(L.n, vectors)

@@ -19,11 +19,12 @@ return a bool; the order (and its maximal element) is the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
 from .circuits import CircuitSet, circuits, unblocked_levels
-from .core import Com, SignVector, _drop_bit, coloops, elements, topes
+from .core import Com, SignVector, _drop_bit, coloops, topes
 from .minors import contract, delete
 
 
@@ -37,6 +38,11 @@ class LinearOrder:
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("not a permutation of the ground set")
 
+    @cached_property
+    def _rank(self) -> dict[int, int]:
+        """The rank of each element, built on first use."""
+        return {e: r for r, e in enumerate(self.perm)}
+
     @classmethod
     def identity(cls, n: int) -> "LinearOrder":
         return cls(tuple(range(n)))
@@ -46,15 +52,24 @@ class LinearOrder:
         return len(self.perm)
 
     def ranks(self) -> dict[int, int]:
-        return {e: r for r, e in enumerate(self.perm)}
+        return dict(self._rank)
 
     def minimum(self, subset: Iterable[int]) -> int:
-        return min(subset, key=self.perm.index)
+        return min(subset, key=self._rank.__getitem__)
 
     def maximum_element(self) -> int:
         if not self.perm:
             raise ValueError("empty ground set has no maximum")
         return self.perm[-1]
+
+
+def _drop_minimum(perm: tuple[int, ...], mask: int) -> int:
+    """The nonzero mask without its order minimum, the first element of
+    perm that lies in it."""
+    for e in perm:
+        if mask >> e & 1:
+            return mask ^ 1 << e
+    raise ValueError("empty mask has no minimum")
 
 
 def broken_circuit(x: SignVector, order: LinearOrder) -> int:
@@ -63,7 +78,9 @@ def broken_circuit(x: SignVector, order: LinearOrder) -> int:
     The broken circuit of a one-element circuit is 0, the empty set."""
     if x.is_zero():
         raise ValueError("zero sign vector has no broken circuit")
-    return x.support & ~(1 << order.minimum(elements(x.support)))
+    if x.support >> order.n:
+        raise ValueError("sign vector has elements outside the order")
+    return _drop_minimum(order.perm, x.support)
 
 
 @dataclass(frozen=True)
@@ -83,7 +100,7 @@ def _blocker_masks(C: CircuitSet, order: LinearOrder) -> set[int]:
     """Every circuit support and the broken circuit of every symmetric
     circuit pair.  The zero circuit gives the empty blocker 0."""
     blockers = set(C.minimal_deficient_supports)
-    blockers.update(broken_circuit(x, order) for x in C.symmetric_pairs() if x.support)
+    blockers.update(_drop_minimum(order.perm, s) for s in C.pair_supports if s)
     return blockers
 
 

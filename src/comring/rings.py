@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice
+from operator import add
 
 from .circuits import circuits
-from .core import Com, SignVector, covector_columns, topes
+from .core import Com, SignVector, covector_columns, elements, topes
 from .exactalg import IntLattice, IntMatrix, hermite_normal_form
 from .nbc import LinearOrder, nbc_sets
 
@@ -505,12 +506,16 @@ def _circuit_product(
     x: SignVector, nvars: int, pos: list[MPoly], neg: list[MPoly]
 ) -> MPoly:
     """The circuit product e_X: pos[i] for each i in X+ times neg[i] for
-    each i in X-, in index order."""
-    acc = MPoly.const(nvars, 1)
-    for i in range(x.n):
-        s = x.sign(i)
-        if s > 0:
-            acc = acc * pos[i]
-        elif s < 0:
-            acc = acc * neg[i]
-    return acc
+    each i in X-.  The terms are expanded in a plain exponent dict, one
+    factor per signed element in index order, and sorted once, by
+    ``MPoly.of``."""
+    terms = {(0,) * nvars: 1}
+    for i in elements(x.support):
+        factor = (pos if x.plus >> i & 1 else neg)[i].terms
+        grown: dict[tuple[int, ...], int] = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in factor:
+                e = tuple(map(add, e1, e2))
+                grown[e] = grown.get(e, 0) + c1 * c2
+        terms = grown
+    return MPoly.of(nvars, terms)

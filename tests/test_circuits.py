@@ -16,7 +16,7 @@ from comring.circuits import (
 from comring.core import Com, SignVector, elements
 from comring.minors import contract, delete
 from comring.realize import covectors, geometric_circuits
-from comring.verify import corpus_arrangement
+from comring.verify import corpus_arrangement, generate_random_arrangement
 
 
 def brute_force_circuits(L):
@@ -170,7 +170,8 @@ def test_om_circuits_matches_blocker_form(gen3):
 
 def test_om_circuits_match_orthogonality_oracle():
     """Every oriented matroid among corpus seeds 0-120 and their single
-    element minors, plus the trivial ones, circuits and supports alike."""
+    element minors, plus the trivial ones, circuits and supports alike;
+    and the two central (3, 8) arrangements that the benchmark times."""
     oms = [Com.from_words(0, [""]), Com.from_words(1, ["0"])]
     for seed in range(121):
         L = covectors(corpus_arrangement(seed))
@@ -178,6 +179,7 @@ def test_om_circuits_match_orthogonality_oracle():
             if SignVector(M.n, 0, 0) in M:
                 oms.append(M)
     assert len(oms) == 2 + 289
+    oms += [covectors(generate_random_arrangement(s, 3, 8, 0, central=True)) for s in (0, 1)]
     for L in oms:
         assert om_circuits(L) == brute_force_om_circuits(L), L.words()
 

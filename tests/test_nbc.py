@@ -9,6 +9,7 @@ from comring.core import Com, SignVector, elements, topes
 from comring.minors import contract, delete
 from comring.nbc import (
     LinearOrder,
+    _blocker_masks,
     broken_circuit,
     induced_order,
     nbc_sets,
@@ -75,6 +76,8 @@ def test_broken_circuit():
     assert broken_circuit(SignVector.from_word("0+0"), o) == 0
     with pytest.raises(ValueError):
         broken_circuit(SignVector.from_word("000"), o)
+    with pytest.raises(ValueError):
+        broken_circuit(SignVector.from_word("0+0+"), o)
 
 
 def test_planar_fixture_golden(gen3):
@@ -224,3 +227,22 @@ def test_oracle_agreement_any_sign_vector_set(case):
     assert [elements(s) for s in fam.sets] == [sorted(s) for s in expected]
     sizes = [len(s) for s in expected]
     assert fam.counts == tuple(sizes.count(k) for k in range(max(sizes, default=-1) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_and_orders())
+def test_blocker_masks_match_broken_circuits(case):
+    """The walk's blockers are the circuit supports and the broken circuit
+    of each nonzero symmetric pair; each broken circuit drops the minimum
+    under the order's rank table."""
+    L, order = case
+    C = circuits(L)
+    pairs = C.symmetric_pairs()
+    assert C.pair_supports == tuple(x.support for x in pairs)
+    pairs = [x for x in pairs if x.support]
+    for x in pairs:
+        low = order.minimum(elements(x.support))
+        assert broken_circuit(x, order) == x.support & ~(1 << low)
+    expected = set(C.minimal_deficient_supports)
+    expected.update(broken_circuit(x, order) for x in pairs)
+    assert _blocker_masks(C, order) == expected

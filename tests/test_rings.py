@@ -11,6 +11,7 @@ from comring.rings import (
     EMonomial,
     MPoly,
     TopeFunction,
+    _circuit_product,
     e_X_eval,
     f_X_eval,
     gr_multiply,
@@ -125,6 +126,35 @@ def test_pair_evaluation_vanishes(gen3, ex4):
         C = circuits(L)
         for x in C.symmetric_pairs():
             assert f_X_eval(L, x).is_zero()
+
+
+def chain_product(x, nvars, pos, neg):
+    """The circuit product as the left-to-right chain of MPoly products."""
+    acc = MPoly.const(nvars, 1)
+    for i, s in enumerate(x.signs()):
+        if s:
+            acc = acc * (pos[i] if s > 0 else neg[i])
+    return acc
+
+
+def test_circuit_product_matches_multiplication_chain():
+    """Every circuit of corpus seeds 0-120, and -X for each symmetric
+    pair, under the factor lists that ``presentation`` passes: e_i - u
+    for the negative signs, in both generator layouts, and -e_i^- in
+    the symmetric one."""
+    for seed in range(121):
+        C = circuits(covectors(corpus_arrangement(seed)))
+        n = C.n
+        xs = list(C.circuits) + [-x for x in C.symmetric_pairs()]
+        for nv, step in ((n + 1, 1), (2 * n + 1, 2)):
+            u = MPoly.var(nv, nv - 1)
+            plus = [MPoly.var(nv, step * i) for i in range(n)]
+            negs = [[p - u for p in plus]]
+            if step == 2:
+                negs.append([-MPoly.var(nv, 2 * i + 1) for i in range(n)])
+            for neg in negs:
+                for x in xs:
+                    assert _circuit_product(x, nv, plus, neg) == chain_product(x, nv, plus, neg)
 
 
 def test_pair_evaluation_requires_pair(ex4):

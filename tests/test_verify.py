@@ -143,6 +143,28 @@ def test_faulty_column_index_fails_the_report(monkeypatch, seed):
     assert report["circuits_ok"] is False
 
 
+def reorient_at_0(cols):
+    """The column index of L with element 0 reoriented, itself an
+    oriented matroid when L is one."""
+    plus, minus = list(cols.plus), list(cols.minus)
+    plus[0], minus[0] = minus[0], plus[0]
+    return core.Columns(tuple(plus), tuple(minus), cols.every)
+
+
+@pytest.mark.parametrize("fault", [forget_plus_at_0, reorient_at_0])
+@pytest.mark.parametrize("seed", [0, 5, 10])
+def test_faulty_column_index_fails_the_om_cross_check(monkeypatch, seed, fault):
+    """On a central corpus seed, an oriented matroid, a faulty column
+    index changes the circuits but not the oriented matroid circuits,
+    which are built from the covector list, so the cross check fails.
+    Under the reorientation both families would agree if ``om_circuits``
+    read the index."""
+    install_faulty_columns(monkeypatch, fault)
+    ok, report = full_verify(covectors(corpus_arrangement(seed)))
+    assert not ok
+    assert report["om_cross_check_ok"] is False
+
+
 def test_faulty_column_index_fails_the_report_with_a_coloop(monkeypatch, ex4):
     """ex4 with a coloop appended has no tope, and the same fault leaves
     every other key True: the generator test scans the covectors of
