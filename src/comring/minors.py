@@ -212,10 +212,13 @@ def verify_boolean_extension(L: Com, J: int) -> bool:
     covectors.
 
     Precondition: J contains no circuit support; raises ValueError when
-    it does, since the guarantee only holds in that case.  The patterns
-    are counted by a scan of the covectors, not by the column index that
-    the circuits come from, so a faulty index cannot certify itself.
+    it does, since the guarantee only holds in that case, and when J has
+    an index outside the ground set.  The patterns are counted by a scan
+    of the covectors, not by the column index that the circuits come
+    from, so a faulty index cannot certify itself.
     """
+    if J < 0 or J >> L.n:
+        raise ValueError("index outside ground set")
     for s in circuits(L).minimal_deficient_supports:
         if s & J == s:
             raise ValueError("J contains a circuit support")

@@ -2,15 +2,17 @@
 
 A subset S is NBC when it contains no circuit support and, for every
 symmetric circuit pair {X, -X}, does not contain the broken circuit of
-X, which is the support of X with its order minimum removed.  Both
-blocking conditions are monotone, so the family is closed downward, and
-it is the support walk of ``circuits.unblocked_levels`` with "is a
-blocker" as its test.  The walk tests a k-set only when all of its
-(k-1)-subsets are NBC, so the k-set holds a blocker exactly when it is
-one; non-minimal blockers are therefore harmless and are not filtered
-out.  The sets come out level by level in canonical order (size, then
-lexicographic), as bit masks, and the counts per size are the level
-sizes.  The family size always equals the number of topes.
+X, which is the support of X with its order minimum removed.  That
+minimum has one rule, ``LinearOrder.minimum``: the first element of the
+permutation that lies in the support mask.  Both blocking conditions
+are monotone, so the family is closed downward, and it is the support
+walk of ``circuits.unblocked_levels`` with "is a blocker" as its test.
+The walk tests a k-set only when all of its (k-1)-subsets are NBC, so
+the k-set holds a blocker exactly when it is one; non-minimal blockers
+are therefore harmless and are not filtered out.  The sets come out
+level by level in canonical order (size, then lexicographic), as bit
+masks, and the counts per size are the level sizes.  The family size
+always equals the number of topes.
 
 Like the minor checks, ``verify_nbc_tope`` and ``verify_nbc_recursion``
 return a bool; the order (and its maximal element) is the witness.
@@ -19,9 +21,7 @@ return a bool; the order (and its maximal element) is the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from typing import Iterable
 
 from .circuits import CircuitSet, circuits, unblocked_levels
 from .core import Com, SignVector, _drop_bit, coloops, topes
@@ -30,18 +30,17 @@ from .minors import contract, delete
 
 @dataclass(frozen=True)
 class LinearOrder:
-    """A permutation of {0, ..., n-1}; earlier entries are smaller."""
+    """A permutation of {0, ..., n-1}; earlier entries are smaller.
+
+    Subsets are bit masks, as everywhere in the package: ``minimum``
+    takes a mask and ``ranks`` gives each element's position in perm.
+    """
 
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("not a permutation of the ground set")
-
-    @cached_property
-    def _rank(self) -> dict[int, int]:
-        """The rank of each element, built on first use."""
-        return {e: r for r, e in enumerate(self.perm)}
 
     @classmethod
     def identity(cls, n: int) -> "LinearOrder":
@@ -52,10 +51,18 @@ class LinearOrder:
         return len(self.perm)
 
     def ranks(self) -> dict[int, int]:
-        return dict(self._rank)
+        return {e: r for r, e in enumerate(self.perm)}
 
-    def minimum(self, subset: Iterable[int]) -> int:
-        return min(subset, key=self._rank.__getitem__)
+    def minimum(self, mask: int) -> int:
+        """The order minimum of the subset mask: the first element of perm
+        that lies in it.  Raises when the mask is empty or has an element
+        outside the order."""
+        if mask >> self.n:
+            raise ValueError("mask has elements outside the order")
+        for e in self.perm:
+            if mask >> e & 1:
+                return e
+        raise ValueError("empty mask has no minimum")
 
     def maximum_element(self) -> int:
         if not self.perm:
@@ -63,24 +70,13 @@ class LinearOrder:
         return self.perm[-1]
 
 
-def _drop_minimum(perm: tuple[int, ...], mask: int) -> int:
-    """The nonzero mask without its order minimum, the first element of
-    perm that lies in it."""
-    for e in perm:
-        if mask >> e & 1:
-            return mask ^ 1 << e
-    raise ValueError("empty mask has no minimum")
-
-
 def broken_circuit(x: SignVector, order: LinearOrder) -> int:
-    """Support mask of x with its order minimum removed; x must be nonzero.
+    """Support mask of x with its order minimum removed.
 
-    The broken circuit of a one-element circuit is 0, the empty set."""
-    if x.is_zero():
-        raise ValueError("zero sign vector has no broken circuit")
-    if x.support >> order.n:
-        raise ValueError("sign vector has elements outside the order")
-    return _drop_minimum(order.perm, x.support)
+    The broken circuit of a one-element circuit is 0, the empty set.
+    Raises, through ``LinearOrder.minimum``, when x is zero or has an
+    element outside the order."""
+    return x.support ^ 1 << order.minimum(x.support)
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ def _blocker_masks(C: CircuitSet, order: LinearOrder) -> set[int]:
     """Every circuit support and the broken circuit of every symmetric
     circuit pair.  The zero circuit gives the empty blocker 0."""
     blockers = set(C.minimal_deficient_supports)
-    blockers.update(_drop_minimum(order.perm, s) for s in C.pair_supports if s)
+    blockers.update(s ^ 1 << order.minimum(s) for s in C.pair_supports if s)
     return blockers
 
 

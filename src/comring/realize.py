@@ -332,8 +332,10 @@ def feasible_point(
     Callers clear the denominators of an arrangement's rational rows
     once, when they set up their rows.  The equalities go into an
     integer reduced echelon flat and ``_solve`` decides the strict rows
-    on it.
+    on it.  Raises when a row does not have dim coefficients.
     """
+    if any(len(c) != dim for rows in (equalities, stricts) for c, _ in rows):
+        raise ValueError("every row needs dim coefficients")
     flat: Flat | None = ()
     for row in equalities:
         flat = insert_row(flat, row)

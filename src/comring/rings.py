@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from operator import add
+from operator import add, mul, sub
+from typing import Callable, Iterable
 
 from .circuits import circuits
 from .core import Com, SignVector, covector_columns, elements, topes
@@ -57,27 +58,21 @@ class TopeFunction:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
-    def _check(self, other: "TopeFunction") -> None:
+    def _pointwise(
+        self, op: Callable[[MPoly, MPoly], MPoly], other: "TopeFunction"
+    ) -> "TopeFunction":
         if self.topes != other.topes:
             raise ValueError("tope lists differ")
+        return TopeFunction(self.topes, tuple(map(op, self.values, other.values)))
 
     def __add__(self, other: "TopeFunction") -> "TopeFunction":
-        self._check(other)
-        return TopeFunction(
-            self.topes, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        return self._pointwise(add, other)
 
     def __sub__(self, other: "TopeFunction") -> "TopeFunction":
-        self._check(other)
-        return TopeFunction(
-            self.topes, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return self._pointwise(sub, other)
 
     def __mul__(self, other: "TopeFunction") -> "TopeFunction":
-        self._check(other)
-        return TopeFunction(
-            self.topes, tuple(a * b for a, b in zip(self.values, other.values))
-        )
+        return self._pointwise(mul, other)
 
     def scale(self, p: MPoly) -> "TopeFunction":
         return TopeFunction(self.topes, tuple(p * v for v in self.values))
@@ -313,6 +308,22 @@ class MPoly:
         return cls(nvars, tuple(ordered))
 
     @classmethod
+    def product(cls, nvars: int, factors: Iterable["MPoly"]) -> "MPoly":
+        """The expanded product of the factors, 1 when there are none.
+
+        This is the one expansion loop: the terms grow in one exponent
+        dict, factor by factor, and are sorted once, by ``of``."""
+        terms = {(0,) * nvars: 1}
+        for factor in factors:
+            grown: dict[tuple[int, ...], int] = {}
+            for e1, c1 in terms.items():
+                for e2, c2 in factor.terms:
+                    e = tuple(map(add, e1, e2))
+                    grown[e] = grown.get(e, 0) + c1 * c2
+            terms = grown
+        return cls.of(nvars, terms)
+
+    @classmethod
     def zero(cls, nvars: int) -> "MPoly":
         return cls.of(nvars, {})
 
@@ -345,12 +356,7 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MPoly.of(self.nvars, out)
+        return MPoly.product(self.nvars, (self, other))
 
     def divexact(self, j: int) -> "MPoly":
         """Quotient by variable j; raises when any term lacks it."""
@@ -475,12 +481,17 @@ def presentation(
         relations += [Relation("diag", p * (u - p)) for p in plus]
         neg_minus = eliminated
         names = [f"e{i}+" for i in range(n)]
+
+    def e_product(x: SignVector, neg: list[MPoly]) -> MPoly:
+        """e_X: plus[i] for each i in X+ times neg[i] for each i in X-."""
+        pos_factors = [plus[i] for i in elements(x.plus)]
+        return MPoly.product(nv, pos_factors + [neg[i] for i in elements(x.minus)])
+
     for x in circuit_list:
-        relations.append(Relation("circuit", _circuit_product(x, nv, plus, neg_minus), x))
+        relations.append(Relation("circuit", e_product(x, neg_minus), x))
     for x in C.symmetric_pairs():
-        e_x = _circuit_product(x, nv, plus, eliminated)
-        e_minus_x = _circuit_product(-x, nv, plus, eliminated)
-        relations.append(Relation("pair", (e_x - e_minus_x).divexact(nv - 1), x))
+        e_x_diff = e_product(x, eliminated) - e_product(-x, eliminated)
+        relations.append(Relation("pair", e_x_diff.divexact(nv - 1), x))
     names.append("u")
 
     final = []
@@ -501,21 +512,3 @@ def presentation(
         {"generator_filtration_level": 1, "generator_cohomological_degree": 2},
     )
 
-
-def _circuit_product(
-    x: SignVector, nvars: int, pos: list[MPoly], neg: list[MPoly]
-) -> MPoly:
-    """The circuit product e_X: pos[i] for each i in X+ times neg[i] for
-    each i in X-.  The terms are expanded in a plain exponent dict, one
-    factor per signed element in index order, and sorted once, by
-    ``MPoly.of``."""
-    terms = {(0,) * nvars: 1}
-    for i in elements(x.support):
-        factor = (pos if x.plus >> i & 1 else neg)[i].terms
-        grown: dict[tuple[int, ...], int] = {}
-        for e1, c1 in terms.items():
-            for e2, c2 in factor:
-                e = tuple(map(add, e1, e2))
-                grown[e] = grown.get(e, 0) + c1 * c2
-        terms = grown
-    return MPoly.of(nvars, terms)

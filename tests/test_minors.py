@@ -336,6 +336,14 @@ def test_boolean_extension_rejects_deficient_sets(gen3, ex4):
         verify_boolean_extension(ex4, 0b1100)
 
 
+def test_boolean_extension_rejects_indices_outside_ground_set():
+    L = Com.from_words(2, ["++", "+-", "-+", "--", "0+", "0-", "+0", "-0", "00"])
+    assert verify_boolean_extension(L, 0b11)
+    for J in (0b100, 0b101, -1):
+        with pytest.raises(ValueError, match="index outside ground set"):
+            verify_boolean_extension(L, J)
+
+
 def test_deleting_all_elements_reaches_trivial(gen3):
     L = gen3
     while L.n:

@@ -24,16 +24,18 @@ def brute_force_nbc(L, order):
     """Independent oracle: filter all subsets against the blocker list.
 
     A subset is excluded when it contains a circuit support or, for a
-    symmetric circuit pair, the support minus its order-minimum.
+    symmetric circuit pair, the support minus its order-minimum, taken
+    here by rank and not by ``LinearOrder.minimum``.
     """
     C = circuits(L)
+    ranks = order.ranks()
     members = {(c.plus, c.minus) for c in C.circuits}
     blockers = []
     for c in C.circuits:
         support = frozenset(elements(c.support))
         blockers.append(support)
         if (c.minus, c.plus) in members and not c.is_zero():
-            blockers.append(support - {order.minimum(support)})
+            blockers.append(support - {min(support, key=ranks.__getitem__)})
     out = []
     for k in range(L.n + 1):
         for combo in combinations(range(L.n), k):
@@ -51,8 +53,9 @@ def as_sets(masks):
 def test_linear_order():
     o = LinearOrder((2, 0, 1))
     assert o.ranks() == {2: 0, 0: 1, 1: 2}
-    assert o.minimum({0, 1}) == 0
-    assert o.minimum({0, 1, 2}) == 2
+    assert o.minimum(0b011) == 0
+    assert o.minimum(0b111) == 2
+    assert o.minimum(0b010) == 1
     assert o.maximum_element() == 1
     assert LinearOrder.identity(3) == LinearOrder((0, 1, 2))
     with pytest.raises(ValueError):
@@ -63,9 +66,11 @@ def test_order_minimum_follows_ranks():
     for perm in permutations(range(4)):
         order = LinearOrder(perm)
         ranks = order.ranks()
-        for k in range(1, 5):
-            for subset in combinations(range(4), k):
-                assert order.minimum(subset) == min(subset, key=ranks.__getitem__)
+        for mask in range(1, 16):
+            assert order.minimum(mask) == min(elements(mask), key=ranks.__getitem__)
+        for mask in (0, 0b10000, 0b10001, -1):
+            with pytest.raises(ValueError):
+                order.minimum(mask)
 
 
 def test_broken_circuit():
@@ -234,14 +239,14 @@ def test_oracle_agreement_any_sign_vector_set(case):
 def test_blocker_masks_match_broken_circuits(case):
     """The walk's blockers are the circuit supports and the broken circuit
     of each nonzero symmetric pair; each broken circuit drops the minimum
-    under the order's rank table."""
+    under the order's ranks, taken here without ``LinearOrder.minimum``."""
     L, order = case
     C = circuits(L)
     pairs = C.symmetric_pairs()
     assert C.pair_supports == tuple(x.support for x in pairs)
     pairs = [x for x in pairs if x.support]
     for x in pairs:
-        low = order.minimum(elements(x.support))
+        low = min(elements(x.support), key=order.ranks().__getitem__)
         assert broken_circuit(x, order) == x.support & ~(1 << low)
     expected = set(C.minimal_deficient_supports)
     expected.update(broken_circuit(x, order) for x in pairs)

@@ -18,7 +18,8 @@ def test_retired_names_are_gone():
         "UPoly", "ZERO_P", "ONE_P", "minor_report", "MinorReport",
         "TopeRecursionReport", "NbcRecursionReport", "NbcTopeReport",
         "DisjointCovectorReport", "LiftReport", "RunConfig", "CircuitMinorReport",
-        "minimal_masks", "_shift_down", "_mask_bits",
+        "minimal_masks", "_shift_down", "_mask_bits", "_circuit_product",
+        "_drop_minimum",
     )
     # ``comring.circuits`` is the function the package re-exports, which
     # shadows the submodule, so the modules come from the import system.

@@ -79,6 +79,18 @@ def test_feasible_point_rational_exactness():
     assert F(1, 3) < p[0] < F(2, 3)
 
 
+def test_feasible_point_rejects_rows_of_the_wrong_length():
+    # (1, 0, 5).x = 0 in dimension 2 must not drop the 5 and answer (0, 1)
+    with pytest.raises(ValueError):
+        feasible_point([row(1, 0, 5, 0)], [], 2)
+    with pytest.raises(ValueError):
+        feasible_point([row(1, 0)], [], 2)
+    with pytest.raises(ValueError):
+        feasible_point([], [row(1, 0, 0), row(1, 0, 5, 0)], 2)
+    with pytest.raises(ValueError):
+        strictly_feasible([], [row(1, 0)], 2)
+
+
 def test_hyperplane_rejects_zero_normal():
     with pytest.raises(ValueError):
         Hyperplane((F(0), F(0)), F(1))

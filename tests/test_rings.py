@@ -11,7 +11,6 @@ from comring.rings import (
     EMonomial,
     MPoly,
     TopeFunction,
-    _circuit_product,
     e_X_eval,
     f_X_eval,
     gr_multiply,
@@ -138,10 +137,11 @@ def chain_product(x, nvars, pos, neg):
 
 
 def test_circuit_product_matches_multiplication_chain():
-    """Every circuit of corpus seeds 0-120, and -X for each symmetric
-    pair, under the factor lists that ``presentation`` passes: e_i - u
-    for the negative signs, in both generator layouts, and -e_i^- in
-    the symmetric one."""
+    """``MPoly.product`` over the factor list of e_X equals the chain of
+    ``*``, for every circuit of corpus seeds 0-120 and -X for each
+    symmetric pair.  The factors are e_i^+ on X+ and, on X-, the lists
+    that ``presentation`` uses: e_i - u in both generator layouts, and
+    -e_i^- in the symmetric one."""
     for seed in range(121):
         C = circuits(covectors(corpus_arrangement(seed)))
         n = C.n
@@ -154,7 +154,58 @@ def test_circuit_product_matches_multiplication_chain():
                 negs.append([-MPoly.var(nv, 2 * i + 1) for i in range(n)])
             for neg in negs:
                 for x in xs:
-                    assert _circuit_product(x, nv, plus, neg) == chain_product(x, nv, plus, neg)
+                    factors = [plus[i] for i in elements(x.plus)]
+                    factors += [neg[i] for i in elements(x.minus)]
+                    assert MPoly.product(nv, factors) == chain_product(x, nv, plus, neg)
+
+
+def relations_on_tope(pres, tope):
+    """Each relation of pres under e_i^s -> u * h_i^s, evaluated at the
+    tope as a map from the power of u to its coefficient; vg mode sets
+    u = 1, so everything lands on one key.  A term counts only when the
+    tope has sign s at i for every e_i^s in it."""
+    wanted = []
+    for name in pres.variables:
+        bit = 0 if name == "u" else 1 << int(name[1:-1])
+        wanted.append((bit, 0) if name.endswith("+") else (0, bit))
+    values = []
+    for rel in pres.relations:
+        value = {}
+        for e, c in rel.poly.terms:
+            plus = minus = 0
+            for (p, m), k in zip(wanted, e):
+                if k:
+                    plus |= p
+                    minus |= m
+            if plus & ~tope.plus == 0 and minus & ~tope.minus == 0:
+                power = sum(e) if pres.mode == "rees" else 0
+                value[power] = value.get(power, 0) + c
+        values.append(value)
+    return values
+
+
+def test_presentation_relations_vanish_on_topes():
+    """Every relation that ``presentation`` emits, in rees and vg mode
+    and under each choice of reduced and symmetric, is zero on every
+    tope: corpus seeds 0-120 and seeds 0-1 of the four verify-workload
+    shapes."""
+    shapes = ((3, 8, 2, False), (4, 6, 2, False), (3, 8, 0, True), (2, 9, 2, False))
+    arrangements = [corpus_arrangement(seed) for seed in range(121)]
+    for d, n, k, central in shapes:
+        arrangements += [generate_random_arrangement(s, d, n, k, central) for s in range(2)]
+    checked = 0
+    for arr in arrangements:
+        L = covectors(arr)
+        t = topes(L)
+        for mode in ("rees", "vg"):
+            for reduced in (False, True):
+                for symmetric in (False, True):
+                    pres = presentation(L, mode, reduced=reduced, symmetric=symmetric)
+                    for T in t:
+                        for rel, value in zip(pres.relations, relations_on_tope(pres, T)):
+                            assert not any(value.values()), (L.words(), mode, rel, T.word())
+                    checked += 1
+    assert checked == 1032
 
 
 def test_pair_evaluation_requires_pair(ex4):
