@@ -3,13 +3,16 @@
 Subcommands wire files to library operations; ``verify`` prints the
 report of ``verify.full_verify`` for one covector set, and ``corpus``
 runs the verification corpus of ``verify.corpus_instance_report`` over
-a range of seeds.  Exit codes: 0 success, 1 verification failure, 2
-input or usage error, 3 internal error.  Input errors are a command line
-argparse rejects, a file that cannot be read or parsed, and a ``minors``
-element or ``--order`` that does not fit the input's ground set, which
-``_dispatch`` checks before calling the library.  Any other exception is
-a fault of this package: it exits 3 naming the subcommand, with the
-traceback on stderr.
+a range of seeds.  Every other subcommand reads its input file once:
+``realize`` parses it as an arrangement and writes the covector set as
+JSON, the rest parse it as a covector set, and an ``--order`` is checked
+against that ground set once, before the library is called.  Exit codes:
+0 success, 1 verification failure, 2 input or usage error, 3 internal
+error.  Input errors are a command line argparse rejects, a file that
+cannot be read or parsed, and a ``minors`` element or ``--order`` that
+does not fit the input's ground set.  Any other exception is a fault of
+this package: it exits 3 naming the subcommand, with the traceback on
+stderr.
 """
 
 from __future__ import annotations
@@ -22,27 +25,15 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .circuits import circuits
-from .core import (
-    Com, ComFormatError, axiom_witness, com_to_json, elements, parse_com_json, topes
-)
+from .core import ComFormatError, axiom_witness, com_to_json, elements, parse_com_json, topes
 from .minors import contract, delete, label_map
 from .nbc import LinearOrder, nbc_sets
-from .realize import Arrangement, ArrangementFormatError, covectors, parse_arrangement_json
+from .realize import ArrangementFormatError, covectors, parse_arrangement_json
 from .rings import hilbert_series, presentation
 from .verify import witness_json
 
 # perfbench/ calls these three through this module, so they stay bound here.
 from .verify import corpus_instance_report, full_verify, generate_random_arrangement  # noqa: F401
-
-
-def _load_com(path: str) -> Com:
-    with open(path, encoding="utf-8") as fh:
-        return parse_com_json(fh.read())
-
-
-def _load_arrangement(path: str) -> Arrangement:
-    with open(path, encoding="utf-8") as fh:
-        return parse_arrangement_json(fh.read())
 
 
 def _emit(data: dict[str, object], fmt: str) -> str:
@@ -68,30 +59,30 @@ def run(argv: list[str] | None = None) -> tuple[int, str]:
         return 3, f"internal error in {args.subcommand}: {type(exc).__name__}: {exc}"
 
 
-def _bad_order(args: argparse.Namespace, L: Com) -> str | None:
-    """The error line for an --order that is not on L's ground set."""
-    if args.order is not None and args.order.n != L.n:
-        return f"error: --order has {args.order.n} elements, the ground set has {L.n}"
-    return None
-
-
 def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
     cmd = args.subcommand
+    if cmd == "corpus":
+        return _corpus(args)
+    with open(args.input, encoding="utf-8") as fh:
+        text = fh.read()
+    if cmd == "realize":
+        return 0, com_to_json(covectors(parse_arrangement_json(text)))
+    L = parse_com_json(text)
+    order = getattr(args, "order", None)
+    if order is not None and order.n != L.n:
+        return 2, f"error: --order has {order.n} elements, the ground set has {L.n}"
     fmt = args.format
 
     if cmd == "check":
-        L = _load_com(args.input)
         w = axiom_witness(L)
         if w is None:
             return 0, _emit({"ok": True, "n": L.n, "covectors": len(L)}, fmt)
         return 1, _emit({"ok": False, "witness": witness_json(w)}, fmt)
 
     if cmd == "topes":
-        L = _load_com(args.input)
         return 0, _emit({"n": L.n, "topes": [t.word() for t in topes(L)]}, fmt)
 
     if cmd == "circuits":
-        L = _load_com(args.input)
         C = circuits(L)
         return 0, _emit(
             {
@@ -105,16 +96,12 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
         )
 
     if cmd == "nbc":
-        L = _load_com(args.input)
-        if error := _bad_order(args, L):
-            return 2, error
-        fam = nbc_sets(L, args.order)
+        fam = nbc_sets(L, order)
         return 0, _emit(
             {"sets": [elements(s) for s in fam.sets], "counts": list(fam.counts)}, fmt
         )
 
     if cmd == "minors":
-        L = _load_com(args.input)
         deleting = args.delete_element is not None
         i = args.delete_element if deleting else args.contract_element
         if not 0 <= i < L.n:
@@ -129,15 +116,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
             fmt,
         )
 
-    if cmd == "realize":
-        arr = _load_arrangement(args.input)
-        return 0, com_to_json(covectors(arr))
-
     if cmd == "hilbert":
-        L = _load_com(args.input)
-        if error := _bad_order(args, L):
-            return 2, error
-        coeffs = hilbert_series(L, args.order)
+        coeffs = hilbert_series(L, order)
         return 0, _emit(
             {
                 "coefficients": list(coeffs),
@@ -149,7 +129,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
         )
 
     if cmd == "presentation":
-        L = _load_com(args.input)
         pres = presentation(
             L, args.mode, reduced=args.reduced, symmetric=args.symmetric
         )
@@ -176,12 +155,12 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
             indent=2,
         )
 
-    if cmd == "verify":
-        L = _load_com(args.input)
-        ok, report = full_verify(L)
-        return (0 if ok else 1), _emit(report, fmt)
+    # verify, the one subcommand left that the parser admits.
+    ok, report = full_verify(L)
+    return (0 if ok else 1), _emit(report, fmt)
 
-    # corpus, the one subcommand left that the parser admits.
+
+def _corpus(args: argparse.Namespace) -> tuple[int, str]:
     seeds = range(args.start_seed, args.start_seed + args.count)
     # The pool starts all its workers at once; more than there are
     # CPUs or seeds would only sit idle.
@@ -197,9 +176,9 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
         "ok": ok,
         "failures": [r for r in results if not r["ok"]],
     }
-    if fmt == "json":
+    if args.format == "json":
         summary["results"] = results
-    return (0 if ok else 1), _emit(summary, fmt)
+    return (0 if ok else 1), _emit(summary, args.format)
 
 
 def _presentation_script(pres) -> str:
@@ -240,15 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, with_input: bool = True, fmt_default: str = "json"):
+    def add(name: str, formats: tuple[str, ...] = ("json", "text"), default: str = "json"):
         p = sub.add_parser(name)
-        if with_input:
+        if name != "corpus":
             p.add_argument("input", help="input file path")
-        p.add_argument(
-            "--format",
-            choices=("json", "text", "script") if name == "presentation" else ("json", "text"),
-            default=fmt_default,
-        )
+        if formats:
+            p.add_argument("--format", choices=formats, default=default)
         return p
 
     add("check")
@@ -259,15 +235,16 @@ def _build_parser() -> argparse.ArgumentParser:
     one = add("minors").add_mutually_exclusive_group(required=True)
     one.add_argument("--delete", type=int, dest="delete_element")
     one.add_argument("--contract", type=int, dest="contract_element")
-    add("realize")
+    # realize always writes the JSON covector set that the others read.
+    add("realize", formats=())
     p = add("hilbert")
     p.add_argument("--order", type=_order, help="permutation like 2,0,1")
-    p = add("presentation", fmt_default="text")
+    p = add("presentation", ("json", "text", "script"), "text")
     p.add_argument("--mode", choices=("rees", "gr", "vg"), default="rees")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--symmetric", action="store_true")
     add("verify")
-    p = add("corpus", with_input=False)
+    p = add("corpus")
     p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--start-seed", type=int, default=0, dest="start_seed")
     p.add_argument("--jobs", type=_positive_int, default=1)

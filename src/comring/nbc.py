@@ -123,6 +123,10 @@ def verify_nbc_tope(L: Com, order: LinearOrder | None = None) -> bool:
 
 
 def induced_order(order: LinearOrder, i: int) -> LinearOrder:
+    """order without i, the elements above i shifted down by one.  Raises
+    when i is not an element of the order."""
+    if not 0 <= i < order.n:
+        raise ValueError("index outside ground set")
     return LinearOrder(tuple(j if j < i else j - 1 for j in order.perm if j != i))
 
 
@@ -152,5 +156,8 @@ def verify_nbc_recursion(L: Com, order: LinearOrder | None = None) -> bool:
 
 
 def order_with_maximum(n: int, i: int) -> LinearOrder:
-    """Natural order with i moved to the top; handy for recursion checks."""
+    """Natural order with i moved to the top; handy for recursion checks.
+    Raises when i is not in 0..n-1."""
+    if not 0 <= i < n:
+        raise ValueError("index outside ground set")
     return LinearOrder(tuple(j for j in range(n) if j != i) + (i,))

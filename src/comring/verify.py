@@ -12,7 +12,9 @@ import random
 from fractions import Fraction
 
 from .circuits import circuits, om_circuits
-from .core import AxiomWitness, Com, axiom_witness, coloops, elements, topes
+from .core import (
+    AxiomWitness, Com, SignVector, axiom_witness, coloops, elements, is_oriented_matroid, topes
+)
 from .minors import (
     contract,
     delete,
@@ -78,9 +80,17 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     cl = coloops(L)
     support = ((1 << L.n) - 1) & ~cl
     widest = [(v.plus, v.minus) for v in L.covectors if v.support == support]
-    report["circuits_ok"] = antichain and all(
+    circuits_ok = antichain and all(
         all(x.plus & ~p or x.minus & ~m for p, m in widest) for x in C.circuits
     )
+    if not circuits_ok:
+        report["circuits_failed_at"] = next(
+            x.word()
+            for x in C.circuits
+            if any(s & x.support == s != x.support for s in supports)
+            or not all(x.plus & ~p or x.minus & ~m for p, m in widest)
+        )
+    report["circuits_ok"] = circuits_ok
 
     report["n_topes"] = len(topes(L))
     report["nbc_counts"] = list(nbc_sets(L).counts)
@@ -121,8 +131,13 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
             break
     report["boolean_extension_ok"] = boolean_ok
 
-    if (0, 0) in L._members:
-        report["om_cross_check_ok"] = om_circuits(L).circuits == C.circuits
+    if is_oriented_matroid(L):
+        om = om_circuits(L).circuits
+        if om != C.circuits:
+            report["om_cross_check_failed_at"] = min(
+                set(om) ^ set(C.circuits), key=SignVector.sort_key
+            ).word()
+        report["om_cross_check_ok"] = om == C.circuits
 
     presentation_ok = False
     if report["nbc_tope_ok"]:

@@ -192,6 +192,39 @@ def test_malformed_json_is_usage_error(tmp_path):
     assert status == 2
 
 
+COM_COMMANDS = [
+    ["check"],
+    ["topes"],
+    ["circuits"],
+    ["nbc"],
+    ["minors", "--delete", "0"],
+    ["hilbert"],
+    ["presentation"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("argv", COM_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("text", [None, "{]"], ids=["missing", "malformed"])
+def test_unreadable_covector_set_exits_2(tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    status, out = run([argv[0], str(path), *argv[1:]])
+    assert status == 2
+    assert out.startswith("error: ")
+
+
+def test_realize_rejects_a_covector_set(gen3_file):
+    status, out = run(["realize", gen3_file])
+    assert status == 2
+    assert out.startswith("error: ")
+
+
+def test_realize_has_no_format_option():
+    assert usage_error(["realize", str(FIXTURES / "gen3.json"), "--format", "text"]) == 2
+
+
 @pytest.mark.parametrize("fault", [ValueError("bad state"), ZeroDivisionError("division")])
 def test_internal_fault_exits_3(gen3_file, monkeypatch, capsys, fault):
     # A fault inside the library is not bad input, whatever its type.

@@ -186,6 +186,14 @@ def test_order_with_maximum():
     assert order_with_maximum(3, 2) == LinearOrder((0, 1, 2))
 
 
+@pytest.mark.parametrize("i", [3, 5, -1])
+def test_orders_reject_an_element_outside_the_ground_set(i):
+    with pytest.raises(ValueError, match="index outside ground set"):
+        induced_order(LinearOrder((0, 1, 2)), i)
+    with pytest.raises(ValueError, match="index outside ground set"):
+        order_with_maximum(3, i)
+
+
 def test_recursion_golden(gen3):
     assert verify_nbc_recursion(gen3) is True
     sub = induced_order(LinearOrder.identity(3), 2)

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from comring import core, rings, verify
-from comring.circuits import circuits
+from comring.circuits import CircuitSet, circuits, om_circuits
 from comring.cli import run
-from comring.core import Com, com_to_json, topes
+from comring.core import Com, SignVector, com_to_json, topes
 from comring.minors import inject
 from comring.realize import covectors, geometric_circuits
 from comring.verify import corpus_arrangement, full_verify
@@ -24,6 +24,20 @@ def test_passing_report_names_no_failure(ex4):
     ok, report = full_verify(ex4)
     assert ok
     assert not [k for k in report if k.endswith("_failed_at")]
+
+
+def fail_circuits(monkeypatch, L):
+    # Two sign vectors on a support strictly holding the circuit support
+    # {2, 3}: no covector extends them, so only the antichain test fails.
+    C = circuits(L)
+    extra = [SignVector.from_word(w) for w in ("+0+-", "-0+-")]
+    bad = CircuitSet(
+        L.n,
+        tuple(sorted(C.circuits + tuple(extra), key=SignVector.sort_key)),
+        C.minimal_deficient_supports + (0b1101,),
+    )
+    monkeypatch.setattr(verify, "circuits", lambda L: bad)
+    return "-0+-"
 
 
 def fail_tope_recursion(monkeypatch, L):
@@ -83,6 +97,7 @@ def fail_filtration(monkeypatch, L):
 
 
 CASES = {
+    "circuits": (fail_circuits, "circuits_failed_at", "circuits_ok"),
     "tope_recursion": (fail_tope_recursion, "tope_recursion_failed_at", "recursions_ok"),
     "nbc_recursion": (fail_nbc_recursion, "nbc_recursion_failed_at", "recursions_ok"),
     "disjoint_covector": (
@@ -141,6 +156,10 @@ def test_faulty_column_index_fails_the_report(monkeypatch, seed):
     assert not ok and report["ok"] is False
     assert report["nbc_tope_ok"] is False
     assert report["circuits_ok"] is False
+    # No covector is positive at 0 in the faulty index, so +0...0 is a
+    # circuit, the first in canonical order, and every tope extends it.
+    assert report["circuits_failed_at"] == "+" + "0" * (report["n"] - 1)
+    assert keys_before(report, "circuits_ok") == "circuits_failed_at"
 
 
 def reorient_at_0(cols):
@@ -149,6 +168,18 @@ def reorient_at_0(cols):
     plus, minus = list(cols.plus), list(cols.minus)
     plus[0], minus[0] = minus[0], plus[0]
     return core.Columns(tuple(plus), tuple(minus), cols.every)
+
+
+# The first sign vector, in canonical order, in exactly one of the two
+# circuit families under each fault.
+OM_WITNESSES = {
+    (forget_plus_at_0, 0): "-++",
+    (forget_plus_at_0, 5): "-+++",
+    (forget_plus_at_0, 10): "--0-0",
+    (reorient_at_0, 0): "---",
+    (reorient_at_0, 5): "----",
+    (reorient_at_0, 10): "--0-0",
+}
 
 
 @pytest.mark.parametrize("fault", [forget_plus_at_0, reorient_at_0])
@@ -160,9 +191,15 @@ def test_faulty_column_index_fails_the_om_cross_check(monkeypatch, seed, fault):
     Under the reorientation both families would agree if ``om_circuits``
     read the index."""
     install_faulty_columns(monkeypatch, fault)
-    ok, report = full_verify(covectors(corpus_arrangement(seed)))
+    L = covectors(corpus_arrangement(seed))
+    ok, report = full_verify(L)
     assert not ok
     assert report["om_cross_check_ok"] is False
+    witness = report["om_cross_check_failed_at"]
+    assert witness == OM_WITNESSES[fault, seed]
+    only_one = {x.word() for x in set(om_circuits(L).circuits) ^ set(circuits(L).circuits)}
+    assert witness in only_one
+    assert keys_before(report, "om_cross_check_ok") == "om_cross_check_failed_at"
 
 
 def test_faulty_column_index_fails_the_report_with_a_coloop(monkeypatch, ex4):
