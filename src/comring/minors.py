@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 from weakref import WeakValueDictionary
 
-from .circuits import circuits, minimal_support_walk, submasks
+from .circuits import _patterns, circuits, minimal_support_walk
 from .core import Com, SignVector, _drop_bit, coloops, covector_columns, topes
 
 
@@ -157,13 +157,11 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
     def projected_blockers(mask: int) -> list[int]:
         # A pattern whose lift by 0 blocks has lifts by + and - that
         # block too, so the lifts by + and - decide.
-        out = []
-        wide = _insert_bit(mask, i)
-        for pat in submasks(wide):
-            bits = cols.extending(pat, wide ^ pat)
-            if not bits & cols.plus[i] or not bits & cols.minus[i]:
-                out.append(_drop_bit(pat, i))
-        return out
+        return [
+            _drop_bit(pat, i)
+            for pat, bits in _patterns(cols, _insert_bit(mask, i))
+            if not bits & cols.plus[i] or not bits & cols.minus[i]
+        ]
 
     con_circ = circuits(contract(L, i))
     if not coloops(L) >> i & 1 and (

@@ -552,10 +552,8 @@ def parse_arrangement_json(text: str) -> Arrangement:
     return Arrangement(dim, tuple(hyps), OpenRegion(tuple(rows)))
 
 
-def arrangement_to_json(arr: Arrangement, description: str | None = None) -> str:
+def arrangement_to_json(arr: Arrangement) -> str:
     data: dict[str, object] = {}
-    if description is not None:
-        data["description"] = description
     data["dim"] = arr.dim
     data["hyperplanes"] = [
         {"a": [str(v) for v in h.a], "b": str(h.b)} for h in arr.hyperplanes

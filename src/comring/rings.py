@@ -31,7 +31,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from .circuits import circuits
-from .core import Com, SignVector, covector_columns, elements, topes
+from .core import Com, SignVector, elements, topes
 from .exactalg import IntLattice, IntMatrix, hermite_normal_form
 from .nbc import LinearOrder, nbc_sets
 
@@ -85,18 +85,17 @@ class TopeFunction:
         return tuple(sum(c * u ** e[0] for e, c in v.terms) for v in self.values)
 
 
+def _extends(v: SignVector, plus: int, minus: int) -> bool:
+    """Whether v is + on the plus mask and - on the minus mask."""
+    return plus & ~v.plus == 0 and minus & ~v.minus == 0
+
+
 def _indicator(L: Com, plus: int, minus: int, value: MPoly) -> TopeFunction:
-    """The function equal to value on the topes that are + on the plus
-    mask and - on the minus mask, and 0 elsewhere."""
+    """The function equal to value on the topes that extend (plus, minus),
+    and 0 elsewhere."""
     t = topes(L)
     zero = MPoly.zero(1)
-    return TopeFunction(
-        t,
-        tuple(
-            value if plus & ~v.plus == 0 and minus & ~v.minus == 0 else zero
-            for v in t
-        ),
-    )
+    return TopeFunction(t, tuple(value if _extends(v, plus, minus) else zero for v in t))
 
 
 def heaviside(L: Com, i: int, s: int) -> TopeFunction:
@@ -222,15 +221,13 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     e_X is +-u^|X| on the topes extending X and 0 elsewhere, and for
     nonzero X no tope extends both X and -X, so f_X vanishes exactly
     when e_X and e_{-X} do.  The kernel check therefore reduces to: no
-    tope extends any circuit.
+    tope extends any circuit.  It scans the topes, not the column index
+    that the circuits come from, so a faulty index cannot certify its
+    own circuits.
     """
     t = topes(L)
-    cols = covector_columns(L)
-    tope_bits = cols.every
-    for p, m in zip(cols.plus, cols.minus):
-        tope_bits &= p | m
     kernel_failed_at = next(
-        (x for x in circuits(L).circuits if cols.extending(x.plus, x.minus) & tope_bits),
+        (x for x in circuits(L).circuits if any(_extends(v, x.plus, x.minus) for v in t)),
         None,
     )
     fam = nbc_sets(L, order)

@@ -179,19 +179,6 @@ def test_corpus_rejects_counts_below_one(flag, value, capsys):
     assert "instances" not in capsys.readouterr().out
 
 
-def test_missing_file_is_usage_error():
-    status, out = run(["check", "/nonexistent/com.json"])
-    assert status == 2
-    assert out.startswith("error:")
-
-
-def test_malformed_json_is_usage_error(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{]")
-    status, out = run(["check", str(path)])
-    assert status == 2
-
-
 COM_COMMANDS = [
     ["check"],
     ["topes"],
@@ -205,9 +192,13 @@ COM_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", COM_COMMANDS, ids=lambda argv: argv[0])
-@pytest.mark.parametrize("text", [None, "{]"], ids=["missing", "malformed"])
-def test_unreadable_covector_set_exits_2(tmp_path, argv, text):
-    path = tmp_path / "input.json"
+@pytest.mark.parametrize(
+    "name, text",
+    [("input.json", None), ("input.json", "{]"), ("absent/input.json", None)],
+    ids=["missing", "malformed", "missing_dir"],
+)
+def test_unreadable_covector_set_exits_2(tmp_path, argv, name, text):
+    path = tmp_path / name
     if text is not None:
         path.write_text(text)
     status, out = run([argv[0], str(path), *argv[1:]])

@@ -1,0 +1,79 @@
+"""Each constructor and function rejects out-of-range input with its own
+message."""
+
+from fractions import Fraction
+
+import pytest
+
+from comring.circuits import in_generator_set, orthogonal
+from comring.core import Com, SignVector, compose, separator, topes
+from comring.exactalg import IntLattice, IntMatrix, determinant
+from comring.minors import inject, project
+from comring.nbc import LinearOrder, nbc_sets
+from comring.realize import Arrangement, Hyperplane, OpenRegion
+from comring.rings import (
+    EMonomial, TopeFunction, e_X_eval, heaviside, nbc_basis_matrix, verify_presentation
+)
+
+ONE, TWO = SignVector(1, 1, 0), SignVector(2, 1, 0)
+# 2 NBC sets, {} and {1}, but one tope
+FEW_TOPES = Com.from_words(2, ["++", "-0"])
+UNIT = (Fraction(1),)
+
+CASES = {
+    "mask": (lambda L: SignVector(2, 0b100, 0), "mask exceeds ground set"),
+    "overlap": (lambda L: SignVector(2, 1, 1), "plus and minus masks overlap"),
+    "compose": (lambda L: compose(ONE, TWO), "ground sets differ"),
+    "separator": (lambda L: separator(ONE, TWO), "ground sets differ"),
+    "orthogonal": (lambda L: orthogonal(ONE, TWO), "ground sets differ"),
+    "in_generator_set": (lambda L: in_generator_set(L, TWO), "ground sets differ"),
+    "e_X_eval": (lambda L: e_X_eval(L, TWO), "ground sets differ"),
+    "project": (lambda L: project(TWO, TWO.n), "index outside ground set"),
+    "inject": (lambda L: inject(TWO, TWO.n + 1), "insertion point outside range"),
+    "maximum": (
+        lambda L: LinearOrder(()).maximum_element(), "empty ground set has no maximum"
+    ),
+    "nbc_order": (
+        lambda L: nbc_sets(L, LinearOrder.identity(L.n + 1)),
+        "order is on the wrong ground set",
+    ),
+    "hyperplane": (
+        lambda L: Arrangement(2, (Hyperplane(UNIT, Fraction(0)),), OpenRegion(())),
+        "hyperplane dimension mismatch",
+    ),
+    "region": (
+        lambda L: Arrangement(2, (), OpenRegion(((UNIT, Fraction(0)),))),
+        "region dimension mismatch",
+    ),
+    "tope_values": (lambda L: TopeFunction(topes(L), ()), "one value per tope required"),
+    "tope_lists": (
+        lambda L: heaviside(L, 0, 1) + heaviside(FEW_TOPES, 0, 1), "tope lists differ"
+    ),
+    "u_exp": (lambda L: EMonomial((), u_exp=-1), "negative u exponent"),
+    "sign": (lambda L: EMonomial(((0, 2),)), "sign must be \\+1 or -1"),
+    "dimension": (lambda L: IntMatrix(-1, 0, ()), "negative dimension"),
+    "entries": (
+        lambda L: IntMatrix(1, 2, (1,)), "entry count does not match dimensions"
+    ),
+    "ragged": (lambda L: IntMatrix.from_rows([[1], [1, 2]]), "ragged rows"),
+    "square": (lambda L: determinant(IntMatrix(1, 2, (1, 2))), "matrix is not square"),
+    "lattice_add": (
+        lambda L: IntLattice(2).add([1]), "vector length does not match ambient dimension"
+    ),
+    "lattice_contains": (
+        lambda L: IntLattice(2).contains([1]),
+        "vector length does not match ambient dimension",
+    ),
+    "verify_presentation": (
+        lambda L: verify_presentation(FEW_TOPES), "NBC count differs from tope count"
+    ),
+    "nbc_basis_matrix": (
+        lambda L: nbc_basis_matrix(FEW_TOPES), "NBC count differs from tope count"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=CASES)
+def test_out_of_range_input_is_rejected(ex4, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ex4)

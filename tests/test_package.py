@@ -72,3 +72,22 @@ def test_modules_use_every_name_they_import():
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 assert name in used, (path.name, name)
+
+
+def test_only_core_circuits_and_minors_read_the_column_index():
+    """``core`` builds the column index and ``circuits`` and ``minors``
+    read it.  Every other check scans covectors or topes, so a faulty
+    index cannot certify the circuits it produced."""
+    readers = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "comring").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+        if "covector_columns" in names:
+            readers.add(path.stem)
+    assert readers == {"core", "circuits", "minors"}

@@ -133,10 +133,10 @@ def test_failed_lift_names_its_first_element(monkeypatch, tmp_path, ex4):
 
 
 def install_faulty_columns(monkeypatch, fault):
-    """Replace the column index, as the circuit, minor and ring layers
-    see it, by fault(real index)."""
+    """Replace the column index, as the circuit and minor layers see it,
+    by fault(real index)."""
     real = core.covector_columns
-    for layer in ("circuits", "minors", "rings"):
+    for layer in ("circuits", "minors"):
         module = importlib.import_module(f"comring.{layer}")
         monkeypatch.setattr(module, "covector_columns", lambda L: fault(real(L)))
 
@@ -181,6 +181,16 @@ OM_WITNESSES = {
     (reorient_at_0, 10): "--0-0",
 }
 
+# The first circuit, in canonical order, that a tope extends under each
+# fault; forget_plus_at_0 on seeds 0 and 5 fails nbc_tope_ok first, so
+# those reports carry no presentation keys.
+KERNEL_WITNESSES = {
+    (forget_plus_at_0, 10): "+0000",
+    (reorient_at_0, 0): "---",
+    (reorient_at_0, 5): "----",
+    (reorient_at_0, 10): "-0-00",
+}
+
 
 @pytest.mark.parametrize("fault", [forget_plus_at_0, reorient_at_0])
 @pytest.mark.parametrize("seed", [0, 5, 10])
@@ -200,6 +210,13 @@ def test_faulty_column_index_fails_the_om_cross_check(monkeypatch, seed, fault):
     only_one = {x.word() for x in set(om_circuits(L).circuits) ^ set(circuits(L).circuits)}
     assert witness in only_one
     assert keys_before(report, "om_cross_check_ok") == "om_cross_check_failed_at"
+    kernel_witness = KERNEL_WITNESSES.get((fault, seed))
+    if kernel_witness is None:
+        assert report["nbc_tope_ok"] is False and "kernel_ok" not in report
+    else:
+        assert report["kernel_failed_at"] == kernel_witness
+        assert keys_before(report, "kernel_ok") == "kernel_failed_at"
+        assert report["kernel_ok"] is False and report["presentation_ok"] is False
 
 
 def test_faulty_column_index_fails_the_report_with_a_coloop(monkeypatch, ex4):
@@ -230,3 +247,30 @@ def test_column_index_hiding_circuits_fails_boolean_extension(monkeypatch, seed)
     assert not ok
     assert report["boolean_extension_ok"] is False
     assert 0 in report["boolean_extension_failed_at"]
+
+
+def test_corpus_instance_lists_its_failing_minors(monkeypatch):
+    """A check that fails on every minor of corpus seed 3 (n = 6) but not
+    on the root fails the instance, names the failed key in its minor
+    checks, and lists each failing minor once per slot."""
+    real = verify.verify_lift
+
+    def failing_below_6(L, i):
+        C = circuits(L).circuits
+        return C[0] if L.n < 6 and C else real(L, i)
+
+    monkeypatch.setattr(verify, "verify_lift", failing_below_6)
+    result = verify.corpus_instance_report(3)
+    assert result["n"] == 6
+    assert result["ok"] is False and result["report"]["ok"] is True
+    assert result["minor_checks"] == {key: key != "lifts_ok" for key in verify._CHECK_KEYS}
+    failing = result["failing_minors"]
+    assert [(f["element"], f["kind"]) for f in failing] == [
+        (i, kind) for i in range(6) for kind in ("delete", "contract")
+    ]
+    assert all(f["report"]["lift_failed_at"] == 0 for f in failing)
+    assert json.loads(json.dumps(result)) == result
+
+    status, out = run(["corpus", "--start-seed", "3", "--count", "1", "--format", "json"])
+    assert status == 1
+    assert [r["seed"] for r in json.loads(out)["failures"]] == [3]
