@@ -9,10 +9,10 @@ JSON, the rest parse it as a covector set, and an ``--order`` is checked
 against that ground set once, before the library is called.  Exit codes:
 0 success, 1 verification failure, 2 input or usage error, 3 internal
 error.  Input errors are a command line argparse rejects, a file that
-cannot be read or parsed, and a ``minors`` element or ``--order`` that
-does not fit the input's ground set.  Any other exception is a fault of
-this package: it exits 3 naming the subcommand, with the traceback on
-stderr.
+cannot be read, decoded as UTF-8 or parsed, and a ``minors`` element or
+``--order`` that does not fit the input's ground set.  Any other
+exception is a fault of this package: it exits 3 naming the subcommand,
+with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def run(argv: list[str] | None = None) -> tuple[int, str]:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ComFormatError, ArrangementFormatError, OSError) as exc:
+    except (ComFormatError, ArrangementFormatError, OSError, UnicodeDecodeError) as exc:
         return 2, f"error: {exc}"
     except Exception as exc:
         traceback.print_exc()

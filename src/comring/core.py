@@ -20,9 +20,8 @@ oriented matroid.  All values here are immutable and all operations are
 pure functions.  ``covector_columns`` is the column index of a ``Com``:
 for each element, the covectors positive there and those negative there,
 each as one integer bit set, so that "which covectors extend this
-pattern?" is an AND over the pattern's support; the circuit, disjoint
-covector and kernel checks ask it that way, and so does strong
-elimination.
+pattern?" is an AND over the pattern's support.  Only the circuit
+sweeps and strong elimination ask it.
 
 The axiom scans read mask pairs only.  Face symmetry implies closure
 under composition, since X o (-(X o (-Y))) = X o Y.  So X o Y and Y o X

@@ -15,11 +15,11 @@ separately built equal roots share no minor.  ``label_map`` reports the
 renumbering so callers can recover original hyperplane labels.
 
 Inside the checks, sign vectors stay (plus, minus) mask pairs, looked up
-in ``Com._members`` or the column index and compared as sets.  The tope
+in ``Com._members`` or in sets built by one covector scan, never in the
+column index the circuits come from, and compared as sets.  The tope
 recursion returns a bool, and its element is the witness; the disjoint
 covector and lift checks return the first failing circuit, and the
-circuit minor laws the name of the first failing law, or None when they
-pass.
+circuit minor laws the name of the first failing law, or None.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Iterable
 from weakref import WeakValueDictionary
 
-from .circuits import _patterns, circuits, minimal_support_walk
-from .core import Com, SignVector, _drop_bit, coloops, covector_columns, topes
+from .circuits import circuits, minimal_support_walk, submasks
+from .core import Com, SignVector, _drop_bit, coloops, topes
 
 
 def project(x: SignVector, i: int) -> SignVector:
@@ -143,12 +143,13 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
         vanishing at i.
     (2) For non coloop i, circuits of the contraction are the support
         minimal projections of blockers of L: the patterns on the
-        remaining elements whose lift by 0, + or - at i is a blocker.
+        remaining elements whose lift by 0, + or - at i is a blocker,
+        found by one scan of the covectors per support.
     (3) Nonzero projections of circuits with i in their support are
         circuits of the contraction.
     """
     bit = 1 << i
-    C, cols = circuits(L), covector_columns(L)
+    C = circuits(L)
     if circuits(delete(L, i))._members != set(
         _projected((x for x in C.circuits if not x.support & bit), i)
     ):
@@ -156,12 +157,12 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
 
     def projected_blockers(mask: int) -> list[int]:
         # A pattern whose lift by 0 blocks has lifts by + and - that
-        # block too, so the lifts by + and - decide.
-        return [
-            _drop_bit(pat, i)
-            for pat, bits in _patterns(cols, _insert_bit(mask, i))
-            if not bits & cols.plus[i] or not bits & cols.minus[i]
-        ]
+        # block too, so the lifts by + and - decide: a covector covering
+        # full has minus part full ^ plus, so they are pat | bit and pat.
+        wide = _insert_bit(mask, i)
+        full = wide | bit
+        seen = {v.plus & full for v in L.covectors if v.support & full == full}
+        return [_drop_bit(pat, i) for pat in submasks(wide) if not {pat, pat | bit} <= seen]
 
     con_circ = circuits(contract(L, i))
     if not coloops(L) >> i & 1 and (
@@ -180,13 +181,12 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
 
 def verify_disjoint_covector(L: Com) -> SignVector | None:
     """The first symmetric circuit with no covector of disjoint support,
-    or None when every symmetric circuit pair admits one."""
+    or None when every symmetric circuit pair admits one.  It scans the
+    covectors' supports, not the column index that made the circuits."""
     C = circuits(L)
-    cols = covector_columns(L)
+    supports = {v.support for v in L.covectors}
     for x in C.circuits:
-        if x.is_zero() or not C.paired(x):
-            continue
-        if not cols.vanishing(x.support):
+        if not x.is_zero() and C.paired(x) and all(s & x.support for s in supports):
             return x
     return None
 

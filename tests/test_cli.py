@@ -179,6 +179,9 @@ def test_corpus_rejects_counts_below_one(flag, value, capsys):
     assert "instances" not in capsys.readouterr().out
 
 
+# The UTF-16 byte order mark: the byte 0xff never occurs in UTF-8.
+NOT_UTF8 = b"\xff\xfe{}"
+
 COM_COMMANDS = [
     ["check"],
     ["topes"],
@@ -194,12 +197,19 @@ COM_COMMANDS = [
 @pytest.mark.parametrize("argv", COM_COMMANDS, ids=lambda argv: argv[0])
 @pytest.mark.parametrize(
     "name, text",
-    [("input.json", None), ("input.json", "{]"), ("absent/input.json", None)],
-    ids=["missing", "malformed", "missing_dir"],
+    [
+        ("input.json", None),
+        ("input.json", "{]"),
+        ("absent/input.json", None),
+        ("input.json", NOT_UTF8),
+    ],
+    ids=["missing", "malformed", "missing_dir", "not_utf8"],
 )
 def test_unreadable_covector_set_exits_2(tmp_path, argv, name, text):
     path = tmp_path / name
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     status, out = run([argv[0], str(path), *argv[1:]])
     assert status == 2
@@ -208,6 +218,14 @@ def test_unreadable_covector_set_exits_2(tmp_path, argv, name, text):
 
 def test_realize_rejects_a_covector_set(gen3_file):
     status, out = run(["realize", gen3_file])
+    assert status == 2
+    assert out.startswith("error: ")
+
+
+def test_realize_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "arrangement.json"
+    path.write_bytes(NOT_UTF8)
+    status, out = run(["realize", str(path)])
     assert status == 2
     assert out.startswith("error: ")
 

@@ -74,10 +74,11 @@ def test_modules_use_every_name_they_import():
                 assert name in used, (path.name, name)
 
 
-def test_only_core_circuits_and_minors_read_the_column_index():
-    """``core`` builds the column index and ``circuits`` and ``minors``
-    read it.  Every other check scans covectors or topes, so a faulty
-    index cannot certify the circuits it produced."""
+def test_only_core_and_circuits_read_the_column_index():
+    """``core`` builds the column index and asks it in strong
+    elimination, and ``circuits`` sweeps it.  Every other check scans
+    covectors or topes, so a faulty index cannot certify the circuits it
+    produced."""
     readers = set()
     for path in sorted((Path(__file__).parents[1] / "src" / "comring").glob("*.py")):
         names = set()
@@ -90,4 +91,4 @@ def test_only_core_circuits_and_minors_read_the_column_index():
                 names.add(node.name)
         if "covector_columns" in names:
             readers.add(path.stem)
-    assert readers == {"core", "circuits", "minors"}
+    assert readers == {"core", "circuits"}

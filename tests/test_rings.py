@@ -208,6 +208,87 @@ def test_presentation_relations_vanish_on_topes():
     assert checked == 1032
 
 
+def squarefree_terms(poly):
+    """The terms of poly on squarefree monomials, keyed by support mask;
+    the others vanish modulo the diag relations e_i^2."""
+    out = {}
+    for e, c in poly.terms:
+        if max(e, default=0) <= 1:
+            out[sum(1 << j for j, k in enumerate(e) if k)] = c
+    return out
+
+
+def first_incomplete_degree(L, relations):
+    """The first degree k whose squarefree monomials the products m * r
+    and the NBC monomials of size k fail to span over Z, or None.
+
+    The relations are the non-diag relations of a gr presentation, each
+    homogeneous.  Degree k of the presented ring is Z^(n choose k) on the
+    squarefree monomials modulo those products, so when they and the NBC
+    monomials span it, the NBC classes span the quotient; they map onto a
+    Z-basis of F_k / F_(k-1), so the presentation is complete in degree
+    k.  That is enough for the other modes: R / uR is the presented gr
+    ring and the Rees algebra is u-torsion free, so a kernel element
+    u * y has y in the kernel one degree lower, and induction from degree
+    0 leaves none; setting u = 1 then gives the plain ring.
+    """
+    rels = []
+    for r in relations:
+        terms = squarefree_terms(r.poly)
+        assert len({sum(e) for e, _ in r.poly.terms}) == 1, r
+        rels.append((sum(r.poly.terms[0][0]), terms))
+    nbc = nbc_sets(L).sets
+
+    def level(k):
+        return [m for m in range(1 << L.n) if m.bit_count() == k]
+
+    for k in range(L.n + 1):
+        column = {mask: j for j, mask in enumerate(level(k))}
+        lattice = IntLattice(len(column))
+        for d, terms in rels:
+            for m in level(k - d):
+                vec = [0] * len(column)
+                for t, c in terms.items():
+                    if not t & m:
+                        vec[column[t | m]] += c
+                lattice.add(vec)
+        for s in nbc:
+            if s.bit_count() == k:
+                vec = [0] * len(column)
+                vec[column[s]] = 1
+                lattice.add(vec)
+        pivots = [lattice.basis[p][j] for j, p in lattice.pivot_row.items()]
+        if lattice.rank() != len(column) or set(pivots) != {1}:
+            return k
+    return None
+
+
+def test_gr_presentation_generates_the_whole_kernel():
+    """The paper's completeness claim, over Z: on every corpus seed the
+    gr relations, full and reduced, generate the kernel in each degree."""
+    for seed in range(121):
+        L = covectors(corpus_arrangement(seed))
+        for reduced in (False, True):
+            rels = presentation(L, "gr", reduced=reduced).relations
+            diag = [r for r in rels if r.tag == "diag"]
+            assert [r.poly for r in diag] == [
+                MPoly.var(L.n, i) * MPoly.var(L.n, i) for i in range(L.n)
+            ]
+            rest = [r for r in rels if r.tag != "diag"]
+            assert first_incomplete_degree(L, rest) is None, (seed, reduced)
+
+
+def test_dropping_a_gr_relation_leaves_the_kernel_incomplete():
+    dropped = 0
+    for seed in range(10):
+        L = covectors(corpus_arrangement(seed))
+        rest = [r for r in presentation(L, "gr", reduced=True).relations if r.tag != "diag"]
+        for j in range(len(rest)):
+            assert first_incomplete_degree(L, rest[:j] + rest[j + 1 :]) is not None, (seed, j)
+            dropped += 1
+    assert dropped == 39
+
+
 def test_pair_evaluation_requires_pair(ex4):
     with pytest.raises(ValueError):
         f_X_eval(ex4, V("00+-"))

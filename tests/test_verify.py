@@ -10,7 +10,7 @@ from comring import core, rings, verify
 from comring.circuits import CircuitSet, circuits, om_circuits
 from comring.cli import run
 from comring.core import Com, SignVector, com_to_json, topes
-from comring.minors import inject
+from comring.minors import inject, verify_circuit_minor_laws
 from comring.realize import covectors, geometric_circuits
 from comring.verify import corpus_arrangement, full_verify
 
@@ -133,12 +133,11 @@ def test_failed_lift_names_its_first_element(monkeypatch, tmp_path, ex4):
 
 
 def install_faulty_columns(monkeypatch, fault):
-    """Replace the column index, as the circuit and minor layers see it,
-    by fault(real index)."""
+    """Replace the column index, as the circuit layer sees it, by
+    fault(real index).  Every other check scans covectors or topes."""
     real = core.covector_columns
-    for layer in ("circuits", "minors"):
-        module = importlib.import_module(f"comring.{layer}")
-        monkeypatch.setattr(module, "covector_columns", lambda L: fault(real(L)))
+    layer = importlib.import_module("comring.circuits")
+    monkeypatch.setattr(layer, "covector_columns", lambda L: fault(real(L)))
 
 
 def forget_plus_at_0(cols):
@@ -217,6 +216,31 @@ def test_faulty_column_index_fails_the_om_cross_check(monkeypatch, seed, fault):
         assert report["kernel_failed_at"] == kernel_witness
         assert keys_before(report, "kernel_ok") == "kernel_failed_at"
         assert report["kernel_ok"] is False and report["presentation_ok"] is False
+
+
+# The first symmetric circuit, in canonical order, on whose support every
+# covector is nonzero, under forget_plus_at_0.
+DISJOINT_WITNESSES = {4: "-00", 7: "-00000", 22: "-0000"}
+
+
+@pytest.mark.parametrize("seed", DISJOINT_WITNESSES)
+def test_faulty_column_index_fails_the_disjoint_covector_check(monkeypatch, seed):
+    """The disjoint covector check scans the covectors' supports, so a
+    faulty index cannot certify the circuits it produced."""
+    install_faulty_columns(monkeypatch, forget_plus_at_0)
+    ok, report = full_verify(covectors(corpus_arrangement(seed)))
+    assert not ok
+    assert report["disjoint_covector_failed_at"] == DISJOINT_WITNESSES[seed]
+    assert keys_before(report, "disjoint_covector_ok") == "disjoint_covector_failed_at"
+    assert report["disjoint_covector_ok"] is False
+
+
+def test_faulty_column_index_fails_the_contraction_law(monkeypatch):
+    """The contraction law builds its blockers by a covector scan, so it
+    disagrees with the circuits a faulty index gives the contraction."""
+    install_faulty_columns(monkeypatch, forget_plus_at_0)
+    L = covectors(corpus_arrangement(22))
+    assert verify_circuit_minor_laws(L, 2) == "contraction"
 
 
 def test_faulty_column_index_fails_the_report_with_a_coloop(monkeypatch, ex4):
