@@ -147,7 +147,11 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
         found by one scan of the covectors per support.
     (3) Nonzero projections of circuits with i in their support are
         circuits of the contraction.
+
+    Raises ValueError when i is outside the ground set.
     """
+    if not 0 <= i < L.n:
+        raise ValueError("index outside ground set")
     bit = 1 << i
     C = circuits(L)
     if circuits(delete(L, i))._members != set(

@@ -300,6 +300,10 @@ class MPoly:
 
     @classmethod
     def of(cls, nvars: int, mapping: dict[tuple[int, ...], int]) -> "MPoly":
+        """The polynomial with these exponent tuples and coefficients;
+        raises ValueError when an exponent tuple is not ``nvars`` long."""
+        if any(len(e) != nvars for e in mapping):
+            raise ValueError("exponent length does not match variable count")
         cleaned = {e: c for e, c in mapping.items() if c}
         ordered = sorted(cleaned.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
         return cls(nvars, tuple(ordered))
@@ -309,9 +313,11 @@ class MPoly:
         """The expanded product of the factors, 1 when there are none.
 
         This is the one expansion loop: the terms grow in one exponent
-        dict, factor by factor, and are sorted once, by ``of``."""
+        dict, factor by factor, and are sorted once, by ``of``.  Raises
+        ValueError when a factor has another number of variables."""
         terms = {(0,) * nvars: 1}
         for factor in factors:
+            _same_variables(nvars, factor)
             grown: dict[tuple[int, ...], int] = {}
             for e1, c1 in terms.items():
                 for e2, c2 in factor.terms:
@@ -341,6 +347,7 @@ class MPoly:
         return not self.terms
 
     def __add__(self, other: "MPoly") -> "MPoly":
+        _same_variables(self.nvars, other)
         out = self.mapping()
         for e, c in other.terms:
             out[e] = out.get(e, 0) + c
@@ -402,6 +409,11 @@ class MPoly:
             parts.append(("- " if c < 0 else "+ ") + text)
         first = parts[0][2:] if parts[0].startswith("+ ") else "-" + parts[0][2:]
         return " ".join([first] + parts[1:])
+
+
+def _same_variables(nvars: int, p: MPoly) -> None:
+    if p.nvars != nvars:
+        raise ValueError("polynomials have different variable counts")
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

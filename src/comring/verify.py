@@ -58,8 +58,21 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     circuit-free subsets, the oriented-matroid circuit cross check when
     the zero covector is present, and the evaluation checks behind the
     ring presentation.
+
+    Each check finds its first witness once, and its verdict follows from
+    it: ``record`` writes ``<key>_failed_at`` only when there is a witness,
+    then the verdict, so a False key always follows the witness it names.
     """
     report: dict[str, object] = {"n": L.n, "covectors": len(L)}
+
+    def record(key: str, failed_at: object, ok_key: str = "") -> None:
+        """The witness (a sign vector as its word), if any, then the verdict."""
+        if failed_at is not None:
+            if isinstance(failed_at, SignVector):
+                failed_at = failed_at.word()
+            report[f"{key}_failed_at"] = failed_at
+        report[ok_key or f"{key}_ok"] = failed_at is None
+
     w = axiom_witness(L)
     if w is not None:
         report["witness"] = witness_json(w)
@@ -70,7 +83,7 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     C = circuits(L)
     report["circuits"] = C.words()
     supports = C.minimal_deficient_supports
-    antichain = all(a & b != a for a in supports for b in supports if a != b)
+    holding = {b for b in supports for a in supports if a & b == a != b}
     # The composition of all covectors is a covector whose support is
     # every element but the coloops; call the covectors of that support
     # widest (the topes, unless there are coloops).  A covector Y extends X
@@ -80,17 +93,10 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     cl = coloops(L)
     support = ((1 << L.n) - 1) & ~cl
     widest = [(v.plus, v.minus) for v in L.covectors if v.support == support]
-    circuits_ok = antichain and all(
-        all(x.plus & ~p or x.minus & ~m for p, m in widest) for x in C.circuits
-    )
-    if not circuits_ok:
-        report["circuits_failed_at"] = next(
-            x.word()
-            for x in C.circuits
-            if any(s & x.support == s != x.support for s in supports)
-            or not all(x.plus & ~p or x.minus & ~m for p, m in widest)
-        )
-    report["circuits_ok"] = circuits_ok
+    record("circuits", next((
+        x for x in C.circuits
+        if x.support in holding or not all(x.plus & ~p or x.minus & ~m for p, m in widest)
+    ), None))
 
     report["n_topes"] = len(topes(L))
     report["nbc_counts"] = list(nbc_sets(L).counts)
@@ -110,50 +116,32 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
             break
     report["recursions_ok"] = recursions_ok
 
-    disjoint_failed_at = verify_disjoint_covector(L)
-    if disjoint_failed_at is not None:
-        report["disjoint_covector_failed_at"] = disjoint_failed_at.word()
-    report["disjoint_covector_ok"] = disjoint_failed_at is None
+    record("disjoint_covector", verify_disjoint_covector(L))
     lift_failed_at = next((i for i in range(L.n) if verify_lift(L, i) is not None), None)
-    if lift_failed_at is not None:
-        report["lift_failed_at"] = lift_failed_at
-    report["lifts_ok"] = lift_failed_at is None
-
-    boolean_ok = True
+    record("lift", lift_failed_at, ok_key="lifts_ok")
     small = [0] + [1 << i for i in range(L.n)]
     small += [1 << i | 1 << j for i in range(L.n) for j in range(i + 1, L.n)]
-    for J in small:
-        if any(s & J == s for s in supports):
-            continue
-        if not verify_boolean_extension(L, J):
-            boolean_ok = False
-            report["boolean_extension_failed_at"] = elements(J)
-            break
-    report["boolean_extension_ok"] = boolean_ok
+    record("boolean_extension", next((
+        elements(J) for J in small
+        if not any(s & J == s for s in supports) and not verify_boolean_extension(L, J)
+    ), None))
 
     if is_oriented_matroid(L):
         om = om_circuits(L).circuits
-        if om != C.circuits:
-            report["om_cross_check_failed_at"] = min(
-                set(om) ^ set(C.circuits), key=SignVector.sort_key
-            ).word()
-        report["om_cross_check_ok"] = om == C.circuits
+        diff = () if om == C.circuits else set(om) ^ set(C.circuits)
+        record("om_cross_check", min(diff, key=SignVector.sort_key, default=None))
 
     presentation_ok = False
     if report["nbc_tope_ok"]:
         pres = verify_presentation(L)
         report["nbc_det"] = pres.nbc_det
-        if pres.kernel_failed_at is not None:
-            report["kernel_failed_at"] = pres.kernel_failed_at.word()
-        report["kernel_ok"] = pres.kernel_ok
-        if pres.filtration_failed_at is not None:
-            report["filtration_failed_at"] = elements(pres.filtration_failed_at)
-        report["filtration_ok"] = pres.membership_ok
+        record("kernel", pres.kernel_failed_at)
+        S = pres.filtration_failed_at
+        record("filtration", None if S is None else elements(S))
         presentation_ok = pres.ok
     report["presentation_ok"] = presentation_ok
 
-    ok = all(report[key] for key in _CHECK_KEYS)
-    ok = ok and report.get("om_cross_check_ok", True)
+    ok = all(report[key] for key in _CHECK_KEYS) and report.get("om_cross_check_ok", True)
     report["ok"] = ok
     return ok, report
 
@@ -214,41 +202,40 @@ def corpus_instance_report(seed: int) -> dict[str, object]:
     """Verify one seeded arrangement and all its single element minors.
 
     Equal minors are one object (see ``minors``), so each distinct minor
-    is verified once and its report fills every slot it occupies.
+    is verified once and its report fills every slot it occupies.  The
+    loop only collects ``(element, kind, ok, report)`` per slot; the
+    instance verdict, ``minor_checks``, the oriented-matroid tally and
+    ``failing_minors`` all follow from that list and the root report.
     """
     arr = corpus_arrangement(seed)
     L = covectors(arr)
-    ok, report = full_verify(L)
-    minor_checks = {key: True for key in _CHECK_KEYS}
-    om_runs = 1 if "om_cross_check_ok" in report else 0
-    om_ok = report.get("om_cross_check_ok", True)
-    failing = []
+    root_ok, report = full_verify(L)
     verified: dict[int, tuple[bool, dict[str, object]]] = {}
+    slots = []
     for i in range(L.n):
         for kind, M in (("delete", delete(L, i)), ("contract", contract(L, i))):
             if id(M) not in verified:
                 verified[id(M)] = full_verify(M)
-            sub_ok, sub = verified[id(M)]
-            ok = ok and sub_ok
-            for key in _CHECK_KEYS:
-                minor_checks[key] = minor_checks[key] and sub.get(key, True)
-            if "om_cross_check_ok" in sub:
-                om_runs += 1
-                om_ok = om_ok and sub["om_cross_check_ok"]
-            if not sub_ok:
-                failing.append({"element": i, "kind": kind, "report": sub})
+            slots.append((i, kind, *verified[id(M)]))
+    subs = [sub for *_, sub in slots]
+    om = [r["om_cross_check_ok"] for r in (report, *subs) if "om_cross_check_ok" in r]
     out: dict[str, object] = {
         "seed": seed,
         "dim": arr.dim,
         "n": L.n,
-        "ok": ok,
+        "ok": root_ok and all(sub_ok for _, _, sub_ok, _ in slots),
         "n_covectors": len(L),
         "n_topes": report.get("n_topes"),
         "report": report,
-        "minor_checks": minor_checks,
-        "om_runs": om_runs,
-        "om_ok": om_ok,
+        "minor_checks": {key: all(sub.get(key, True) for sub in subs) for key in _CHECK_KEYS},
+        "om_runs": len(om),
+        "om_ok": all(om),
     }
+    failing = [
+        {"element": i, "kind": kind, "report": sub}
+        for i, kind, sub_ok, sub in slots
+        if not sub_ok
+    ]
     if failing:
         out["failing_minors"] = failing
     return out

@@ -8,11 +8,11 @@ import pytest
 from comring.circuits import in_generator_set, orthogonal
 from comring.core import Com, SignVector, compose, separator, topes
 from comring.exactalg import IntLattice, IntMatrix, determinant
-from comring.minors import inject, project
+from comring.minors import inject, project, verify_circuit_minor_laws
 from comring.nbc import LinearOrder, nbc_sets
 from comring.realize import Arrangement, Hyperplane, OpenRegion
 from comring.rings import (
-    EMonomial, TopeFunction, e_X_eval, heaviside, nbc_basis_matrix, verify_presentation
+    EMonomial, MPoly, TopeFunction, e_X_eval, heaviside, nbc_basis_matrix, verify_presentation
 )
 
 ONE, TWO = SignVector(1, 1, 0), SignVector(2, 1, 0)
@@ -30,6 +30,7 @@ CASES = {
     "e_X_eval": (lambda L: e_X_eval(L, TWO), "ground sets differ"),
     "project": (lambda L: project(TWO, TWO.n), "index outside ground set"),
     "inject": (lambda L: inject(TWO, TWO.n + 1), "insertion point outside range"),
+    "minor_laws": (lambda L: verify_circuit_minor_laws(L, -1), "index outside ground set"),
     "maximum": (
         lambda L: LinearOrder(()).maximum_element(), "empty ground set has no maximum"
     ),
@@ -63,6 +64,18 @@ CASES = {
     "lattice_contains": (
         lambda L: IntLattice(2).contains([1]),
         "vector length does not match ambient dimension",
+    ),
+    "exponent_length": (
+        lambda L: MPoly.of(2, {(1, 0, 5): 3}), "exponent length does not match variable count"
+    ),
+    "product_nvars": (
+        lambda L: MPoly.var(2, 1) * MPoly.var(3, 2), "polynomials have different variable counts"
+    ),
+    "sum_nvars": (
+        lambda L: MPoly.var(2, 1) + MPoly.var(3, 2), "polynomials have different variable counts"
+    ),
+    "difference_nvars": (
+        lambda L: MPoly.var(2, 1) - MPoly.var(3, 2), "polynomials have different variable counts"
     ),
     "verify_presentation": (
         lambda L: verify_presentation(FEW_TOPES), "NBC count differs from tope count"
