@@ -18,10 +18,10 @@ conditional oriented matroid:
 A conditional oriented matroid that contains the zero sign vector is an
 oriented matroid.  All values here are immutable and all operations are
 pure functions.  ``covector_columns`` is the column index of a ``Com``:
-for each element, the covectors positive there and those negative there,
-each as one integer bit set, so that "which covectors extend this
-pattern?" is an AND over the pattern's support.  Only the circuit
-sweeps and strong elimination ask it.
+for each element, the covectors positive there, negative there and zero
+there, each as one integer bit set, so that "which covectors are + on
+this mask, - on that one and 0 on a third?" is one query, an AND per
+element named.  Only the circuit sweeps and strong elimination ask it.
 
 The axiom scans read mask pairs only.  Face symmetry implies closure
 under composition, since X o (-(X o (-Y))) = X o Y.  So X o Y and Y o X
@@ -45,7 +45,7 @@ one in ascending order where a report is written.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, TypeVar
 from weakref import WeakValueDictionary
@@ -108,18 +108,17 @@ class SignVector:
         return self.plus | self.minus
 
     def sign(self, i: int) -> int:
-        bit = 1 << i
-        if self.plus & bit:
-            return 1
-        if self.minus & bit:
-            return -1
-        return 0
+        if not 0 <= i < self.n:
+            raise ValueError("index outside ground set")
+        return (self.plus >> i & 1) - (self.minus >> i & 1)
 
     def signs(self) -> tuple[int, ...]:
-        return tuple(self.sign(i) for i in range(self.n))
+        plus, minus = self.plus, self.minus
+        return tuple((plus >> i & 1) - (minus >> i & 1) for i in range(self.n))
 
     def word(self) -> str:
-        return "".join(SIGN_CHARS[self.sign(i)] for i in range(self.n))
+        plus, minus = self.plus, self.minus
+        return "".join(SIGN_CHARS[(plus >> i & 1) - (minus >> i & 1)] for i in range(self.n))
 
     def is_zero(self) -> bool:
         return self.plus == 0 and self.minus == 0
@@ -303,10 +302,10 @@ def check_strong_elimination(L: Com) -> AxiomWitness | None:
     Outside the separator S, X o Y and Y o X agree, so unordered pairs
     suffice, and each pair asks one question keyed by S and the
     restriction W of X o Y outside S: which e in S have a covector that
-    is zero at e and equals W outside S?  The answer is the AND of the
-    column index (``covector_columns``) over the elements outside S,
-    then one AND per e with e's zero column.  Each distinct question is
-    answered once per call.
+    is zero at e and equals W outside S?  The answer is one query of the
+    column index (``covector_columns``), the covectors that are W
+    outside S, then one AND per e with e's zero column.  Each distinct
+    question is answered once per call.
 
     Face symmetry implies closure under composition, since
     X o (-(X o (-Y))) = X o Y.  So X o Y and Y o X are covectors with
@@ -333,28 +332,23 @@ def check_strong_elimination(L: Com) -> AxiomWitness | None:
 def _elimination_question(L: Com) -> Callable[[int, int, int], int]:
     """The strong elimination question as a function of (S, plus, minus),
     the separator and the restriction W of X o Y outside it: the elements
-    of S at which no covector is zero while equal to W outside S.
+    of S at which no covector is zero while equal to W outside S, that
+    is + on plus, - on minus and 0 elsewhere outside S: one index query.
     Answers are kept for the lifetime of the returned function."""
     cols = covector_columns(L)
-    zero = [cols.every & ~(p | m) for p, m in zip(cols.plus, cols.minus)]
     n = L.n
     full = (1 << n) - 1
-    vanishing: dict[int, int] = {}
     answers: dict[int, int] = {}
 
     def ask(sep: int, plus: int, minus: int) -> int:
         key = (sep << n | plus) << n | minus
         missing = answers.get(key)
         if missing is None:
-            off = full & ~(sep | plus | minus)
-            agree = vanishing.get(off)
-            if agree is None:
-                agree = vanishing[off] = cols.vanishing(off)
-            agree &= cols.extending(plus, minus)
+            agree = cols.extending(plus, minus, full & ~(sep | plus | minus))
             missing = rest = sep
             while rest and agree:
                 low = rest & -rest
-                if agree & zero[low.bit_length() - 1]:
+                if agree & cols.zero[low.bit_length() - 1]:
                     missing ^= low
                 rest ^= low
             answers[key] = missing
@@ -420,39 +414,32 @@ def coloops(L: Com) -> int:
 class Columns:
     """The covectors of a ``Com`` as per-element bit sets.
 
-    Bit j of ``plus[i]`` (``minus[i]``) is set when covector j, in
-    canonical order, is positive (negative) at i; ``every`` has one bit
-    per covector.  A covector extends a pattern exactly when it lies in
-    the columns of every element the pattern signs, so every extension
-    test is one AND per signed element.
+    Bit j of ``plus[i]`` (``minus[i]``, ``zero[i]``) is set when
+    covector j, in canonical order, is positive (negative, zero) at i;
+    ``every`` has one bit per covector, and ``zero`` is derived from the
+    other three.  A covector has a sign pattern exactly when it lies in
+    the columns of every element the pattern names, so ``extending``,
+    the one query, is one AND per named element.
     """
 
     plus: tuple[int, ...]
     minus: tuple[int, ...]
     every: int
+    zero: tuple[int, ...] = field(init=False)
 
-    def extending(self, plus: int, minus: int) -> int:
-        """The covectors positive on the plus mask and negative on the
-        minus mask, as a bit set."""
-        bits = self.every
-        while plus:
-            low = plus & -plus
-            bits &= self.plus[low.bit_length() - 1]
-            plus ^= low
-        while minus:
-            low = minus & -minus
-            bits &= self.minus[low.bit_length() - 1]
-            minus ^= low
-        return bits
+    def __post_init__(self) -> None:
+        zero = tuple(self.every & ~(p | m) for p, m in zip(self.plus, self.minus))
+        object.__setattr__(self, "zero", zero)
 
-    def vanishing(self, mask: int) -> int:
-        """The covectors zero at every element of mask, as a bit set."""
+    def extending(self, plus: int, minus: int, zero: int = 0) -> int:
+        """The covectors positive on the plus mask, negative on the
+        minus mask and zero on the zero mask, as a bit set."""
         bits = self.every
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            bits &= ~(self.plus[i] | self.minus[i])
-            mask ^= low
+        for mask, columns in ((plus, self.plus), (minus, self.minus), (zero, self.zero)):
+            while mask:
+                low = mask & -mask
+                bits &= columns[low.bit_length() - 1]
+                mask ^= low
         return bits
 
 

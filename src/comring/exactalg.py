@@ -54,9 +54,13 @@ class IntMatrix:
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def at(self, r: int, c: int) -> int:
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise ValueError("index outside matrix")
         return self.entries[r * self.cols + c]
 
     def row(self, r: int) -> tuple[int, ...]:
+        if not 0 <= r < self.rows:
+            raise ValueError("index outside matrix")
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
     def row_lists(self) -> list[list[int]]:
@@ -65,9 +69,10 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
+        columns = [other.entries[c :: other.cols] for c in range(other.cols)]
         out = tuple(
-            sum(v * other.at(k, c) for k, v in enumerate(self.row(r)))
-            for r in range(self.rows) for c in range(other.cols)
+            sum(a * b for a, b in zip(self.row(r), col))
+            for r in range(self.rows) for col in columns
         )
         return IntMatrix(self.rows, other.cols, out)
 

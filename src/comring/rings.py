@@ -336,6 +336,7 @@ class MPoly:
 
     @classmethod
     def var(cls, nvars: int, j: int, c: int = 1) -> "MPoly":
+        _check_variable(nvars, j)
         e = [0] * nvars
         e[j] = 1
         return cls.of(nvars, {tuple(e): c})
@@ -364,6 +365,7 @@ class MPoly:
 
     def divexact(self, j: int) -> "MPoly":
         """Quotient by variable j; raises when any term lacks it."""
+        _check_variable(self.nvars, j)
         out = {}
         for e, c in self.terms:
             if e[j] == 0:
@@ -373,6 +375,7 @@ class MPoly:
 
     def substitute_const(self, j: int, value: int) -> "MPoly":
         """Set variable j to an integer and drop it from the ring."""
+        _check_variable(self.nvars, j)
         out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms:
             scaled = c * (value ** e[j])
@@ -414,6 +417,11 @@ class MPoly:
 def _same_variables(nvars: int, p: MPoly) -> None:
     if p.nvars != nvars:
         raise ValueError("polynomials have different variable counts")
+
+
+def _check_variable(nvars: int, j: int) -> None:
+    if not 0 <= j < nvars:
+        raise ValueError("variable index out of range")
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

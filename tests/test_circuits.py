@@ -13,7 +13,7 @@ from comring.circuits import (
     realized_patterns,
     submasks,
 )
-from comring.core import Com, SignVector, elements
+from comring.core import Columns, Com, SignVector, covector_columns, elements
 from comring.minors import contract, delete
 from comring.realize import covectors, geometric_circuits
 from comring.verify import corpus_arrangement, generate_random_arrangement
@@ -226,8 +226,11 @@ def test_symmetric_pairs_match_sort_key_rule(L):
     assert C.symmetric_pairs() == expected
 
 
-def scan_extending(L, plus, minus):
-    return [v for v in L.covectors if plus & ~v.plus == 0 and minus & ~v.minus == 0]
+def scan_extending(L, plus, minus, zero=0):
+    return [
+        v for v in L.covectors
+        if plus & ~v.plus == 0 and minus & ~v.minus == 0 and zero & v.support == 0
+    ]
 
 
 def reference_walk(n, family):
@@ -264,9 +267,21 @@ def test_circuits_match_covector_scan(L):
 @settings(max_examples=150, deadline=None)
 @given(sign_vector_sets())
 def test_extension_queries_match_covector_scan(L):
+    """Every sign pattern with every zero mask off its support, as one
+    index query, against a covector scan; and a hand-built index derives
+    its zero columns from its plus and minus columns."""
+    cols = covector_columns(L)
+    position = {v: 1 << j for j, v in enumerate(L.covectors)}
     for signs in product((-1, 0, 1), repeat=L.n):
         x = SignVector.from_signs(signs)
         assert in_generator_set(L, x) == (not scan_extending(L, x.plus, x.minus))
+        for zero in submasks(((1 << L.n) - 1) & ~x.support):
+            expected = sum(position[v] for v in scan_extending(L, x.plus, x.minus, zero))
+            assert cols.extending(x.plus, x.minus, zero) == expected
+    built = Columns(cols.minus, cols.plus[::-1], cols.every)
+    assert built.zero == tuple(
+        cols.every & ~(p | m) for p, m in zip(cols.minus, cols.plus[::-1])
+    )
     for k in range(L.n + 1):
         for combo in combinations(range(L.n), k):
             mask = sum(1 << i for i in combo)

@@ -77,6 +77,24 @@ CASES = {
     "difference_nvars": (
         lambda L: MPoly.var(2, 1) - MPoly.var(3, 2), "polynomials have different variable counts"
     ),
+    "var_negative": (lambda L: MPoly.var(2, -1), "variable index out of range"),
+    "divexact_index": (lambda L: MPoly.var(2, 1).divexact(5), "variable index out of range"),
+    "divexact_negative": (
+        lambda L: MPoly.var(2, 1).divexact(-1), "variable index out of range"
+    ),
+    "substitute_index": (
+        lambda L: MPoly.var(2, 1).substitute_const(7, 2), "variable index out of range"
+    ),
+    "substitute_negative": (
+        lambda L: MPoly.var(2, 1).substitute_const(-1, 2), "variable index out of range"
+    ),
+    "matrix_column": (lambda L: IntMatrix(2, 2, (1, 2, 3, 4)).at(0, 2), "index outside matrix"),
+    "matrix_row": (lambda L: IntMatrix(2, 2, (1, 2, 3, 4)).at(-1, 0), "index outside matrix"),
+    "matrix_row_slice": (lambda L: IntMatrix(2, 2, (1, 2, 3, 4)).row(5), "index outside matrix"),
+    "sign_index": (lambda L: SignVector.from_word("+-0").sign(5), "index outside ground set"),
+    "sign_negative": (
+        lambda L: SignVector.from_word("+-0").sign(-1), "index outside ground set"
+    ),
     "verify_presentation": (
         lambda L: verify_presentation(FEW_TOPES), "NBC count differs from tope count"
     ),
