@@ -29,7 +29,9 @@ are members with equal support, and the pair (X o Y, Y o X) has the
 separator of (X, Y) and the same X o Y: it asks the same strong
 elimination question.  When face symmetry holds, the pairs of equal
 support therefore certify strong elimination; the canonical scan of all
-pairs runs only to name a witness, or when face symmetry fails.
+pairs runs only to name a witness, or when face symmetry fails.  Both
+are one local scan in ``check_strong_elimination`` and share its one
+dict of answers per call.
 
 Results derived from a ``Com`` (the face symmetry and axiom verdicts,
 its column index, topes and coloops, its circuits, its NBC families) are
@@ -96,10 +98,12 @@ class SignVector:
         plus = minus = 0
         n = 0
         for s in signs:
-            if s > 0:
+            if s == 1:
                 plus |= 1 << n
-            elif s < 0:
+            elif s == -1:
                 minus |= 1 << n
+            elif s != 0:
+                raise ValueError("sign must be -1, 0 or +1")
             n += 1
         return cls(n, plus, minus)
 
@@ -301,11 +305,13 @@ def check_strong_elimination(L: Com) -> AxiomWitness | None:
 
     Outside the separator S, X o Y and Y o X agree, so unordered pairs
     suffice, and each pair asks one question keyed by S and the
-    restriction W of X o Y outside S: which e in S have a covector that
-    is zero at e and equals W outside S?  The answer is one query of the
-    column index (``covector_columns``), the covectors that are W
-    outside S, then one AND per e with e's zero column.  Each distinct
-    question is answered once per call.
+    restriction W of X o Y outside S: which e in S have no covector that
+    is zero at e and equals W outside S, that is + on W+, - on W- and 0
+    elsewhere outside S?  The answer is one query of the column index
+    (``covector_columns``), the covectors that are W outside S, then one
+    AND per e with e's zero column.  Answers are kept in one dict for
+    the call, keyed by the packed (S << n | W+) << n | W-, so each
+    distinct question is answered once per call.
 
     Face symmetry implies closure under composition, since
     X o (-(X o (-Y))) = X o Y.  So X o Y and Y o X are covectors with
@@ -314,63 +320,46 @@ def check_strong_elimination(L: Com) -> AxiomWitness | None:
     symmetric, the pairs within each support class are therefore a
     certificate: if they all pass, L satisfies strong elimination.
     Otherwise, or when L is not face symmetric, the canonical pair scan
-    (i ascending) runs with the same questions and names the first
+    (i ascending) runs with the same answers and names the first
     witness, so the result does not depend on face symmetry.
     """
     vecs = L.covectors
-    ask = _elimination_question(L)
-    if _face_symmetry(L) is None:
-        classes: dict[int, list[SignVector]] = {}
-        for v in vecs:
-            classes.setdefault(v.support, []).append(v)
-        pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
-        if _first_elimination_failure(pairs, ask) is None:
-            return None
-    return _first_elimination_failure(combinations(vecs, 2), ask)
-
-
-def _elimination_question(L: Com) -> Callable[[int, int, int], int]:
-    """The strong elimination question as a function of (S, plus, minus),
-    the separator and the restriction W of X o Y outside it: the elements
-    of S at which no covector is zero while equal to W outside S, that
-    is + on plus, - on minus and 0 elsewhere outside S: one index query.
-    Answers are kept for the lifetime of the returned function."""
     cols = covector_columns(L)
     n = L.n
     full = (1 << n) - 1
     answers: dict[int, int] = {}
 
-    def ask(sep: int, plus: int, minus: int) -> int:
-        key = (sep << n | plus) << n | minus
-        missing = answers.get(key)
-        if missing is None:
-            agree = cols.extending(plus, minus, full & ~(sep | plus | minus))
-            missing = rest = sep
-            while rest and agree:
-                low = rest & -rest
-                if agree & cols.zero[low.bit_length() - 1]:
-                    missing ^= low
-                rest ^= low
-            answers[key] = missing
-        return missing
-
-    return ask
-
-
-def _first_elimination_failure(
-    pairs: Iterable[tuple[SignVector, SignVector]],
-    ask: Callable[[int, int, int], int],
-) -> AxiomWitness | None:
-    for x, y in pairs:
-        sep = (x.plus & y.minus) | (x.minus & y.plus)
-        if sep:
+    def first_failure(pairs: Iterable[tuple[SignVector, SignVector]]) -> AxiomWitness | None:
+        for x, y in pairs:
+            sep = (x.plus & y.minus) | (x.minus & y.plus)
+            if not sep:
+                continue
             free, keep = ~x.support, ~sep
-            missing = ask(
-                sep, (x.plus | (y.plus & free)) & keep, (x.minus | (y.minus & free)) & keep
-            )
+            plus = (x.plus | (y.plus & free)) & keep
+            minus = (x.minus | (y.minus & free)) & keep
+            key = (sep << n | plus) << n | minus
+            missing = answers.get(key)
+            if missing is None:
+                agree = cols.extending(plus, minus, full & ~(sep | plus | minus))
+                missing = rest = sep
+                while rest and agree:
+                    low = rest & -rest
+                    if agree & cols.zero[low.bit_length() - 1]:
+                        missing ^= low
+                    rest ^= low
+                answers[key] = missing
             if missing:
                 return AxiomWitness("se-violation", x, y, (missing & -missing).bit_length() - 1)
-    return None
+        return None
+
+    if _face_symmetry(L) is None:
+        classes: dict[int, list[SignVector]] = {}
+        for v in vecs:
+            classes.setdefault(v.support, []).append(v)
+        pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
+        if first_failure(pairs) is None:
+            return None
+    return first_failure(combinations(vecs, 2))
 
 
 def axiom_witness(L: Com) -> AxiomWitness | None:

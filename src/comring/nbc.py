@@ -74,8 +74,10 @@ def broken_circuit(x: SignVector, order: LinearOrder) -> int:
     """Support mask of x with its order minimum removed.
 
     The broken circuit of a one-element circuit is 0, the empty set.
-    Raises, through ``LinearOrder.minimum``, when x is zero or has an
-    element outside the order."""
+    Raises when the order is on another ground set than x, and, through
+    ``LinearOrder.minimum``, when x is zero."""
+    if x.n != order.n:
+        raise ValueError("order is on the wrong ground set")
     return x.support ^ 1 << order.minimum(x.support)
 
 

@@ -391,6 +391,8 @@ class MPoly:
         return self
 
     def render(self, names: list[str]) -> str:
+        if len(names) != self.nvars:
+            raise ValueError("one name per variable")
         if not self.terms:
             return "0"
         parts = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comring.core import (
+    Columns,
     Com,
     ComFormatError,
     SignVector,
@@ -21,6 +22,8 @@ from comring.core import (
     separator,
     topes,
 )
+from comring.realize import covectors
+from comring.verify import corpus_arrangement
 
 sign_vectors = st.integers(1, 6).flatmap(
     lambda n: st.builds(
@@ -171,6 +174,33 @@ def test_equal_support_pairs_ask_every_elimination_question(gen3):
                 assert compose(xy, yx) == xy
         coms += is_com(L)
     assert coms == 1 + 677
+
+
+def test_strong_elimination_answers_each_question_once_per_call(gen3, monkeypatch):
+    """On a COM strong elimination scans only the equal-support pairs, and
+    it asks the column index once per distinct question (S, W+, W-): the
+    separator S and X o Y outside S.  The answers live for one call, so a
+    second call asks them all again."""
+    calls = 0
+    extending = Columns.extending
+
+    def counted(self, plus, minus, zero=0):
+        nonlocal calls
+        calls += 1
+        return extending(self, plus, minus, zero)
+
+    monkeypatch.setattr(Columns, "extending", counted)
+    for L in [gen3] + [covectors(corpus_arrangement(seed)) for seed in range(30)]:
+        questions = set()
+        for x, y in itertools.combinations(L, 2):
+            sep = separator(x, y)
+            if x.support == y.support and sep:
+                xy = compose(x, y)
+                questions.add((sep, xy.plus & ~sep, xy.minus & ~sep))
+        for _ in range(2):
+            calls = 0
+            assert check_strong_elimination(L) is None
+            assert calls == len(questions)
 
 
 def test_face_symmetry_witness():

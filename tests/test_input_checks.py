@@ -9,7 +9,7 @@ from comring.circuits import in_generator_set, orthogonal
 from comring.core import Com, SignVector, compose, separator, topes
 from comring.exactalg import IntLattice, IntMatrix, determinant
 from comring.minors import inject, project, verify_circuit_minor_laws
-from comring.nbc import LinearOrder, nbc_sets
+from comring.nbc import LinearOrder, broken_circuit, nbc_sets
 from comring.realize import Arrangement, Hyperplane, OpenRegion
 from comring.rings import (
     EMonomial, MPoly, TopeFunction, e_X_eval, heaviside, nbc_basis_matrix, verify_presentation
@@ -95,6 +95,15 @@ CASES = {
     "sign_negative": (
         lambda L: SignVector.from_word("+-0").sign(-1), "index outside ground set"
     ),
+    "broken_circuit_order": (
+        lambda L: broken_circuit(SignVector.from_word("+-"), LinearOrder((2, 0, 1))),
+        "order is on the wrong ground set",
+    ),
+    "render_few_names": (lambda L: MPoly.var(3, 2).render(["a"]), "one name per variable"),
+    "render_extra_names": (
+        lambda L: MPoly.var(2, 0).render(["a", "b", "c"]), "one name per variable"
+    ),
+    "from_signs": (lambda L: SignVector.from_signs([2, -5, 0]), "sign must be -1, 0 or \\+1"),
     "verify_presentation": (
         lambda L: verify_presentation(FEW_TOPES), "NBC count differs from tope count"
     ),
