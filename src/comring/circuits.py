@@ -3,13 +3,13 @@
 The generator test: a sign vector X blocks a covector set L when
 X o Y != Y for every Y in L.  Since (X o Y)_i = X_i wherever X_i != 0,
 the equation X o Y = Y holds exactly when Y agrees with X on the whole
-support of X.  So X blocks L if and only if no covector extends X, which
-is the membership test implemented here.  Every extension test ANDs the
-per-element covector bit sets of ``core.covector_columns``: the
-covectors extending X are the AND of the plus columns on X+ and the
-minus columns on X-.  That is exact for any covector set, COM or not.
-``circuits`` sweeps the patterns of a support by extending its parent's
-sweep, the support without its top element, by that element's columns.
+support of X.  So X blocks L if and only if no covector extends X.
+``circuits`` finds the covectors extending X as the AND of the plus
+columns on X+ and the minus columns on X- of ``core.covector_columns``,
+exact for any covector set, COM or not, and sweeps a support's patterns
+by extending its parent's sweep (the support without its top element)
+by that element's columns.  ``realized_patterns`` and so
+``in_generator_set`` scan the covectors instead.
 
 Circuits are the support minimal blockers.  Every circuit family here
 is a family of sign vectors cut down to its inclusion minimal supports:
@@ -84,7 +84,7 @@ def in_generator_set(L: Com, x: SignVector) -> bool:
     """True when no covector of L extends x on the support of x."""
     if x.n != L.n:
         raise ValueError("ground sets differ")
-    return not covector_columns(L).extending(x.plus, x.minus)
+    return x.plus not in realized_patterns(L, x.support)
 
 
 def _patterns(cols: Columns, mask: int) -> list[tuple[int, int]]:
@@ -102,10 +102,10 @@ def _patterns(cols: Columns, mask: int) -> list[tuple[int, int]]:
 
 def realized_patterns(L: Com, S: int) -> frozenset[int]:
     """The full sign patterns on the support mask S realized by covectors,
-    each as its plus mask."""
+    each as its plus mask, from one scan of the covectors."""
     if S < 0 or S >> L.n:
         raise ValueError("index outside ground set")
-    return frozenset(pat for pat, bits in _patterns(covector_columns(L), S) if bits)
+    return frozenset(v.plus & S for v in L.covectors if v.support & S == S)
 
 
 def circuits(L: Com) -> CircuitSet:

@@ -18,8 +18,9 @@ Inside the checks, sign vectors stay (plus, minus) mask pairs, looked up
 in ``Com._members`` or in sets built by one covector scan, never in the
 column index the circuits come from, and compared as sets.  The tope
 recursion returns a bool, and its element is the witness; the disjoint
-covector and lift checks return the first failing circuit, and the
-circuit minor laws the name of the first failing law, or None.
+covector and lift checks and the generator test ``extended_circuit``
+return the first failing circuit, and the circuit minor laws the name of
+the first failing law, or None.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable
 from weakref import WeakValueDictionary
 
-from .circuits import circuits, minimal_support_walk, submasks
+from .circuits import circuits, minimal_support_walk, realized_patterns, submasks
 from .core import Com, SignVector, _drop_bit, coloops, topes
 
 
@@ -161,11 +162,10 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
 
     def projected_blockers(mask: int) -> list[int]:
         # A pattern whose lift by 0 blocks has lifts by + and - that
-        # block too, so the lifts by + and - decide: a covector covering
-        # full has minus part full ^ plus, so they are pat | bit and pat.
+        # block too, so the lifts by + and - decide: as plus masks of
+        # patterns on wide | bit, they are pat | bit and pat.
         wide = _insert_bit(mask, i)
-        full = wide | bit
-        seen = {v.plus & full for v in L.covectors if v.support & full == full}
+        seen = realized_patterns(L, wide | bit)
         return [_drop_bit(pat, i) for pat in submasks(wide) if not {pat, pat | bit} <= seen]
 
     con_circ = circuits(contract(L, i))
@@ -195,6 +195,25 @@ def verify_disjoint_covector(L: Com) -> SignVector | None:
     return None
 
 
+def extended_circuit(L: Com) -> SignVector | None:
+    """The first circuit, in canonical order, that a covector of widest
+    support extends, or None; one scan per Com.  The composition of all
+    covectors has every element but the coloops as its support, and the
+    covectors of that support are the widest (the topes, unless there are
+    coloops).  When Y extends X so does the widest Y o T, for any widest T,
+    so a scan of them, not of the column index, finds every such circuit."""
+
+    def scan() -> SignVector | None:
+        support = ((1 << L.n) - 1) & ~coloops(L)
+        widest = [(v.plus, v.minus) for v in L.covectors if v.support == support]
+        return next((
+            x for x in circuits(L).circuits
+            if not all(x.plus & ~p or x.minus & ~m for p, m in widest)
+        ), None)
+
+    return L._cached("extended_circuit", scan)
+
+
 def verify_lift(L: Com, i: int) -> SignVector | None:
     """The first symmetric circuit of the contraction at i that is no
     projection of a symmetric circuit of L, or None when all lift."""
@@ -215,14 +234,11 @@ def verify_boolean_extension(L: Com, J: int) -> bool:
 
     Precondition: J contains no circuit support; raises ValueError when
     it does, since the guarantee only holds in that case, and when J has
-    an index outside the ground set.  The patterns are counted by a scan
-    of the covectors, not by the column index that the circuits come
-    from, so a faulty index cannot certify itself.
+    an index outside the ground set.  ``realized_patterns`` counts the
+    patterns by a scan of the covectors, not by the column index that the
+    circuits come from, so a faulty index cannot certify itself.
     """
-    if J < 0 or J >> L.n:
-        raise ValueError("index outside ground set")
-    for s in circuits(L).minimal_deficient_supports:
-        if s & J == s:
-            raise ValueError("J contains a circuit support")
-    realized = {v.plus & J for v in L.covectors if v.support & J == J}
+    realized = realized_patterns(L, J)
+    if any(s & J == s for s in circuits(L).minimal_deficient_supports):
+        raise ValueError("J contains a circuit support")
     return len(realized) == 1 << J.bit_count()

@@ -31,8 +31,9 @@ from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from .circuits import circuits
-from .core import Com, SignVector, elements, topes
+from .core import Com, SignVector, coloops, elements, topes
 from .exactalg import IntLattice, IntMatrix, hermite_normal_form
+from .minors import extended_circuit
 from .nbc import LinearOrder, nbc_sets
 
 
@@ -85,17 +86,12 @@ class TopeFunction:
         return tuple(sum(c * u ** e[0] for e, c in v.terms) for v in self.values)
 
 
-def _extends(v: SignVector, plus: int, minus: int) -> bool:
-    """Whether v is + on the plus mask and - on the minus mask."""
-    return plus & ~v.plus == 0 and minus & ~v.minus == 0
-
-
 def _indicator(L: Com, plus: int, minus: int, value: MPoly) -> TopeFunction:
     """The function equal to value on the topes that extend (plus, minus),
     and 0 elsewhere."""
     t = topes(L)
     zero = MPoly.zero(1)
-    return TopeFunction(t, tuple(value if _extends(v, plus, minus) else zero for v in t))
+    return TopeFunction(t, tuple(zero if plus & ~v.plus or minus & ~v.minus else value for v in t))
 
 
 def heaviside(L: Com, i: int, s: int) -> TopeFunction:
@@ -221,15 +217,12 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     e_X is +-u^|X| on the topes extending X and 0 elsewhere, and for
     nonzero X no tope extends both X and -X, so f_X vanishes exactly
     when e_X and e_{-X} do.  The kernel check therefore reduces to: no
-    tope extends any circuit.  It scans the topes, not the column index
-    that the circuits come from, so a faulty index cannot certify its
-    own circuits.
+    tope extends any circuit.  Without a coloop the topes are the widest
+    covectors, so that is ``extended_circuit``, the generator test that
+    ``full_verify`` shares; with a coloop there is no tope, and it holds.
     """
     t = topes(L)
-    kernel_failed_at = next(
-        (x for x in circuits(L).circuits if any(_extends(v, x.plus, x.minus) for v in t)),
-        None,
-    )
+    kernel_failed_at = None if coloops(L) else extended_circuit(L)
     fam = nbc_sets(L, order)
     if len(fam.sets) != len(t):
         raise ValueError("NBC count differs from tope count")

@@ -18,6 +18,7 @@ from .core import (
 from .minors import (
     contract,
     delete,
+    extended_circuit,
     verify_boolean_extension,
     verify_disjoint_covector,
     verify_lift,
@@ -57,7 +58,8 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     covector and lift properties, boolean extension on all small
     circuit-free subsets, the oriented-matroid circuit cross check when
     the zero covector is present, and the evaluation checks behind the
-    ring presentation.
+    ring presentation, whose kernel check shares the generator test of
+    ``circuits_ok``, ``extended_circuit``.
 
     Each check finds its first witness once, and its verdict follows from
     it: ``record`` writes ``<key>_failed_at`` only when there is a witness,
@@ -84,19 +86,8 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
     report["circuits"] = C.words()
     supports = C.minimal_deficient_supports
     holding = {b for b in supports for a in supports if a & b == a != b}
-    # The composition of all covectors is a covector whose support is
-    # every element but the coloops; call the covectors of that support
-    # widest (the topes, unless there are coloops).  A covector Y extends X
-    # exactly when the widest covector Y o T does, for any widest T.  So
-    # the generator test scans the widest covectors, not the column index
-    # that the circuits come from.
-    cl = coloops(L)
-    support = ((1 << L.n) - 1) & ~cl
-    widest = [(v.plus, v.minus) for v in L.covectors if v.support == support]
-    record("circuits", next((
-        x for x in C.circuits
-        if x.support in holding or not all(x.plus & ~p or x.minus & ~m for p, m in widest)
-    ), None))
+    ext = extended_circuit(L)
+    record("circuits", next((x for x in C.circuits if x.support in holding or x == ext), None))
 
     report["n_topes"] = len(topes(L))
     report["nbc_counts"] = list(nbc_sets(L).counts)
@@ -104,7 +95,7 @@ def full_verify(L: Com) -> tuple[bool, dict[str, object]]:
 
     recursions_ok = True
     for i in range(L.n):
-        if cl >> i & 1:
+        if coloops(L) >> i & 1:
             continue
         if not verify_tope_recursion(L, i):
             recursions_ok = False

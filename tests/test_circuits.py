@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from comring.circuits import (
     CircuitSet,
+    _patterns,
     circuits,
     in_generator_set,
     minimal_support_walk,
@@ -268,8 +269,10 @@ def test_circuits_match_covector_scan(L):
 @given(sign_vector_sets())
 def test_extension_queries_match_covector_scan(L):
     """Every sign pattern with every zero mask off its support, as one
-    index query, against a covector scan; and a hand-built index derives
-    its zero columns from its plus and minus columns."""
+    index query, against a covector scan; the index's pattern sweep of
+    every support against the realized patterns, which a covector scan
+    finds; and a hand-built index derives its zero columns from its plus
+    and minus columns."""
     cols = covector_columns(L)
     position = {v: 1 << j for j, v in enumerate(L.covectors)}
     for signs in product((-1, 0, 1), repeat=L.n):
@@ -285,12 +288,9 @@ def test_extension_queries_match_covector_scan(L):
     for k in range(L.n + 1):
         for combo in combinations(range(L.n), k):
             mask = sum(1 << i for i in combo)
-            expected = {
-                v.plus & mask
-                for v in L.covectors
-                if v.support & mask == mask
-            }
-            assert realized_patterns(L, mask) == expected
+            swept = dict(_patterns(cols, mask))
+            assert len(swept) == 1 << k
+            assert {pat for pat, bits in swept.items() if bits} == realized_patterns(L, mask)
 
 
 @st.composite

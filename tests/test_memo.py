@@ -114,6 +114,27 @@ def test_column_index_built_once_per_com(monkeypatch):
     assert len(built) == len(indexed) + 1
 
 
+def test_generator_scan_runs_once_per_com(monkeypatch):
+    """``circuits_ok`` and the presentation's kernel check share one scan
+    of the widest covectors."""
+    scanned = []
+    real_cached = core.Com._cached
+
+    def counting_cached(self, key, compute):
+        def counted():
+            scanned.append(self)
+            return compute()
+
+        return real_cached(self, key, counted if key == "extended_circuit" else compute)
+
+    monkeypatch.setattr(core.Com, "_cached", counting_cached)
+    L = covectors(corpus_arrangement(11))
+    assert not coloops(L)
+    ok, report = full_verify(L)
+    assert ok and report["kernel_ok"] is True
+    assert scanned == [L]
+
+
 def test_face_symmetry_scanned_once_per_com(monkeypatch, gen3):
     """Strong elimination reads the face symmetry verdict it needs from
     the memo, and not through the public name, which the benchmark

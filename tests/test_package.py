@@ -75,20 +75,35 @@ def test_modules_use_every_name_they_import():
 
 
 def test_only_core_and_circuits_read_the_column_index():
-    """``core`` builds the column index and asks it in strong
-    elimination, and ``circuits`` sweeps it.  Every other check scans
-    covectors or topes, so a faulty index cannot certify the circuits it
-    produced."""
+    """Only the sweep of ``circuits.circuits`` and the questions of
+    ``core.check_strong_elimination`` read the column index.  Every other
+    check scans covectors or topes, so a faulty index cannot certify the
+    circuits it produced.  A reader is a top-level function or method, a
+    nested ``def`` counting toward the one that holds it, or a module-level
+    statement other than an import; ``covector_columns`` itself, which
+    builds the index, is not one."""
     readers = set()
     for path in sorted((Path(__file__).parents[1] / "src" / "comring").glob("*.py")):
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.FunctionDef):
-                names.add(node.name)
-        if "covector_columns" in names:
-            readers.add(path.stem)
-    assert readers == {"core", "circuits"}
+        tree = ast.parse(path.read_text())
+        units = [(path.stem, node) for node in tree.body]
+        units += [
+            (f"{path.stem}.{node.name}", item)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        ]
+        for owner, node in units:
+            if isinstance(node, (ast.Import, ast.ImportFrom, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "covector_columns":
+                    continue
+                owner = f"{owner}.{node.name}"
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if "covector_columns" in names:
+                readers.add(owner)
+    assert readers == {"circuits.circuits", "core.check_strong_elimination"}

@@ -2,7 +2,6 @@
 
 import importlib
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -80,9 +79,12 @@ def fail_boolean_extension(monkeypatch, L):
 
 
 def fail_kernel(monkeypatch, L):
-    # every tope extends itself, so the first tope is the first witness
-    monkeypatch.setattr(rings, "circuits", lambda L: SimpleNamespace(circuits=topes(L)))
-    return topes(L)[0].word()
+    # The kernel check reads the shared generator scan through rings'
+    # binding, and circuits_ok through verify's.  Patching rings.circuits
+    # would not reach a scan already memoized on the session's ex4.
+    bad = topes(L)[0]
+    monkeypatch.setattr(rings, "extended_circuit", lambda L: bad)
+    return bad.word()
 
 
 def fail_filtration(monkeypatch, L):
@@ -253,6 +255,8 @@ def test_faulty_column_index_fails_the_report_with_a_coloop(monkeypatch, ex4):
     # A fresh Com, so no result memoized before the fault is reused.
     ok, report = full_verify(Com(L.n, L.covectors))
     assert not ok and report["circuits_ok"] is False
+    # No tope, so the kernel check holds without a scan.
+    assert report["n_topes"] == 0 and report["kernel_ok"] is True
 
 
 @pytest.mark.parametrize("seed", [1, 3, 4])
