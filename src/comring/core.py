@@ -433,18 +433,32 @@ class Columns:
 
 
 def covector_columns(L: Com) -> Columns:
-    """The column index of L.  Computed once per Com."""
+    """The column index of L, built in time linear in its size.  Computed
+    once per Com.
+
+    Each sign's masks, the last covector first, are written as one
+    big-endian byte string of ``step = 8 * ceil(n / 8)`` bits per
+    covector, read as one integer and formatted as one binary string:
+    element i of covector j is digit ``step - 1 - i`` of block j, so every
+    ``step``-th digit from there spells column i, highest covector first.
+    Each of the four steps is linear, where an integer grown by a shift
+    and an OR per covector would copy it once per covector.
+    """
 
     def compute() -> Columns:
-        # One n-digit binary word per covector, the last covector first:
-        # element i of covector j is digit n-1-i of word j, so every n-th
-        # digit from n-1-i on spells column i, highest covector first.
         n, rows = L.n, L.covectors[::-1]
-        plus = "".join(format(v.plus, f"0{n}b") for v in rows)
-        minus = "".join(format(v.minus, f"0{n}b") for v in rows)
+        width = (n + 7) // 8
+        step = 8 * width
+        size = step * len(rows)
+
+        def columns(masks: list[int]) -> tuple[int, ...]:
+            packed = int.from_bytes(b"".join([x.to_bytes(width, "big") for x in masks]), "big")
+            digits = format(packed, f"0{size}b")
+            return tuple(int(digits[step - 1 - i :: step] or "0", 2) for i in range(n))
+
         return Columns(
-            tuple(int(plus[n - 1 - i :: n] or "0", 2) for i in range(n)),
-            tuple(int(minus[n - 1 - i :: n] or "0", 2) for i in range(n)),
+            columns([v.plus for v in rows]),
+            columns([v.minus for v in rows]),
             (1 << len(rows)) - 1,
         )
 

@@ -2,17 +2,22 @@
 
 Both minors drop coordinate i and renumber the indices above it down by
 one.  Deletion keeps every covector; contraction keeps the covectors
-vanishing at i.  Each minor is looked up once per Com and element, and
-is shared by value within its minor tree: the root and every minor
-derived from it share one table of minors keyed by ``(n, mask pairs)``.
-So deleting i then j or j then i, deleting and contracting in either
-order, and deleting or contracting a coloop each give one object, and
-the checks that reach it by any path share its circuits and NBC
-families.  That is sound because every memoized result is a pure
-function of ``(n, covectors)``.  The table holds its minors weakly, so
-it keeps nothing alive on its own, and it belongs to one root, so
-separately built equal roots share no minor.  ``label_map`` reports the
-renumbering so callers can recover original hyperplane labels.
+vanishing at i.  Each is one projection pass over the parent's mask
+pairs, and contraction keeps the canonical order of its covectors, so
+``Com``'s sort finds them sorted.  A minor is built by ``Com`` like any
+other input and gets its own column index and walk; no index is shared
+between a Com and its minors.  Each minor is looked up once per Com and
+element, and is shared by value within its minor tree: the root and
+every minor derived from it share one table of minors keyed by
+``(n, mask pairs)``.  So deleting i then j or j then i, deleting and
+contracting in either order, and deleting or contracting a coloop each
+give one object, and the checks that reach it by any path share its
+circuits and NBC families.  That is sound because every memoized result
+is a pure function of ``(n, covectors)``.  The table holds its minors
+weakly, so it keeps nothing alive on its own, and it belongs to one
+root, so separately built equal roots share no minor.  ``label_map``
+reports the renumbering so callers can recover original hyperplane
+labels.
 
 Inside the checks, sign vectors stay (plus, minus) mask pairs, looked up
 in ``Com._members`` or in sets built by one covector scan, never in the
@@ -59,24 +64,40 @@ def _projected(xs: Iterable[SignVector], i: int) -> list[tuple[int, int]]:
 
 def _minor(L: Com, kind: str, i: int) -> Com:
     """The deletion or contraction at i, memoized on L under (kind, i)
-    and shared by value within L's minor tree."""
+    and shared by value within L's minor tree.
+
+    One pass projects the parent's mask pairs, the bit shifts of
+    ``_drop_bit`` written inline.  Contraction projects ``L.covectors``,
+    those zero at i, and keeps their order: a coordinate that is 0 on
+    every kept covector takes no part in their lexicographic order, so
+    dropping it leaves them sorted.  Deletion projects ``L._members``,
+    whose images may coincide.
+    """
     if not 0 <= i < L.n:
         raise ValueError("index outside ground set")
 
     def build() -> Com:
-        dropped = 1 << i if kind == "contract" else 0
-        members = frozenset(
-            (_drop_bit(p, i), _drop_bit(m, i))
-            for p, m in L._members
-            if not (p | m) & dropped
-        )
+        n, low = L.n - 1, (1 << i) - 1
+        high = ~low
+        if kind == "contract":
+            bit = 1 << i
+            pairs = [
+                (v.plus & low | v.plus >> 1 & high, v.minus & low | v.minus >> 1 & high)
+                for v in L.covectors
+                if not (v.plus | v.minus) & bit
+            ]
+            members = frozenset(pairs)
+        else:
+            pairs = members = frozenset(
+                (p & low | p >> 1 & high, m & low | m >> 1 & high) for p, m in L._members
+            )
         if L._tree is None:
             L._tree = WeakValueDictionary()
-        M = L._tree.get((L.n - 1, members))
+        M = L._tree.get((n, members))
         if M is None:
-            M = Com(L.n - 1, (SignVector(L.n - 1, p, m) for p, m in members))
+            M = Com(n, (SignVector(n, p, m) for p, m in pairs))
             M._tree = L._tree
-            L._tree[M.n, M._members] = M
+            L._tree[n, M._members] = M
         return M
 
     return L._cached((kind, i), build)
@@ -160,13 +181,15 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
     ):
         return "deletion"
 
-    def projected_blockers(mask: int) -> list[int]:
+    def projected_blockers(mask: int, _: object) -> tuple[list[int], bool]:
         # A pattern whose lift by 0 blocks has lifts by + and - that
         # block too, so the lifts by + and - decide: as plus masks of
         # patterns on wide | bit, they are pat | bit and pat.
         wide = _insert_bit(mask, i)
         seen = realized_patterns(L, wide | bit)
-        return [_drop_bit(pat, i) for pat in submasks(wide) if not {pat, pat | bit} <= seen]
+        return [
+            _drop_bit(pat, i) for pat in submasks(wide) if not {pat, pat | bit} <= seen
+        ], True
 
     con_circ = circuits(contract(L, i))
     if not coloops(L) >> i & 1 and (

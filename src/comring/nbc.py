@@ -115,7 +115,8 @@ def nbc_sets(L: Com, order: LinearOrder | None = None) -> NbcFamily:
 
 
 def _nbc_family(L: Com, order: LinearOrder) -> NbcFamily:
-    levels = unblocked_levels(L.n, _blocker_masks(circuits(L), order).__contains__)
+    blockers = _blocker_masks(circuits(L), order)
+    levels = unblocked_levels(L.n, lambda mask, _: None if mask in blockers else True)
     return NbcFamily(order, tuple(chain.from_iterable(levels)), tuple(map(len, levels)))
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from comring.circuits import (
     CircuitSet,
-    _patterns,
     circuits,
     in_generator_set,
     minimal_support_walk,
@@ -234,6 +233,20 @@ def scan_extending(L, plus, minus, zero=0):
     ]
 
 
+def reference_sweep(cols, mask):
+    """Every sign pattern on the support mask, as its plus mask, paired
+    with the bit set of the covectors extending it, built from scratch
+    one element at a time."""
+    out = [(0, cols.every)]
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        p, m = cols.plus[i], cols.minus[i]
+        out = [q for pat, bits in out for q in ((pat | low, bits & p), (pat, bits & m))]
+        mask ^= low
+    return out
+
+
 def reference_walk(n, family):
     """The support walk that skips every superset of a support found, by
     testing it against each found support in turn."""
@@ -288,7 +301,7 @@ def test_extension_queries_match_covector_scan(L):
     for k in range(L.n + 1):
         for combo in combinations(range(L.n), k):
             mask = sum(1 << i for i in combo)
-            swept = dict(_patterns(cols, mask))
+            swept = dict(reference_sweep(cols, mask))
             assert len(swept) == 1 << k
             assert {pat for pat, bits in swept.items() if bits} == realized_patterns(L, mask)
 
@@ -312,10 +325,17 @@ def families(draw):
 def test_walk_matches_superset_skipping_walk(case):
     n, members = case
 
-    def family(mask):
-        return members.get(mask, [])
+    states = {}
+
+    def family(mask, parent):
+        """Each support's state is a fresh object, so the parent's can be
+        told apart from any other support's."""
+        assert parent is (states[mask & ~(1 << mask.bit_length() - 1)] if mask else None)
+        assert mask not in states
+        states[mask] = object()
+        return members.get(mask, []), states[mask]
 
     walked = minimal_support_walk(n, family)
-    expected = reference_walk(n, family)
+    expected = reference_walk(n, lambda mask: members.get(mask, []))
     assert walked.circuits == expected.circuits
     assert walked.minimal_deficient_supports == expected.minimal_deficient_supports

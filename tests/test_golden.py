@@ -17,9 +17,9 @@ import pytest
 
 from comring.cli import run
 from comring.core import com_to_json
-from comring.realize import covectors_with_witnesses, sign_vector_at_point
+from comring.realize import covectors, covectors_with_witnesses, sign_vector_at_point
 from comring.rings import presentation
-from comring.verify import corpus_arrangement, generate_random_arrangement
+from comring.verify import corpus_arrangement, full_verify, generate_random_arrangement
 
 GOLDEN = {
     "verify ex4": "9e1093c64a8d68528b187376a7bbbb702ac430c64245e8da573d193c17b85a59",
@@ -31,6 +31,9 @@ GOLDEN = {
     "corpus results 100": "5f8ebc6114393ba0d5bd1cfe2c296ab6c24b50371d154be7dff5e8031bec0902",
     "presentation variants": "d6298761d0d1fb7ddc54aaf6a6caad6e49af688fa671ae672cb5e86c3ae04ca8",
     "covector words": "57d248fe0cbe7b0b0f8cdf88ea1f5329a759ab6d870606accb647918289aa6a8",
+    "verify d3-n8-k2-s0": "c967a160645ed25969fded2dac1dfbe46f1e1862873be81c2145cded2ca53558",
+    "verify d3-n8-central-s0": "a83ae20fc8985253606a400df61d28de658b660898e2ac73adfc79a62294f28e",
+    "verify d2-n9-k2-s0": "39e7c2ff0be9f1eb8e396b69165c74dc79c19eda490af645929d6af84b3a6fcb",
 }
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -118,3 +121,24 @@ def test_covector_words_golden():
             assert sign_vector_at_point(arr, p) == x, (key, x.word(), p)
         lines.append(f"{key}: {' '.join(x.word() for x, _ in pairs)}")
     check_golden("covector words", 0, "\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "key, shape",
+    [
+        ("verify d3-n8-k2-s0", (3, 8, 2, False)),
+        ("verify d3-n8-central-s0", (3, 8, 0, True)),
+        ("verify d2-n9-k2-s0", (2, 9, 2, False)),
+    ],
+)
+def test_verify_workload_golden(key, shape):
+    """The ``full_verify`` report and the reduced Rees presentation text of
+    three verify workload inputs, the (2, 9, 2) one with n > 8, so the
+    minors, the column index and the support walk of larger ground sets
+    keep their output."""
+    d, n, k, central = shape
+    L = covectors(generate_random_arrangement(0, d, n, k, central=central))
+    ok, report = full_verify(L)
+    assert ok
+    pres = presentation(L, "rees", reduced=True)
+    check_golden(key, 0, json.dumps(report, indent=2) + "\n" + "\n".join(pres.text_lines()))

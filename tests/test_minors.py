@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from comring.circuits import circuits, in_generator_set
-from comring.core import Com, SignVector, coloops, is_com, topes
+from comring.core import Columns, Com, SignVector, coloops, covector_columns, is_com, topes
 from comring.minors import (
     contract,
     delete,
@@ -18,7 +18,9 @@ from comring.minors import (
     verify_lift,
     verify_tope_recursion,
 )
+from comring.realize import covectors
 from comring.rings import EMonomial, heaviside, rho_eval
+from comring.verify import generate_random_arrangement
 
 
 def test_project_inject():
@@ -186,6 +188,50 @@ def test_minors_match_projected_covectors_on_random_sets():
             assert contract(L, i) == Com(L.n - 1, kept), (L.words(), i)
             merged += len(delete(L, i)) < len(L)
     assert merged
+
+
+@pytest.fixture(scope="module", params=[(0, 2, 9), (7, 3, 10)], ids=["d2-n9-s0", "d3-n10-s7"])
+def wide(request):
+    """Arrangements on more than 8 elements, where sort keys and the rows
+    of the column index take two bytes: the (2, 9, 2) seed-0 input of
+    the verify benchmark and the seed-7 (3, 10) row of the size ladder."""
+    seed, d, n = request.param
+    return covectors(generate_random_arrangement(seed, d, n, 2))
+
+
+def test_minors_match_projected_words_past_eight_elements(wide):
+    """Every deletion and contraction equals the Com of the covector
+    words with letter i cut out, keeping only the words with 0 there
+    for the contraction."""
+    L = wide
+    words = L.words()
+    for i in range(L.n):
+        cut = [w[:i] + w[i + 1 :] for w in words]
+        assert delete(L, i) == Com.from_words(L.n - 1, cut), i
+        kept = [c for c, w in zip(cut, words) if w[i] == "0"]
+        assert contract(L, i) == Com.from_words(L.n - 1, kept), i
+
+
+def test_column_index_matches_bitwise_reference_past_eight_elements(wide):
+    """The column index of the input and of all its minors against one
+    built a bit at a time from each covector's sign at each element."""
+
+    def reference(M):
+        def column(i, sign):
+            return sum(1 << j for j, v in enumerate(M.covectors) if v.sign(i) == sign)
+
+        return Columns(
+            tuple(column(i, 1) for i in range(M.n)),
+            tuple(column(i, -1) for i in range(M.n)),
+            (1 << len(M)) - 1,
+        )
+
+    L = wide
+    for M in [L] + [minor(L, i) for i in range(L.n) for minor in (delete, contract)]:
+        assert covector_columns(M) == reference(M)
+        assert covector_columns(M).zero == tuple(
+            sum(1 << j for j, v in enumerate(M.covectors) if not v.sign(i)) for i in range(M.n)
+        )
 
 
 def test_minor_tope_counts(gen3):
