@@ -6,10 +6,10 @@ the equation X o Y = Y holds exactly when Y agrees with X on the whole
 support of X.  So X blocks L if and only if no covector extends X.
 ``circuits`` finds the covectors extending X as the AND of the plus
 columns on X+ and the minus columns on X- of ``core.covector_columns``,
-exact for any covector set, COM or not, and sweeps a support's patterns
-by extending its parent's sweep (the support without its top element),
-which the walk hands it, by that element's columns.  ``realized_patterns``
-and so ``in_generator_set`` scan the covectors instead.
+exact for any covector set, COM or not.  It sweeps a support's patterns
+by extending its parent's sweep (the support without its top element)
+by that element's columns, and keeps one parent's sweep at a time.
+``realized_patterns`` and ``in_generator_set`` scan the covectors.
 
 Circuits are the support minimal blockers.  Every circuit family here
 is a family of sign vectors cut down to its inclusion minimal supports:
@@ -18,31 +18,26 @@ orthogonal to all covectors (``om_circuits``) and projected blockers (the
 contraction law in ``minors``).  They, and the NBC sets of ``nbc``, run
 one support walk, ``unblocked_levels``: it tests a k-set only when each
 of its (k-1)-subsets was tested and found unblocked, k set lookups that
-skip exactly the supersets of the blocked supports, and it passes each
-test the state that the k-set's parent returned, so a sweep grows by one
-element per support; NBC, the contraction law and the geometric
-circuits keep no state.  For a circuit
-family a support is blocked when the family has members on it, so every
-support with members the walk tests is minimal, whether the family is
-upward closed or not.  Supports are bit masks throughout.
+skip exactly the supersets of the blocked supports.  Its test is a
+function of the mask alone; NBC passes a set's ``__contains__``.  For a
+circuit family a support is blocked when the family has members on it,
+so every support with members the walk tests is minimal, whether the
+family is upward closed or not.  Supports are bit masks throughout.
 
 The orthogonality test of ``om_circuits`` runs on per-element bit sets
 of its own, built from the covector list and not from the column index,
 so the cross check does not share the index with ``circuits``.  OR-ing
 the sets over a pattern X gives A, the covectors that agree with X
 somewhere, and O, those that oppose it somewhere; X is orthogonal to
-every covector exactly when A == O.  The (pattern, A, O) sweep grows
-along the walk like the circuit sweep.
+every covector exactly when A == O.  Each support is swept from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
-from .core import Com, SignVector, covector_columns, elements, is_oriented_matroid
-
-State = TypeVar("State")
+from .core import Columns, Com, SignVector, covector_columns, elements, is_oriented_matroid
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,19 @@ def in_generator_set(L: Com, x: SignVector) -> bool:
     return x.plus not in realized_patterns(L, x.support)
 
 
+def _patterns(cols: Columns, mask: int) -> list[tuple[int, int]]:
+    """Every sign pattern on the support mask, as its plus mask, paired
+    with the bit set of the covectors extending it."""
+    out = [(0, cols.every)]
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        p, m = cols.plus[i], cols.minus[i]
+        out = [q for pat, bits in out for q in ((pat | low, bits & p), (pat, bits & m))]
+        mask ^= low
+    return out
+
+
 def realized_patterns(L: Com, S: int) -> frozenset[int]:
     """The full sign patterns on the support mask S realized by covectors,
     each as its plus mask, from one scan of the covectors."""
@@ -106,104 +114,91 @@ def circuits(L: Com) -> CircuitSet:
 
     A support S is deficient when the covectors realize fewer than 2^|S|
     full sign patterns on it; the circuits are the missing patterns on
-    the minimal deficient supports.  The sweep of S pairs each of its
+    the minimal deficient supports.  A parent's sweep pairs each of its
     patterns, as a plus mask, with the bit set of the covectors extending
-    it.  The walk hands each support its parent's sweep, that of S
-    without its top element, and the support's own sweep is the parent's
-    extended by that element: one AND per parent pattern and sign.
-    Intended for ground sets up to around 16 elements.  Computed once
-    per Com.
+    it.  The walk tests a parent's children one after another, each the
+    parent plus one element above its top, so only the sweep of the last
+    parent is kept: ``_patterns`` builds it once when the first child
+    arrives, and each child costs one AND per parent pattern and sign of
+    its top element.  The result does not depend on that order; a child
+    of any other parent has its parent's sweep built afresh.  Intended
+    for ground sets up to around 16 elements.  Computed once per Com.
     """
 
     def compute() -> CircuitSet:
         cols = covector_columns(L)
+        parent, sweep = -1, []
 
-        def missing(
-            mask: int, sweep: list[tuple[int, int]] | None
-        ) -> tuple[list[int], list[tuple[int, int]]]:
-            if sweep is None:
-                return [] if cols.every else [0], [(0, cols.every)]
+        def missing(mask: int) -> list[int]:
+            nonlocal parent, sweep
+            if not mask:
+                return [] if cols.every else [0]
             i = mask.bit_length() - 1
             top = 1 << i
+            if mask ^ top != parent:
+                parent = mask ^ top
+                sweep = _patterns(cols, parent)
             p, m = cols.plus[i], cols.minus[i]
-            sweep = [q for pat, bits in sweep for q in ((pat | top, bits & p), (pat, bits & m))]
-            return [pat for pat, bits in sweep if not bits], sweep
+            return [pat | top for pat, bits in sweep if not bits & p] + [
+                pat for pat, bits in sweep if not bits & m
+            ]
 
         return minimal_support_walk(L.n, missing)
 
     return L._cached("circuits", compute)
 
 
-def unblocked_levels(
-    n: int, test: Callable[[int, State | None], State | None]
-) -> list[list[int]]:
+def unblocked_levels(n: int, blocked: Callable[[int], bool]) -> list[list[int]]:
     """The supports on {0, ..., n-1} that hold no blocked support, by size.
 
     Level k lists the unblocked k-sets as bit masks in ``combinations``
     order; the walk stops at the first empty level, so no level is empty.
-    A k-set is tested only when all of its (k-1)-subsets are unblocked.
-    Each k-set is reached from its parent, the (k-1)-set without its
-    highest element, which keeps the order, and is tested as
-    ``test(mask, state)`` with the state its parent's test returned (None
-    for the empty set, which has no parent).  The test returns the
-    support's own state, or None when the support is blocked; a test
-    that keeps no state returns any other value for an unblocked one.
-
-    Memory: states live for one level.  A parent's state is released
-    once its children are tested, and a support that holds element n-1
-    has no children and keeps none; so the states alive at any moment
-    are those of the parents still to extend and of the children built
-    so far.
+    A k-set is tested as ``blocked(mask)`` only when all of its
+    (k-1)-subsets are unblocked, and once.  Each k-set is reached from its
+    parent, the (k-1)-set without its highest element, which keeps the
+    order, and the children of one parent are tested one after another.
     """
     levels: list[list[int]] = []
-    root = test(0, None)
-    level = [] if root is None else [(0, root)]
+    level = [0]
     while level:
-        levels.append([mask for mask, _ in level])
-        cleared = set(levels[-1])
-        children = []
-        level.reverse()
-        while level:  # popped, so each state goes once its children are tested
-            mask, state = level.pop()
+        clear = [mask for mask in level if not blocked(mask)]
+        if not clear:
+            break
+        levels.append(clear)
+        cleared = set(clear)
+        level = []
+        for mask in clear:
             for j in range(mask.bit_length(), n):
                 grown = mask | 1 << j
                 rest = mask
                 while rest and grown ^ (rest & -rest) in cleared:
                     rest &= rest - 1
                 if not rest:
-                    child = test(grown, state)
-                    if child is not None:
-                        children.append((grown, child if j < n - 1 else None))
-        level = children
+                    level.append(grown)
     return levels
 
 
-def minimal_support_walk(
-    n: int, family: Callable[[int, State | None], tuple[list[int], State]]
-) -> CircuitSet:
+def minimal_support_walk(n: int, family: Callable[[int], list[int]]) -> CircuitSet:
     """The members of a family on its inclusion minimal supports.
 
-    ``family(mask, state)`` returns the plus masks of the members with
-    support exactly ``mask``, and the state that ``mask``'s children
-    receive; it gets its parent's state as ``unblocked_levels`` hands it
-    on, and a family that keeps none returns any value but None.  A
-    support with members blocks its supersets in ``unblocked_levels``,
-    which tests a support only when no smaller one inside it had members;
-    so every support with members that it tests is minimal.  Circuits
-    come out canonically ordered, supports by size.
+    ``family(mask)`` returns the plus masks of the members with support
+    exactly ``mask``; it is called in the order ``unblocked_levels``
+    tests the masks.  A support with members blocks its supersets in
+    ``unblocked_levels``, which tests a support only when no smaller one
+    inside it had members; so every support with members that it tests
+    is minimal.  Circuits come out canonically ordered, supports by size.
     """
     found: list[SignVector] = []
     supports: list[int] = []
 
-    def test(mask: int, parent: State | None) -> State | None:
-        members, state = family(mask, parent)
-        if not members:
-            return state
-        supports.append(mask)
-        found.extend(SignVector(n, pat, mask ^ pat) for pat in members)
-        return None
+    def blocked(mask: int) -> bool:
+        members = family(mask)
+        if members:
+            supports.append(mask)
+            found.extend(SignVector(n, pat, mask ^ pat) for pat in members)
+        return bool(members)
 
-    unblocked_levels(n, test)
+    unblocked_levels(n, blocked)
     found.sort(key=SignVector.sort_key)
     return CircuitSet(n, tuple(found), tuple(supports))
 
@@ -242,8 +237,8 @@ def om_circuits(L: Com) -> CircuitSet:
     plus sets on X+ and the minus sets on X-, the covectors agreeing with
     X somewhere, and O the other two, those opposing it somewhere.  A
     covector Y is orthogonal to X when it is in both or neither, so X is
-    orthogonal to every covector exactly when A == O.  A support's sweep
-    is its parent's, handed on by the walk, extended by its top element.
+    orthogonal to every covector exactly when A == O.  Each support's
+    sweep is built from scratch, one element at a time, and none is kept.
     """
     if not is_oriented_matroid(L):
         raise ValueError("input is not an oriented matroid")
@@ -255,17 +250,20 @@ def om_circuits(L: Com) -> CircuitSet:
         for i in elements(v.minus):
             minus[i] |= bit
 
-    def vectors(
-        mask: int, sweep: list[tuple[int, int, int]] | None
-    ) -> tuple[list[int], list[tuple[int, int, int]]]:
-        if sweep is None:
-            return [], [(0, 0, 0)]
-        i = mask.bit_length() - 1
-        top = 1 << i
-        p, m = plus[i], minus[i]
-        sweep = [
-            q for pat, a, o in sweep for q in ((pat | top, a | p, o | m), (pat, a | m, o | p))
-        ]
-        return [pat for pat, a, o in sweep if a == o], sweep
+    def vectors(mask: int) -> list[int]:
+        if not mask:
+            return []
+        sweep = [(0, 0, 0)]
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            p, m = plus[i], minus[i]
+            sweep = [
+                q
+                for pat, a, o in sweep
+                for q in ((pat | low, a | p, o | m), (pat, a | m, o | p))
+            ]
+            mask ^= low
+        return [pat for pat, a, o in sweep if a == o]
 
     return minimal_support_walk(L.n, vectors)

@@ -154,13 +154,6 @@ def elements(mask: int) -> list[int]:
     return out
 
 
-def _drop_bit(mask: int, i: int) -> int:
-    """The mask with element i removed and the elements above it
-    renumbered down by one, as in a minor at i."""
-    low = mask & ((1 << i) - 1)
-    return low | ((mask >> (i + 1)) << i)
-
-
 def compose(x: SignVector, y: SignVector) -> SignVector:
     """Composition: take the sign of x, falling back to y where x is zero."""
     if x.n != y.n:
@@ -420,7 +413,7 @@ class Columns:
         zero = tuple(self.every & ~(p | m) for p, m in zip(self.plus, self.minus))
         object.__setattr__(self, "zero", zero)
 
-    def extending(self, plus: int, minus: int, zero: int = 0) -> int:
+    def extending(self, plus: int, minus: int, zero: int) -> int:
         """The covectors positive on the plus mask, negative on the
         minus mask and zero on the zero mask, as a bit set."""
         bits = self.every

@@ -34,7 +34,7 @@ from typing import Iterable
 from weakref import WeakValueDictionary
 
 from .circuits import circuits, minimal_support_walk, realized_patterns, submasks
-from .core import Com, SignVector, _drop_bit, coloops, topes
+from .core import Com, SignVector, coloops, topes
 
 
 def project(x: SignVector, i: int) -> SignVector:
@@ -49,6 +49,13 @@ def inject(x: SignVector, i: int) -> SignVector:
     if not 0 <= i <= x.n:
         raise ValueError("insertion point outside range")
     return SignVector(x.n + 1, _insert_bit(x.plus, i), _insert_bit(x.minus, i))
+
+
+def _drop_bit(mask: int, i: int) -> int:
+    """The mask with element i removed and the elements above it
+    renumbered down by one, as in a minor at i."""
+    low = mask & ((1 << i) - 1)
+    return low | ((mask >> (i + 1)) << i)
 
 
 def _insert_bit(mask: int, i: int) -> int:
@@ -181,15 +188,13 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
     ):
         return "deletion"
 
-    def projected_blockers(mask: int, _: object) -> tuple[list[int], bool]:
+    def projected_blockers(mask: int) -> list[int]:
         # A pattern whose lift by 0 blocks has lifts by + and - that
         # block too, so the lifts by + and - decide: as plus masks of
         # patterns on wide | bit, they are pat | bit and pat.
         wide = _insert_bit(mask, i)
         seen = realized_patterns(L, wide | bit)
-        return [
-            _drop_bit(pat, i) for pat in submasks(wide) if not {pat, pat | bit} <= seen
-        ], True
+        return [_drop_bit(pat, i) for pat in submasks(wide) if not {pat, pat | bit} <= seen]
 
     con_circ = circuits(contract(L, i))
     if not coloops(L) >> i & 1 and (

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .circuits import CircuitSet, circuits, unblocked_levels
-from .core import Com, SignVector, _drop_bit, coloops, topes
-from .minors import contract, delete
+from .core import Com, SignVector, coloops, topes
+from .minors import _drop_bit, contract, delete
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class LinearOrder:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
+        ints = all(isinstance(e, int) and not isinstance(e, bool) for e in self.perm)
+        if not ints or sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("not a permutation of the ground set")
 
     @classmethod
@@ -116,7 +117,7 @@ def nbc_sets(L: Com, order: LinearOrder | None = None) -> NbcFamily:
 
 def _nbc_family(L: Com, order: LinearOrder) -> NbcFamily:
     blockers = _blocker_masks(circuits(L), order)
-    levels = unblocked_levels(L.n, lambda mask, _: None if mask in blockers else True)
+    levels = unblocked_levels(L.n, blockers.__contains__)
     return NbcFamily(order, tuple(chain.from_iterable(levels)), tuple(map(len, levels)))
 
 

@@ -480,7 +480,7 @@ def geometric_circuits(arr: Arrangement) -> CircuitSet:
     hyps = [_int_row(h.a, h.b) for h in arr.hyperplanes]
     stricts0 = [_int_row(c, d) for c, d in arr.region.strict]
 
-    def unrealized(mask: int, _: object) -> tuple[list[int], bool]:
+    def unrealized(mask: int) -> list[int]:
         missing = []
         for pat in submasks(mask):
             stricts = list(stricts0)
@@ -493,7 +493,7 @@ def geometric_circuits(arr: Arrangement) -> CircuitSet:
                     stricts.append((tuple(-v for v in a), -b))
             if not strictly_feasible([], stricts, arr.dim):
                 missing.append(pat)
-        return missing, True
+        return missing
 
     return minimal_support_walk(arr.n, unrealized)
 

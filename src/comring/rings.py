@@ -294,9 +294,11 @@ class MPoly:
     @classmethod
     def of(cls, nvars: int, mapping: dict[tuple[int, ...], int]) -> "MPoly":
         """The polynomial with these exponent tuples and coefficients;
-        raises ValueError when an exponent tuple is not ``nvars`` long."""
+        raises ValueError on a negative exponent or one not ``nvars`` long."""
         if any(len(e) != nvars for e in mapping):
             raise ValueError("exponent length does not match variable count")
+        if any(min(e, default=0) < 0 for e in mapping):
+            raise ValueError("negative exponent")
         cleaned = {e: c for e, c in mapping.items() if c}
         ordered = sorted(cleaned.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
         return cls(nvars, tuple(ordered))

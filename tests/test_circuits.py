@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from comring.circuits import (
     CircuitSet,
+    _patterns,
     circuits,
     in_generator_set,
     minimal_support_walk,
@@ -233,20 +236,6 @@ def scan_extending(L, plus, minus, zero=0):
     ]
 
 
-def reference_sweep(cols, mask):
-    """Every sign pattern on the support mask, as its plus mask, paired
-    with the bit set of the covectors extending it, built from scratch
-    one element at a time."""
-    out = [(0, cols.every)]
-    while mask:
-        low = mask & -mask
-        i = low.bit_length() - 1
-        p, m = cols.plus[i], cols.minus[i]
-        out = [q for pat, bits in out for q in ((pat | low, bits & p), (pat, bits & m))]
-        mask ^= low
-    return out
-
-
 def reference_walk(n, family):
     """The support walk that skips every superset of a support found, by
     testing it against each found support in turn."""
@@ -301,7 +290,7 @@ def test_extension_queries_match_covector_scan(L):
     for k in range(L.n + 1):
         for combo in combinations(range(L.n), k):
             mask = sum(1 << i for i in combo)
-            swept = dict(reference_sweep(cols, mask))
+            swept = dict(_patterns(cols, mask))
             assert len(swept) == 1 << k
             assert {pat for pat, bits in swept.items() if bits} == realized_patterns(L, mask)
 
@@ -325,17 +314,43 @@ def families(draw):
 def test_walk_matches_superset_skipping_walk(case):
     n, members = case
 
-    states = {}
-
-    def family(mask, parent):
-        """Each support's state is a fresh object, so the parent's can be
-        told apart from any other support's."""
-        assert parent is (states[mask & ~(1 << mask.bit_length() - 1)] if mask else None)
-        assert mask not in states
-        states[mask] = object()
-        return members.get(mask, []), states[mask]
+    def family(mask):
+        return members.get(mask, [])
 
     walked = minimal_support_walk(n, family)
-    expected = reference_walk(n, lambda mask: members.get(mask, []))
+    expected = reference_walk(n, family)
     assert walked.circuits == expected.circuits
     assert walked.minimal_deficient_supports == expected.minimal_deficient_supports
+
+
+def test_each_parent_sweep_is_built_once(gen3, ex4, monkeypatch):
+    """The walk tests a parent's children one after another, so the
+    circuit sweep of each parent is built once: no mask reaches
+    ``_patterns`` twice in one call of ``circuits``."""
+    built = []
+
+    def recorded(cols, mask):
+        built.append(mask)
+        return _patterns(cols, mask)
+
+    monkeypatch.setattr(sys.modules["comring.circuits"], "_patterns", recorded)
+    for L in [gen3, ex4] + [covectors(corpus_arrangement(seed)) for seed in range(30)]:
+        built.clear()
+        circuits(Com(L.n, L.covectors))
+        assert built
+        assert len(built) == len(set(built))
+
+
+def test_circuit_walk_keeps_one_parent_sweep():
+    """With the column index built first, the circuit walk of the seed-7
+    (5, 10) arrangement, 6,601 covectors, stays under 0.5 MB at its peak:
+    it holds one parent's sweep, not a level of them."""
+    L = covectors(generate_random_arrangement(7, 5, 10, 2))
+    covector_columns(L)
+    tracemalloc.start()
+    try:
+        circuits(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000

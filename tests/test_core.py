@@ -184,7 +184,7 @@ def test_strong_elimination_answers_each_question_once_per_call(gen3, monkeypatc
     calls = 0
     extending = Columns.extending
 
-    def counted(self, plus, minus, zero=0):
+    def counted(self, plus, minus, zero):
         nonlocal calls
         calls += 1
         return extending(self, plus, minus, zero)

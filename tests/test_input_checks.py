@@ -68,6 +68,9 @@ CASES = {
     "exponent_length": (
         lambda L: MPoly.of(2, {(1, 0, 5): 3}), "exponent length does not match variable count"
     ),
+    "negative_exponent": (lambda L: MPoly.of(2, {(0, -1): 2}), "negative exponent"),
+    "float_order": (lambda L: LinearOrder((0.0, 1.0)), "not a permutation of the ground set"),
+    "bool_order": (lambda L: LinearOrder((True, False)), "not a permutation of the ground set"),
     "product_nvars": (
         lambda L: MPoly.var(2, 1) * MPoly.var(3, 2), "polynomials have different variable counts"
     ),
