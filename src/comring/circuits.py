@@ -29,7 +29,7 @@ of its own, built from the covector list and not from the column index,
 so the cross check does not share the index with ``circuits``.  OR-ing
 the sets over a pattern X gives A, the covectors that agree with X
 somewhere, and O, those that oppose it somewhere; X is orthogonal to
-every covector exactly when A == O.  Each support is swept from scratch.
+every covector exactly when A == O.  It keeps its last parent's sweep.
 """
 
 from __future__ import annotations
@@ -226,6 +226,17 @@ def orthogonal(x: SignVector, y: SignVector) -> bool:
     return (agree == 0) == (oppose == 0)
 
 
+def _orthogonality_sweep(plus: list[int], minus: list[int], mask: int) -> list[tuple]:
+    """Each sign pattern on the support mask as (plus mask, A, O)."""
+    sweep = [(0, 0, 0)]
+    for i in elements(mask):
+        p, m, low = plus[i], minus[i], 1 << i
+        sweep = [
+            q for pat, a, o in sweep for q in ((pat | low, a | p, o | m), (pat, a | m, o | p))
+        ]
+    return sweep
+
+
 def om_circuits(L: Com) -> CircuitSet:
     """Support minimal nonzero sign vectors orthogonal to every covector.
 
@@ -237,8 +248,8 @@ def om_circuits(L: Com) -> CircuitSet:
     plus sets on X+ and the minus sets on X-, the covectors agreeing with
     X somewhere, and O the other two, those opposing it somewhere.  A
     covector Y is orthogonal to X when it is in both or neither, so X is
-    orthogonal to every covector exactly when A == O.  Each support's
-    sweep is built from scratch, one element at a time, and none is kept.
+    orthogonal to every covector exactly when A == O.  As in ``circuits``,
+    ``_orthogonality_sweep`` builds each parent's sweep once and keeps the last.
     """
     if not is_oriented_matroid(L):
         raise ValueError("input is not an oriented matroid")
@@ -249,21 +260,20 @@ def om_circuits(L: Com) -> CircuitSet:
             plus[i] |= bit
         for i in elements(v.minus):
             minus[i] |= bit
+    parent, sweep = -1, []
 
     def vectors(mask: int) -> list[int]:
+        nonlocal parent, sweep
         if not mask:
             return []
-        sweep = [(0, 0, 0)]
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            p, m = plus[i], minus[i]
-            sweep = [
-                q
-                for pat, a, o in sweep
-                for q in ((pat | low, a | p, o | m), (pat, a | m, o | p))
-            ]
-            mask ^= low
-        return [pat for pat, a, o in sweep if a == o]
+        i = mask.bit_length() - 1
+        top = 1 << i
+        if mask ^ top != parent:
+            parent = mask ^ top
+            sweep = _orthogonality_sweep(plus, minus, parent)
+        p, m = plus[i], minus[i]
+        return [pat | top for pat, a, o in sweep if a | p == o | m] + [
+            pat for pat, a, o in sweep if a | m == o | p
+        ]
 
     return minimal_support_walk(L.n, vectors)

@@ -35,9 +35,7 @@ dict of answers per call.
 
 Results derived from a ``Com`` (the face symmetry and axiom verdicts,
 its column index, topes and coloops, its circuits, its NBC families) are
-computed once per instance and kept on it.  Minors are
-shared by value within one minor tree (see ``minors``), which is sound
-because every memoized result is a pure function of ``(n, covectors)``.
+computed once per instance and kept on it; ``minors`` shares minors.
 
 Subsets of the ground set (circuit supports, NBC sets, filtration
 witnesses) travel through the package as bit masks; ``elements`` lists
@@ -50,7 +48,6 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, TypeVar
-from weakref import WeakValueDictionary
 
 T = TypeVar("T")
 
@@ -98,12 +95,10 @@ class SignVector:
         plus = minus = 0
         n = 0
         for s in signs:
-            if s == 1:
-                plus |= 1 << n
-            elif s == -1:
-                minus |= 1 << n
-            elif s != 0:
+            if type(s) is not int or s not in (-1, 0, 1):
                 raise ValueError("sign must be -1, 0 or +1")
+            plus |= (s > 0) << n
+            minus |= (s < 0) << n
             n += 1
         return cls(n, plus, minus)
 
@@ -192,15 +187,11 @@ class Com:
     Membership tests compare the ground set, then look the pair up in
     ``_members``, the frozen set of mask pairs that the checks also read.
     Immutable results derived from the covectors are memoized per
-    instance, since hashing a Com walks its whole covector tuple.  Within
-    one minor tree, though, equal minors are one instance: ``_tree`` is
-    the table of minors, held weakly, that the root and every minor
-    derived from it share; the first minor built creates it.  Sharing is
-    sound because every memoized result is a pure function of
-    ``(n, covectors)``.
+    instance, since hashing a Com walks its whole covector tuple; see
+    ``minors`` for how equal minors come to be one instance.
     """
 
-    __slots__ = ("n", "covectors", "_members", "_memo", "_tree", "__weakref__")
+    __slots__ = ("n", "covectors", "_members", "_memo", "__weakref__")
 
     def __init__(self, n: int, covectors: Iterable[SignVector]):
         if n < 0:
@@ -214,13 +205,14 @@ class Com:
         self.covectors = tuple(sorted(distinct.values(), key=SignVector.sort_key))
         self._members = frozenset(distinct)
         self._memo: dict[object, object] = {}
-        self._tree: WeakValueDictionary[tuple[int, frozenset], Com] | None = None
 
     def _cached(self, key: object, compute: Callable[[], T]) -> T:
         """The memoized result under key, computed on first request.
 
-        For use by the analysis functions of this package; each result
-        must be immutable, since every caller receives the same object.
+        For use by the analysis functions of this package.  A result is
+        shared by every caller, so no caller may mutate it; the one
+        exception is the table of minors, which only ``minors._minor``
+        fills.
         """
         if key not in self._memo:
             self._memo[key] = compute()

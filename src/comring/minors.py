@@ -2,22 +2,19 @@
 
 Both minors drop coordinate i and renumber the indices above it down by
 one.  Deletion keeps every covector; contraction keeps the covectors
-vanishing at i.  Each is one projection pass over the parent's mask
-pairs, and contraction keeps the canonical order of its covectors, so
-``Com``'s sort finds them sorted.  A minor is built by ``Com`` like any
-other input and gets its own column index and walk; no index is shared
-between a Com and its minors.  Each minor is looked up once per Com and
-element, and is shared by value within its minor tree: the root and
-every minor derived from it share one table of minors keyed by
-``(n, mask pairs)``.  So deleting i then j or j then i, deleting and
-contracting in either order, and deleting or contracting a coloop each
-give one object, and the checks that reach it by any path share its
-circuits and NBC families.  That is sound because every memoized result
-is a pure function of ``(n, covectors)``.  The table holds its minors
-weakly, so it keeps nothing alive on its own, and it belongs to one
-root, so separately built equal roots share no minor.  ``label_map``
-reports the renumbering so callers can recover original hyperplane
-labels.
+vanishing at i.  A minor is built by ``Com`` like any other input and
+gets its own column index and walk.  Each minor is looked up once per
+Com and element, and is shared by value within its minor tree: the root
+and every minor derived from it share one table of minors keyed by
+``(n, mask pairs)``, which only this module knows.  So deleting i then j
+or j then i, deleting and contracting in either order, and deleting or
+contracting a coloop each give one object, and the checks that reach it
+by any path share its circuits and NBC families.  That is sound because
+every memoized result is a pure function of ``(n, covectors)``.  The
+table holds its minors weakly, so it keeps nothing alive on its own, and
+it belongs to one root, so separately built equal roots share no minor.
+``label_map`` reports the renumbering so callers can recover original
+hyperplane labels.
 
 Inside the checks, sign vectors stay (plus, minus) mask pairs, looked up
 in ``Com._members`` or in sets built by one covector scan, never in the
@@ -73,38 +70,29 @@ def _minor(L: Com, kind: str, i: int) -> Com:
     """The deletion or contraction at i, memoized on L under (kind, i)
     and shared by value within L's minor tree.
 
-    One pass projects the parent's mask pairs, the bit shifts of
-    ``_drop_bit`` written inline.  Contraction projects ``L.covectors``,
-    those zero at i, and keeps their order: a coordinate that is 0 on
-    every kept covector takes no part in their lexicographic order, so
-    dropping it leaves them sorted.  Deletion projects ``L._members``,
-    whose images may coincide.
+    One projection of the parent's mask pairs, with ``_drop_bit``
+    inline, gives either minor: contraction keeps the pairs zero at
+    ``bit``, deletion (``bit`` 0) keeps them all.  The tree's table is
+    the root's memoized "minor_tree" entry, copied into each minor's
+    memo; a minor is stored under its own ``_members``.
     """
     if not 0 <= i < L.n:
         raise ValueError("index outside ground set")
 
     def build() -> Com:
-        n, low = L.n - 1, (1 << i) - 1
+        n, low, bit = L.n - 1, (1 << i) - 1, 1 << i if kind == "contract" else 0
         high = ~low
-        if kind == "contract":
-            bit = 1 << i
-            pairs = [
-                (v.plus & low | v.plus >> 1 & high, v.minus & low | v.minus >> 1 & high)
-                for v in L.covectors
-                if not (v.plus | v.minus) & bit
-            ]
-            members = frozenset(pairs)
-        else:
-            pairs = members = frozenset(
-                (p & low | p >> 1 & high, m & low | m >> 1 & high) for p, m in L._members
-            )
-        if L._tree is None:
-            L._tree = WeakValueDictionary()
-        M = L._tree.get((n, members))
+        members = frozenset(
+            (p & low | p >> 1 & high, m & low | m >> 1 & high)
+            for p, m in L._members
+            if not (p | m) & bit
+        )
+        table = L._cached("minor_tree", WeakValueDictionary)
+        M = table.get((n, members))
         if M is None:
-            M = Com(n, (SignVector(n, p, m) for p, m in pairs))
-            M._tree = L._tree
-            L._tree[n, M._members] = M
+            M = Com(n, (SignVector(n, p, m) for p, m in members))
+            M._memo["minor_tree"] = table
+            table[n, M._members] = M
         return M
 
     return L._cached((kind, i), build)

@@ -72,7 +72,7 @@ from operator import mul
 from typing import Sequence
 
 from .circuits import CircuitSet, minimal_support_walk, submasks
-from .core import Com, SignVector, parse_json_object
+from .core import Com, SignVector, elements, parse_json_object
 from .exactalg import Flat, Row, insert_row, primitive_row, reduce_row
 
 Vector = tuple[Fraction, ...]
@@ -477,23 +477,19 @@ def geometric_circuits(arr: Arrangement) -> CircuitSet:
     shares only the support walk: every pattern is tested directly by
     feasibility of its open system inside the region.
     """
-    hyps = [_int_row(h.a, h.b) for h in arr.hyperplanes]
-    stricts0 = [_int_row(c, d) for c, d in arr.region.strict]
+    # Each hyperplane's side rows, indexed by the pattern's bit there.
+    rows = [_int_row(h.a, h.b) for h in arr.hyperplanes]
+    sides = [((tuple(-v for v in a), -b), (a, b)) for a, b in rows]
+    region = [_int_row(c, d) for c, d in arr.region.strict]
 
     def unrealized(mask: int) -> list[int]:
-        missing = []
-        for pat in submasks(mask):
-            stricts = list(stricts0)
-            for i, (a, b) in enumerate(hyps):
-                if not (mask >> i) & 1:
-                    continue
-                if (pat >> i) & 1:
-                    stricts.append((a, b))
-                else:
-                    stricts.append((tuple(-v for v in a), -b))
-            if not strictly_feasible([], stricts, arr.dim):
-                missing.append(pat)
-        return missing
+        support = elements(mask)
+        return [
+            pat for pat in submasks(mask)
+            if not strictly_feasible(
+                [], region + [sides[i][pat >> i & 1] for i in support], arr.dim
+            )
+        ]
 
     return minimal_support_walk(arr.n, unrealized)
 

@@ -98,7 +98,7 @@ def heaviside(L: Com, i: int, s: int) -> TopeFunction:
     """Indicator of the topes with sign s at i, as a constant function."""
     if not 0 <= i < L.n:
         raise ValueError("index outside ground set")
-    if s not in (1, -1):
+    if type(s) is not int or s not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     bit = 1 << i
     return _indicator(L, bit if s > 0 else 0, bit if s < 0 else 0, MPoly.const(1, 1))
@@ -114,8 +114,10 @@ class EMonomial:
     def __post_init__(self) -> None:
         if self.u_exp < 0:
             raise ValueError("negative u exponent")
-        for _, s in self.word:
-            if s not in (1, -1):
+        for i, s in self.word:
+            if type(i) is not int:
+                raise ValueError("index outside ground set")
+            if type(s) is not int or s not in (1, -1):
                 raise ValueError("sign must be +1 or -1")
 
 
@@ -330,11 +332,11 @@ class MPoly:
         return cls.of(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def var(cls, nvars: int, j: int, c: int = 1) -> "MPoly":
+    def var(cls, nvars: int, j: int) -> "MPoly":
         _check_variable(nvars, j)
         e = [0] * nvars
         e[j] = 1
-        return cls.of(nvars, {tuple(e): c})
+        return cls.of(nvars, {tuple(e): 1})
 
     def mapping(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)

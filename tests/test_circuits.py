@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from comring.circuits import (
     CircuitSet,
+    _orthogonality_sweep,
     _patterns,
     circuits,
     in_generator_set,
@@ -337,6 +338,24 @@ def test_each_parent_sweep_is_built_once(gen3, ex4, monkeypatch):
     for L in [gen3, ex4] + [covectors(corpus_arrangement(seed)) for seed in range(30)]:
         built.clear()
         circuits(Com(L.n, L.covectors))
+        assert built
+        assert len(built) == len(set(built))
+
+
+def test_each_orthogonality_sweep_is_built_once(gen3, monkeypatch):
+    """``om_circuits`` keeps its last parent's sweep as ``circuits``
+    does: no mask reaches ``_orthogonality_sweep`` twice in one call."""
+    built = []
+
+    def recorded(plus, minus, mask):
+        built.append(mask)
+        return _orthogonality_sweep(plus, minus, mask)
+
+    monkeypatch.setattr(sys.modules["comring.circuits"], "_orthogonality_sweep", recorded)
+    oms = [gen3] + [covectors(corpus_arrangement(seed)) for seed in range(0, 30, 5)]
+    for L in oms:
+        built.clear()
+        om_circuits(L)
         assert built
         assert len(built) == len(set(built))
 

@@ -107,6 +107,18 @@ CASES = {
         lambda L: MPoly.var(2, 0).render(["a", "b", "c"]), "one name per variable"
     ),
     "from_signs": (lambda L: SignVector.from_signs([2, -5, 0]), "sign must be -1, 0 or \\+1"),
+    "from_signs_bool": (
+        lambda L: SignVector.from_signs((True, 0, -1)), "sign must be -1, 0 or \\+1"
+    ),
+    "from_signs_float": (
+        lambda L: SignVector.from_signs((1, 0.0, -1)), "sign must be -1, 0 or \\+1"
+    ),
+    "heaviside_bool": (lambda L: heaviside(L, 0, True), "sign must be \\+1 or -1"),
+    "heaviside_float": (lambda L: heaviside(L, 0, -1.0), "sign must be \\+1 or -1"),
+    "sign_bool": (lambda L: EMonomial(((0, True),)), "sign must be \\+1 or -1"),
+    "sign_float": (lambda L: EMonomial(((0, 1.0),)), "sign must be \\+1 or -1"),
+    "monomial_bool_index": (lambda L: EMonomial(((True, 1),)), "index outside ground set"),
+    "monomial_float_index": (lambda L: EMonomial(((1.0, 1),)), "index outside ground set"),
     "verify_presentation": (
         lambda L: verify_presentation(FEW_TOPES), "NBC count differs from tope count"
     ),

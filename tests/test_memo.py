@@ -97,7 +97,7 @@ def test_column_index_built_once_per_com(monkeypatch):
     monkeypatch.setattr(core, "Columns", counting_columns)
     L = covectors(corpus_arrangement(11))
     assert full_verify(L)[0]
-    coms = [L] + list(L._tree.values())
+    coms = [L] + list(L._memo["minor_tree"].values())
     indexed = [M for M in coms if "columns" in M._memo]
     assert len(indexed) > L.n
     assert len(built) == len(indexed)
