@@ -37,7 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import Columns, Com, SignVector, covector_columns, elements, is_oriented_matroid
+from .core import (
+    Columns, Com, SignVector, check_index, covector_columns, elements, is_oriented_matroid
+)
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,7 @@ def _patterns(cols: Columns, mask: int) -> list[tuple[int, int]]:
 def realized_patterns(L: Com, S: int) -> frozenset[int]:
     """The full sign patterns on the support mask S realized by covectors,
     each as its plus mask, from one scan of the covectors."""
-    if S < 0 or S >> L.n:
-        raise ValueError("index outside ground set")
+    check_index(S, 1 << L.n)
     return frozenset(v.plus & S for v in L.covectors if v.support & S == S)
 
 

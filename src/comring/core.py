@@ -39,7 +39,8 @@ computed once per instance and kept on it; ``minors`` shares minors.
 
 Subsets of the ground set (circuit supports, NBC sets, filtration
 witnesses) travel through the package as bit masks; ``elements`` lists
-one in ascending order where a report is written.
+one in ascending order where a report is written.  ``check_index`` is the
+one range rule for every index and mask argument.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ _TERNARY = tuple(sum(3 ** (7 - j) for j in range(8) if b >> j & 1) for b in rang
 
 class ComFormatError(ValueError):
     """Raised when serialized input does not describe a valid object."""
+
+
+def check_index(i: int, stop: int, message: str = "index outside ground set") -> None:
+    """Raise ValueError(message) unless i is an int, not a bool, with
+    0 <= i < stop; a subset mask on n elements is checked with stop 1 << n."""
+    if type(i) is not int or not 0 <= i < stop:
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -107,8 +115,7 @@ class SignVector:
         return self.plus | self.minus
 
     def sign(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ValueError("index outside ground set")
+        check_index(i, self.n)
         return (self.plus >> i & 1) - (self.minus >> i & 1)
 
     def signs(self) -> tuple[int, ...]:

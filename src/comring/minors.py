@@ -31,20 +31,18 @@ from typing import Iterable
 from weakref import WeakValueDictionary
 
 from .circuits import circuits, minimal_support_walk, realized_patterns, submasks
-from .core import Com, SignVector, coloops, topes
+from .core import Com, SignVector, check_index, coloops, topes
 
 
 def project(x: SignVector, i: int) -> SignVector:
     """Forget coordinate i, shifting higher indices down."""
-    if not 0 <= i < x.n:
-        raise ValueError("index outside ground set")
+    check_index(i, x.n)
     return SignVector(x.n - 1, _drop_bit(x.plus, i), _drop_bit(x.minus, i))
 
 
 def inject(x: SignVector, i: int) -> SignVector:
     """Insert a zero coordinate at position i."""
-    if not 0 <= i <= x.n:
-        raise ValueError("insertion point outside range")
+    check_index(i, x.n + 1, "insertion point outside range")
     return SignVector(x.n + 1, _insert_bit(x.plus, i), _insert_bit(x.minus, i))
 
 
@@ -74,10 +72,10 @@ def _minor(L: Com, kind: str, i: int) -> Com:
     inline, gives either minor: contraction keeps the pairs zero at
     ``bit``, deletion (``bit`` 0) keeps them all.  The tree's table is
     the root's memoized "minor_tree" entry, copied into each minor's
-    memo; a minor is stored under its own ``_members``.
+    memo; a minor is stored under its own ``_members``.  The index is
+    checked before the memo is read, since ("delete", 1.0) equals ("delete", 1).
     """
-    if not 0 <= i < L.n:
-        raise ValueError("index outside ground set")
+    check_index(i, L.n)
 
     def build() -> Com:
         n, low, bit = L.n - 1, (1 << i) - 1, 1 << i if kind == "contract" else 0
@@ -110,8 +108,7 @@ def contract(L: Com, i: int) -> Com:
 
 def label_map(n: int, i: int) -> dict[int, int]:
     """Minor index -> original index after removing coordinate i."""
-    if not 0 <= i < n:
-        raise ValueError("index outside ground set")
+    check_index(i, n)
     return {j if j < i else j - 1: j for j in range(n) if j != i}
 
 
@@ -121,8 +118,7 @@ def tope_trichotomy(
     """Split topes by wall sign at i: (wall and positive, wall and negative,
     not a wall).  A tope is a wall at i when zeroing its sign at i gives a
     covector.  Raises on coloops, where no tope has a sign at i."""
-    if not 0 <= i < L.n:
-        raise ValueError("index outside ground set")
+    check_index(i, L.n)
     if coloops(L) >> i & 1:
         raise ValueError("coordinate is a coloop")
     plus: list[SignVector] = []
@@ -167,8 +163,7 @@ def verify_circuit_minor_laws(L: Com, i: int) -> str | None:
 
     Raises ValueError when i is outside the ground set.
     """
-    if not 0 <= i < L.n:
-        raise ValueError("index outside ground set")
+    check_index(i, L.n)
     bit = 1 << i
     C = circuits(L)
     if circuits(delete(L, i))._members != set(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .circuits import CircuitSet, circuits, unblocked_levels
-from .core import Com, SignVector, coloops, topes
+from .core import Com, SignVector, check_index, coloops, topes
 from .minors import _drop_bit, contract, delete
 
 
@@ -58,8 +58,7 @@ class LinearOrder:
         """The order minimum of the subset mask: the first element of perm
         that lies in it.  Raises when the mask is empty or has an element
         outside the order."""
-        if mask >> self.n:
-            raise ValueError("mask has elements outside the order")
+        check_index(mask, 1 << self.n, "mask has elements outside the order")
         for e in self.perm:
             if mask >> e & 1:
                 return e
@@ -129,8 +128,7 @@ def verify_nbc_tope(L: Com, order: LinearOrder | None = None) -> bool:
 def induced_order(order: LinearOrder, i: int) -> LinearOrder:
     """order without i, the elements above i shifted down by one.  Raises
     when i is not an element of the order."""
-    if not 0 <= i < order.n:
-        raise ValueError("index outside ground set")
+    check_index(i, order.n)
     return LinearOrder(tuple(j if j < i else j - 1 for j in order.perm if j != i))
 
 
@@ -162,6 +160,5 @@ def verify_nbc_recursion(L: Com, order: LinearOrder | None = None) -> bool:
 def order_with_maximum(n: int, i: int) -> LinearOrder:
     """Natural order with i moved to the top; handy for recursion checks.
     Raises when i is not in 0..n-1."""
-    if not 0 <= i < n:
-        raise ValueError("index outside ground set")
+    check_index(i, n)
     return LinearOrder(tuple(j for j in range(n) if j != i) + (i,))

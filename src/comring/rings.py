@@ -31,7 +31,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from .circuits import circuits
-from .core import Com, SignVector, coloops, elements, topes
+from .core import Com, SignVector, check_index, coloops, elements, topes
 from .exactalg import IntLattice, IntMatrix, hermite_normal_form
 from .minors import extended_circuit
 from .nbc import LinearOrder, nbc_sets
@@ -96,8 +96,7 @@ def _indicator(L: Com, plus: int, minus: int, value: MPoly) -> TopeFunction:
 
 def heaviside(L: Com, i: int, s: int) -> TopeFunction:
     """Indicator of the topes with sign s at i, as a constant function."""
-    if not 0 <= i < L.n:
-        raise ValueError("index outside ground set")
+    check_index(i, L.n)
     if type(s) is not int or s not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     bit = 1 << i
@@ -131,8 +130,7 @@ def rho_eval(L: Com, m: EMonomial) -> TopeFunction:
     """
     plus = minus = 0
     for i, s in m.word:
-        if not 0 <= i < L.n:
-            raise ValueError("index outside ground set")
+        check_index(i, L.n)
         if s > 0:
             plus |= 1 << i
         else:
@@ -333,7 +331,7 @@ class MPoly:
 
     @classmethod
     def var(cls, nvars: int, j: int) -> "MPoly":
-        _check_variable(nvars, j)
+        check_index(j, nvars, "variable index out of range")
         e = [0] * nvars
         e[j] = 1
         return cls.of(nvars, {tuple(e): 1})
@@ -362,7 +360,7 @@ class MPoly:
 
     def divexact(self, j: int) -> "MPoly":
         """Quotient by variable j; raises when any term lacks it."""
-        _check_variable(self.nvars, j)
+        check_index(j, self.nvars, "variable index out of range")
         out = {}
         for e, c in self.terms:
             if e[j] == 0:
@@ -372,7 +370,7 @@ class MPoly:
 
     def substitute_const(self, j: int, value: int) -> "MPoly":
         """Set variable j to an integer and drop it from the ring."""
-        _check_variable(self.nvars, j)
+        check_index(j, self.nvars, "variable index out of range")
         out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms:
             scaled = c * (value ** e[j])
@@ -416,11 +414,6 @@ class MPoly:
 def _same_variables(nvars: int, p: MPoly) -> None:
     if p.nvars != nvars:
         raise ValueError("polynomials have different variable counts")
-
-
-def _check_variable(nvars: int, j: int) -> None:
-    if not 0 <= j < nvars:
-        raise ValueError("variable index out of range")
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

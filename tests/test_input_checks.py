@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from comring.circuits import in_generator_set, orthogonal
+from comring.circuits import in_generator_set, orthogonal, realized_patterns
 from comring.core import Com, SignVector, compose, separator, topes
 from comring.exactalg import IntLattice, IntMatrix, determinant
-from comring.minors import inject, project, verify_circuit_minor_laws
-from comring.nbc import LinearOrder, broken_circuit, nbc_sets
+from comring.minors import (
+    contract, delete, inject, label_map, project, tope_trichotomy, verify_circuit_minor_laws,
+    verify_lift, verify_tope_recursion
+)
+from comring.nbc import LinearOrder, broken_circuit, induced_order, nbc_sets, order_with_maximum
 from comring.realize import Arrangement, Hyperplane, OpenRegion
 from comring.rings import (
     EMonomial, MPoly, TopeFunction, e_X_eval, heaviside, nbc_basis_matrix, verify_presentation
@@ -125,7 +128,40 @@ CASES = {
     "nbc_basis_matrix": (
         lambda L: nbc_basis_matrix(FEW_TOPES), "NBC count differs from tope count"
     ),
+    "var_bool": (lambda L: MPoly.var(2, True), "variable index out of range"),
+    "divexact_bool": (lambda L: MPoly.var(2, 1).divexact(True), "variable index out of range"),
+    "substitute_bool": (
+        lambda L: MPoly.var(2, 1).substitute_const(True, 2), "variable index out of range"
+    ),
 }
+
+OUTSIDE = "index outside ground set"
+ORDER = LinearOrder((2, 0, 1))
+# Each call passes i as an element, insertion point or mask.  A bool or a
+# float equal to a valid one is no index: each fails with the message of an
+# index out of range.
+INDEX_CALLS = {
+    "delete": (delete, OUTSIDE),
+    "contract": (contract, OUTSIDE),
+    "sign": (lambda L, i: SignVector.from_word("+-0").sign(i), OUTSIDE),
+    "project": (lambda L, i: project(TWO, i), OUTSIDE),
+    "inject": (lambda L, i: inject(TWO, i), "insertion point outside range"),
+    "label_map": (lambda L, i: label_map(3, i), OUTSIDE),
+    "tope_trichotomy": (tope_trichotomy, OUTSIDE),
+    "tope_recursion": (verify_tope_recursion, OUTSIDE),
+    "lift": (verify_lift, OUTSIDE),
+    "minor_laws": (verify_circuit_minor_laws, OUTSIDE),
+    "induced_order": (lambda L, i: induced_order(ORDER, i), OUTSIDE),
+    "order_with_maximum": (lambda L, i: order_with_maximum(3, i), OUTSIDE),
+    "heaviside": (lambda L, i: heaviside(L, i, 1), OUTSIDE),
+    "realized_patterns": (realized_patterns, OUTSIDE),
+    "minimum": (lambda L, i: ORDER.minimum(i), "mask has elements outside the order"),
+}
+for name, (call, message) in INDEX_CALLS.items():
+    for bad in (True, 1.0):
+        CASES[f"{name}_{type(bad).__name__}_index"] = (
+            lambda L, call=call, bad=bad: call(L, bad), message
+        )
 
 
 @pytest.mark.parametrize("call, message", CASES.values(), ids=CASES)

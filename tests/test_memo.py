@@ -60,6 +60,17 @@ def test_minor_built_once_per_instance(ex4, minor):
         minor(ex4, ex4.n)
 
 
+@pytest.mark.parametrize("minor", [delete, contract])
+def test_equal_bool_or_float_index_is_no_memo_key(ex4, minor):
+    """("delete", 1.0) and ("delete", True) equal the memo key ("delete", 1),
+    so the index is checked before the memo is read."""
+    L = Com(ex4.n, ex4.covectors)
+    minor(L, 1)
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="index outside ground set"):
+            minor(L, bad)
+
+
 @pytest.mark.parametrize(
     "n, words", [(1, ["+", "-"]), (2, ["00", "++"]), (2, ["00", "+0", "-0", "++"])]
 )

@@ -107,3 +107,26 @@ def test_only_core_and_circuits_read_the_column_index():
             if "covector_columns" in names:
                 readers.add(owner)
     assert readers == {"circuits.circuits", "core.check_strong_elimination"}
+
+
+def test_only_check_index_tests_a_range():
+    """Every index and mask argument is range checked by ``core.check_index``,
+    which also rejects bools and floats.  A range check is a chained
+    comparison ``0 <= i < ...``; besides the helper, only the CLI's exit-2
+    pre-check and the matrix indexes of ``exactalg.IntMatrix``, which are no
+    ground-set arguments, write one.  The owner is a top-level function or
+    class, or the module for any other statement."""
+    owners = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "comring").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            owner = f"{path.stem}.{node.name}" if named else path.stem
+            if any(
+                isinstance(n, ast.Compare)
+                and isinstance(n.left, ast.Constant)
+                and n.left.value == 0
+                and isinstance(n.ops[0], ast.LtE)
+                for n in ast.walk(node)
+            ):
+                owners.add(owner)
+    assert owners == {"core.check_index", "cli._dispatch", "exactalg.IntMatrix"}
