@@ -78,7 +78,7 @@ class SignVector:
     minus: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise ValueError("ground set size must be nonnegative")
         full = (1 << self.n) - 1
         if self.plus & ~full or self.minus & ~full:
@@ -201,7 +201,7 @@ class Com:
     __slots__ = ("n", "covectors", "_members", "_memo", "__weakref__")
 
     def __init__(self, n: int, covectors: Iterable[SignVector]):
-        if n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("ground set size must be nonnegative")
         distinct: dict[tuple[int, int], SignVector] = {}
         for v in covectors:

@@ -59,6 +59,19 @@ its intersection with the hyperplane.  A later node whose pattern
 contains a remembered one for k is answered without a solve.  When a
 hyperplane misses a cell, the child keeps the strict rows it had: the
 side row would be implied.
+
+The covectors of the first k + 1 hyperplanes inside K form a COM, and its
+face symmetry and strong elimination answer many of the walk's questions
+before a solve.  Children pop in the order -, 0, +, so when a cell Q with
+a + at an earlier element j asks whether hyperplane k meets it, the
+subtrees of the cells that differ from Q by - and by 0 at j are finished.
+Write A and B for those two cells with a 0 added at k.  If both are
+realized, so is B o (-A), which is Q with a 0 at k: hyperplane k meets Q.
+If A is realized and B is not, hyperplane k misses Q: a segment from a
+point of A to a point of Q on hyperplane k stays on it and keeps every
+other sign of Q, so it crosses hyperplane j at a point of B.  Such a miss
+names no Farkas refutation, so it is not remembered.  A cell thus asks, in
+order, the remembered refutations, its siblings, its flat and a solve.
 """
 
 from __future__ import annotations
@@ -283,6 +296,13 @@ def _step_off(p: IntPoint, V: list[int], stricts: list[TaggedRow]) -> IntPoint:
     return primitive_row([m * x + v for x, v in zip(X, V)], m * D)
 
 
+def _beyond(z: IntPoint, p: IntPoint, stricts: list[TaggedRow]) -> IntPoint:
+    """The point z + (z - p) / m past z = Z / E on the ray from p = X / D,
+    over the denominator E D, with m as in ``_step_off``."""
+    (Z, E), (X, D) = z, p
+    return _step_off(([v * D for v in Z], E * D), [v * D - x * E for v, x in zip(Z, X)], stricts)
+
+
 def _complete(flat: Flat, point: list[int], denom: int) -> IntPoint:
     """X / D with the pivot coordinates of the reduced echelon flat filled
     in: over D L, L the lcm of the pivot entries, pivot row e.x = f gives
@@ -394,9 +414,18 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         z is the zero child's witness and one step from z along z - p
         is the far side's.
 
-    In case (c) the hyperplane is first looked up among the remembered
-    refutations of the module docstring, and a missed hyperplane adds no
-    strict row to the child.
+    Whenever v_p != 0, the hyperplane is first looked up among the
+    remembered refutations of the module docstring, then put to the
+    finished siblings A and B there, before the flat is built: each + at
+    an element j of the pattern costs at most two lookups in ``on_plane``,
+    the witnesses of the zero children pushed so far.  A and B realized, with
+    witnesses a and b on the hyperplane: b + (b - a) / m is on it, on every
+    zero of the cell, strictly on the + side of hyperplane j since a is on
+    the - side and b on j, and for m as in ``_step_off`` strictly on every
+    other side of the cell, so it is the zero child's witness as in (c).
+    A realized and B not: the segment from a to a point of the cell on the
+    hyperplane would cross hyperplane j inside B, so the hyperplane misses
+    the cell.  A missed hyperplane adds no strict row to the child.
     """
     # Every row is a primitive integer row: a positive multiple of its
     # rational form, which leaves the sides, the flats and the slack
@@ -415,6 +444,9 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
     zeros = full << n
     sides = (1 << 3 * n) - 1
     refuted: dict[int, list[int]] = {}
+    # The witness of every pushed child with a zero at its last element,
+    # by pattern; a pattern's bits place its last element.
+    on_plane: dict[int, IntPoint] = {}
     out: list[tuple[SignVector, Vector]] = []
     stack = [(0, 0, (), region, start)]
     while stack:
@@ -426,12 +458,28 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
         X, D = p
         value = sum(map(mul, a, X)) - b * D
         side = (value > 0) - (value < 0)
-        zero_flat = insert_row(flat, rows[k])
-        if zero_flat is None or zero_flat is flat:
-            stack.append((k + 1, pattern | 1 << (k + n * (1 - side)), flat, stricts, p))
-            continue
         witness = {side: p}
-        if side == 0:
+        missed = False
+        if side:
+            missed = any(old & pattern == old for old in refuted.get(k, ()))
+            # A and B: the pattern with its + at kk turned to - or to 0,
+            # and a 0 at k.
+            zero = 1 << (k + n)
+            for kk in () if missed else elements(pattern & full):
+                plus = 1 << kk
+                below = on_plane.get(pattern ^ plus | plus << 2 * n | zero)
+                if below is not None:
+                    on = on_plane.get(pattern ^ plus | plus << n | zero)
+                    if on is None:
+                        missed = True
+                    else:
+                        witness[0] = _beyond(on, below, stricts)
+                    break
+        zero_flat = None if missed else insert_row(flat, rows[k])
+        if zero_flat is None or zero_flat is flat:
+            # Only the side of p occurs, and the cell is unchanged.
+            zero_flat = flat
+        elif side == 0:
             # V solves the flat's homogeneous equalities and is free only
             # at the zero flat's new pivot, where a.V != 0.
             unit = [0] * arr.dim
@@ -441,20 +489,16 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
                 V = [-v for v in V]
             for s in (1, -1):
                 witness[s] = _step_off(p, [s * v for v in V], stricts)
-        elif not any(old & pattern == old for old in refuted.get(k, ())):
+        elif 0 not in witness:
             found = _solve(zero_flat, stricts, arr.dim)
             if isinstance(found, int):
                 refuted.setdefault(k, []).append(found & sides | pattern & zeros)
             else:
-                # z = Z / E is in C on the hyperplane; the far side's
-                # witness is z + (z - p) / m, over the denominator E D.
-                Z, E = found
                 witness[0] = found
-                witness[-side] = _step_off(
-                    ([z * D for z in Z], E * D),
-                    [z * D - x * E for z, x in zip(Z, X)],
-                    stricts,
-                )
+        if side and 0 in witness:
+            # The zero child's witness is in C on the hyperplane, and the
+            # far side's is one step past it, away from p.
+            witness[-side] = _beyond(witness[0], p, stricts)
         for s in (1, 0, -1):
             if s not in witness:
                 continue
@@ -462,6 +506,8 @@ def covectors_with_witnesses(arr: Arrangement) -> list[tuple[SignVector, Vector]
             child = stricts
             if s and len(witness) > 1:
                 child = stricts + [(tuple(s * v for v in a), s * b, bit)]
+            elif not s:
+                on_plane[pattern | bit] = witness[0]
             stack.append((k + 1, pattern | bit, flat if s else zero_flat, child, witness[s]))
     return out
 

@@ -26,6 +26,10 @@ UNIT = (Fraction(1),)
 CASES = {
     "mask": (lambda L: SignVector(2, 0b100, 0), "mask exceeds ground set"),
     "overlap": (lambda L: SignVector(2, 1, 1), "plus and minus masks overlap"),
+    "bool_size": (lambda L: SignVector(True, 1, 0), "ground set size must be nonnegative"),
+    "float_size": (lambda L: SignVector(2.0, 1, 0), "ground set size must be nonnegative"),
+    "com_bool_size": (lambda L: Com(True, [ONE]), "ground set size must be nonnegative"),
+    "com_float_size": (lambda L: Com(1.0, [ONE]), "ground set size must be nonnegative"),
     "compose": (lambda L: compose(ONE, TWO), "ground sets differ"),
     "separator": (lambda L: separator(ONE, TWO), "ground sets differ"),
     "orthogonal": (lambda L: orthogonal(ONE, TWO), "ground sets differ"),
