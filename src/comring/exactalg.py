@@ -4,7 +4,8 @@ All arithmetic is over Python's arbitrary precision integers.  Every
 elimination over Z runs on ``IntLattice``, an incremental gcd echelon:
 lattice membership, the signed determinant ``det``, and the row style
 Hermite normal form, read off the lattice of the rows of [M | I].
-Bareiss's ``determinant`` is kept as an independent oracle.
+Bareiss's ``determinant`` is kept as an independent oracle.  It and the
+Hermite normal form take a matrix as its rows, equal-length int tuples.
 
 Every elimination over Q goes through one integer reduced echelon
 kernel (``primitive_row``, ``reduce_row``, ``insert_row``).  It is
@@ -17,67 +18,30 @@ pivot variable is an affine function of the free ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
 # (c, d) is the equality c.x = d or the strict row c.x > d.
 Row = tuple[tuple[int, ...], int]
 Flat = tuple[tuple[int, Row], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries row major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        data = [list(r) for r in rows]
-        n_rows = len(data)
-        n_cols = len(data[0]) if data else 0
-        if any(len(r) != n_cols for r in data):
-            raise ValueError("ragged rows")
-        return cls(n_rows, n_cols, tuple(v for r in data for v in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise ValueError("index outside matrix")
-        return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> tuple[int, ...]:
-        if not 0 <= r < self.rows:
-            raise ValueError("index outside matrix")
-        return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(self.row(r)) for r in range(self.rows)]
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        columns = [other.entries[c :: other.cols] for c in range(other.cols)]
-        out = tuple(
-            sum(a * b for a, b in zip(self.row(r), col))
-            for r in range(self.rows) for col in columns
-        )
-        return IntMatrix(self.rows, other.cols, out)
+def _int_rows(M: Iterable[Sequence[int]], square: bool = False) -> list[list[int]]:
+    """The rows of M as lists; raises ValueError unless they have one length
+    and int entries (a bool is none), and, when square, as many as columns."""
+    rows = [list(r) for r in M]
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged rows")
+    if any(type(v) is not int for r in rows for v in r):
+        raise ValueError("matrix entries must be ints")
+    if square and len(rows) != width:
+        raise ValueError("matrix is not square")
+    return rows
 
 
-def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def hermite_normal_form(M: Iterable[Sequence[int]]) -> tuple[Matrix, Matrix]:
     """Return (H, U) with H = U * M in row style Hermite normal form:
     pivots positive, each strictly right of the one above, entries above
     a pivot reduced into [0, pivot), and zero rows at the bottom.
@@ -85,10 +49,11 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     The lattice of the rows of [M | I] holds them as [UM | U] with U
     unimodular; ordered by pivot, those with a pivot in I are zero in H.
     """
-    r, c = M.rows, M.cols
+    a = _int_rows(M)
+    r, c = len(a), len(a[0]) if a else 0
     lattice = IntLattice(c + r)
-    for k in range(r):
-        lattice.add(M.row(k) + tuple(int(k == j) for j in range(r)))
+    for k, row in enumerate(a):
+        lattice.add(row + [int(k == j) for j in range(r)])
     pivots = sorted(lattice.pivot_row.items())
     rows = [lattice.basis[p] for _, p in pivots]
     for k, (col, _) in enumerate(pivots):
@@ -98,22 +63,16 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             q = rows[above][col] // rows[k][col]
             if q:
                 rows[above] = [x - q * y for x, y in zip(rows[above], rows[k])]
-    return (
-        IntMatrix(r, c, tuple(v for row in rows for v in row[:c])),
-        IntMatrix(r, r, tuple(v for row in rows for v in row[c:])),
-    )
+    return tuple(tuple(row[:c]) for row in rows), tuple(tuple(row[c:]) for row in rows)
 
 
-def determinant(M: IntMatrix) -> int:
+def determinant(M: Iterable[Sequence[int]]) -> int:
     """Exact determinant by Bareiss fraction free elimination."""
-    if M.rows != M.cols:
-        raise ValueError("matrix is not square")
-    n = M.rows
+    a = _int_rows(M, square=True)
+    n = len(a)
     if n == 0:
         return 1
-    a = M.row_lists()
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if a[r][k]), None)

@@ -102,6 +102,11 @@ class ArrangementFormatError(ValueError):
     """Raised when serialized input does not describe an arrangement."""
 
 
+def _exact(values: Sequence[object]) -> bool:
+    """True when every value is an int, not a bool, or a Fraction."""
+    return all(type(v) is int or isinstance(v, Fraction) for v in values)
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Cooriented hyperplane a.x = b; the positive side is a.x > b."""
@@ -110,6 +115,8 @@ class Hyperplane:
     b: Fraction
 
     def __post_init__(self) -> None:
+        if not _exact((*self.a, self.b)):
+            raise ValueError("hyperplane entries must be ints or Fractions")
         if all(v == 0 for v in self.a):
             raise ValueError("hyperplane normal must be nonzero")
 
@@ -120,6 +127,10 @@ class OpenRegion:
 
     strict: tuple[LinRow, ...]
 
+    def __post_init__(self) -> None:
+        if not all(_exact((*c, d)) for c, d in self.strict):
+            raise ValueError("region entries must be ints or Fractions")
+
 
 @dataclass(frozen=True)
 class Arrangement:
@@ -128,12 +139,12 @@ class Arrangement:
     region: OpenRegion
 
     def __post_init__(self) -> None:
-        for h in self.hyperplanes:
-            if len(h.a) != self.dim:
-                raise ValueError("hyperplane dimension mismatch")
-        for c, _ in self.region.strict:
-            if len(c) != self.dim:
-                raise ValueError("region dimension mismatch")
+        if type(self.dim) is not int or self.dim < 0:
+            raise ValueError("dimension must be a nonnegative int")
+        if any(len(h.a) != self.dim for h in self.hyperplanes):
+            raise ValueError("hyperplane dimension mismatch")
+        if any(len(c) != self.dim for c, _ in self.region.strict):
+            raise ValueError("region dimension mismatch")
 
     @property
     def n(self) -> int:
@@ -374,9 +385,11 @@ def region_point(arr: Arrangement) -> Vector | None:
 
 
 def sign_vector_at_point(arr: Arrangement, p: Vector) -> SignVector:
-    """Sign of a.p - b per hyperplane; p must lie in the open region."""
+    """Sign of a.p - b per hyperplane; p must be exact and in the open region."""
     if len(p) != arr.dim:
         raise ValueError("point dimension mismatch")
+    if not _exact(p):
+        raise ValueError("point entries must be ints or Fractions")
     for c, d in arr.region.strict:
         if sum(ck * pk for ck, pk in zip(c, p)) <= d:
             raise ValueError("point lies outside the region")

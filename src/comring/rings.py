@@ -26,13 +26,13 @@ lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from .circuits import circuits
 from .core import Com, SignVector, check_index, coloops, elements, topes
-from .exactalg import IntLattice, IntMatrix, hermite_normal_form
+from .exactalg import IntLattice, Matrix, hermite_normal_form
 from .minors import extended_circuit
 from .nbc import LinearOrder, nbc_sets
 
@@ -164,7 +164,7 @@ def _h_S_vector(tope_list: tuple[SignVector, ...], S: int) -> list[int]:
     return [1 if v.plus & S == S else 0 for v in tope_list]
 
 
-def nbc_basis_matrix(L: Com, order: LinearOrder | None = None) -> IntMatrix:
+def nbc_basis_matrix(L: Com, order: LinearOrder | None = None) -> Matrix:
     """0/1 matrix of the NBC monomials h_S evaluated on the topes.
 
     Rows follow the canonical NBC order (size, then lexicographic) and
@@ -175,7 +175,7 @@ def nbc_basis_matrix(L: Com, order: LinearOrder | None = None) -> IntMatrix:
     t = topes(L)
     if len(fam.sets) != len(t):
         raise ValueError("NBC count differs from tope count")
-    return IntMatrix.from_rows([_h_S_vector(t, S) for S in fam.sets])
+    return tuple(tuple(_h_S_vector(t, S)) for S in fam.sets)
 
 
 @dataclass(frozen=True)
@@ -224,15 +224,13 @@ def verify_presentation(L: Com, order: LinearOrder | None = None) -> FiltrationR
     t = topes(L)
     kernel_failed_at = None if coloops(L) else extended_circuit(L)
     fam = nbc_sets(L, order)
-    if len(fam.sets) != len(t):
-        raise ValueError("NBC count differs from tope count")
-    rows = iter(fam.sets)
+    rows = iter(nbc_basis_matrix(L, fam.order))
     lattice = IntLattice(len(t))
     failed_at = None
     for k in range(L.n + 1):
         if k < len(fam.counts):
-            for S in islice(rows, fam.counts[k]):
-                lattice.add(_h_S_vector(t, S))
+            for row in islice(rows, fam.counts[k]):
+                lattice.add(row)
         elif failed_at is not None or abs(lattice.det()) == 1:
             break
         if failed_at is None:
@@ -271,10 +269,10 @@ def gr_multiply(L: Com, order: LinearOrder | None, S1: int, S2: int) -> dict[int
         ("nbc_hnf", fam.order.perm),
         lambda: hermite_normal_form(nbc_basis_matrix(L, fam.order)),
     )
-    if H != IntMatrix.identity(len(t)):
+    if H != tuple(tuple(int(i == j) for j in range(len(t))) for i in range(len(t))):
         raise ValueError("NBC matrix is not unimodular")
-    target = IntMatrix(1, len(t), tuple(_h_S_vector(t, S1 | S2)))
-    coeffs = (target * U).entries
+    target = _h_S_vector(t, S1 | S2)
+    coeffs = [sum(map(mul, target, column)) for column in zip(*U)]
     degree = S1.bit_count() + S2.bit_count()
     return {S: c for S, c in zip(fam.sets, coeffs) if c and S.bit_count() == degree}
 
@@ -293,15 +291,21 @@ class MPoly:
 
     @classmethod
     def of(cls, nvars: int, mapping: dict[tuple[int, ...], int]) -> "MPoly":
-        """The polynomial with these exponent tuples and coefficients;
-        raises ValueError on a negative exponent or one not ``nvars`` long."""
-        if any(len(e) != nvars for e in mapping):
+        """The polynomial with these exponent tuples and coefficients; raises
+        ValueError unless every number given is an int (a bool is none), none
+        but a coefficient is negative, and each exponent is ``nvars`` long."""
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError("variable count must be a nonnegative int")
+        if {*map(len, mapping)} - {nvars}:
             raise ValueError("exponent length does not match variable count")
-        if any(min(e, default=0) < 0 for e in mapping):
+        if {*map(type, chain.from_iterable(mapping)), *map(type, mapping.values())} - {int}:
+            raise ValueError("exponents and coefficients must be ints")
+        if min(chain.from_iterable(mapping), default=0) < 0:
             raise ValueError("negative exponent")
-        cleaned = {e: c for e, c in mapping.items() if c}
-        ordered = sorted(cleaned.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
-        return cls(nvars, tuple(ordered))
+        terms = [(e, c) for e, c in mapping.items() if c]
+        # Graded lexicographic order, highest first.
+        terms.sort(key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        return cls(nvars, tuple(terms))
 
     @classmethod
     def product(cls, nvars: int, factors: Iterable["MPoly"]) -> "MPoly":
@@ -371,6 +375,8 @@ class MPoly:
     def substitute_const(self, j: int, value: int) -> "MPoly":
         """Set variable j to an integer and drop it from the ring."""
         check_index(j, self.nvars, "variable index out of range")
+        if type(value) is not int:
+            raise ValueError("value must be an int")
         out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms:
             scaled = c * (value ** e[j])
@@ -414,10 +420,6 @@ class MPoly:
 def _same_variables(nvars: int, p: MPoly) -> None:
     if p.nvars != nvars:
         raise ValueError("polynomials have different variable counts")
-
-
-def _grlex_key(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(e), e)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,13 @@ import pytest
 
 from comring.circuits import in_generator_set, orthogonal, realized_patterns
 from comring.core import Com, SignVector, compose, separator, topes
-from comring.exactalg import IntLattice, IntMatrix, determinant
+from comring.exactalg import IntLattice, determinant, hermite_normal_form
 from comring.minors import (
     contract, delete, inject, label_map, project, tope_trichotomy, verify_circuit_minor_laws,
     verify_lift, verify_tope_recursion
 )
 from comring.nbc import LinearOrder, broken_circuit, induced_order, nbc_sets, order_with_maximum
-from comring.realize import Arrangement, Hyperplane, OpenRegion
+from comring.realize import Arrangement, Hyperplane, OpenRegion, sign_vector_at_point
 from comring.rings import (
     EMonomial, MPoly, TopeFunction, e_X_eval, heaviside, nbc_basis_matrix, verify_presentation
 )
@@ -22,6 +22,8 @@ ONE, TWO = SignVector(1, 1, 0), SignVector(2, 1, 0)
 # 2 NBC sets, {} and {1}, but one tope
 FEW_TOPES = Com.from_words(2, ["++", "-0"])
 UNIT = (Fraction(1),)
+# The line x = 0.
+LINE = Arrangement(1, (Hyperplane(UNIT, Fraction(0)),), OpenRegion(()))
 
 CASES = {
     "mask": (lambda L: SignVector(2, 0b100, 0), "mask exceeds ground set"),
@@ -59,12 +61,44 @@ CASES = {
     ),
     "u_exp": (lambda L: EMonomial((), u_exp=-1), "negative u exponent"),
     "sign": (lambda L: EMonomial(((0, 2),)), "sign must be \\+1 or -1"),
-    "dimension": (lambda L: IntMatrix(-1, 0, ()), "negative dimension"),
-    "entries": (
-        lambda L: IntMatrix(1, 2, (1,)), "entry count does not match dimensions"
+    "dimension": (
+        lambda L: Arrangement(-1, (), OpenRegion(())), "dimension must be a nonnegative int"
     ),
-    "ragged": (lambda L: IntMatrix.from_rows([[1], [1, 2]]), "ragged rows"),
-    "square": (lambda L: determinant(IntMatrix(1, 2, (1, 2))), "matrix is not square"),
+    "float_dimension": (
+        lambda L: Arrangement(1.0, (), OpenRegion(())), "dimension must be a nonnegative int"
+    ),
+    "bool_dimension": (
+        lambda L: Arrangement(True, (), OpenRegion(())), "dimension must be a nonnegative int"
+    ),
+    "hyperplane_bool": (
+        lambda L: Hyperplane((True,), Fraction(0)), "hyperplane entries must be ints or Fractions"
+    ),
+    "hyperplane_float": (
+        lambda L: Hyperplane((1.5,), Fraction(0)), "hyperplane entries must be ints or Fractions"
+    ),
+    "hyperplane_float_offset": (
+        lambda L: Hyperplane(UNIT, 0.5), "hyperplane entries must be ints or Fractions"
+    ),
+    "region_bool": (
+        lambda L: OpenRegion((((True,), 0),)), "region entries must be ints or Fractions"
+    ),
+    "region_float_offset": (
+        lambda L: OpenRegion(((UNIT, 0.5),)), "region entries must be ints or Fractions"
+    ),
+    "point_float": (
+        lambda L: sign_vector_at_point(LINE, (0.5,)), "point entries must be ints or Fractions"
+    ),
+    "ragged": (lambda L: determinant([[1], [1, 2]]), "ragged rows"),
+    "hnf_ragged": (lambda L: hermite_normal_form([[1, 2], [1]]), "ragged rows"),
+    "square": (lambda L: determinant([[1, 2]]), "matrix is not square"),
+    "entries": (lambda L: determinant([[1.5]]), "matrix entries must be ints"),
+    "bool_entry": (lambda L: determinant([[True]]), "matrix entries must be ints"),
+    "hnf_float_entry": (
+        lambda L: hermite_normal_form([[1, 2.0]]), "matrix entries must be ints"
+    ),
+    "hnf_bool_entry": (
+        lambda L: hermite_normal_form([[1], [False]]), "matrix entries must be ints"
+    ),
     "lattice_add": (
         lambda L: IntLattice(2).add([1]), "vector length does not match ambient dimension"
     ),
@@ -76,6 +110,28 @@ CASES = {
         lambda L: MPoly.of(2, {(1, 0, 5): 3}), "exponent length does not match variable count"
     ),
     "negative_exponent": (lambda L: MPoly.of(2, {(0, -1): 2}), "negative exponent"),
+    "float_coefficient": (
+        lambda L: MPoly.const(2, 1.5), "exponents and coefficients must be ints"
+    ),
+    "bool_coefficient": (
+        lambda L: MPoly.of(1, {(0,): True}), "exponents and coefficients must be ints"
+    ),
+    "float_exponent": (
+        lambda L: MPoly.of(1, {(1.5,): 1}), "exponents and coefficients must be ints"
+    ),
+    "bool_exponent": (
+        lambda L: MPoly.of(1, {(True,): 1}), "exponents and coefficients must be ints"
+    ),
+    "bool_nvars": (
+        lambda L: MPoly.of(True, {(0,): 1}), "variable count must be a nonnegative int"
+    ),
+    "negative_nvars": (lambda L: MPoly.zero(-1), "variable count must be a nonnegative int"),
+    "substitute_bool_value": (
+        lambda L: MPoly.var(2, 0).substitute_const(0, True), "value must be an int"
+    ),
+    "substitute_float_value": (
+        lambda L: MPoly.var(2, 0).substitute_const(1, 0.5), "value must be an int"
+    ),
     "float_order": (lambda L: LinearOrder((0.0, 1.0)), "not a permutation of the ground set"),
     "bool_order": (lambda L: LinearOrder((True, False)), "not a permutation of the ground set"),
     "product_nvars": (
@@ -98,9 +154,6 @@ CASES = {
     "substitute_negative": (
         lambda L: MPoly.var(2, 1).substitute_const(-1, 2), "variable index out of range"
     ),
-    "matrix_column": (lambda L: IntMatrix(2, 2, (1, 2, 3, 4)).at(0, 2), "index outside matrix"),
-    "matrix_row": (lambda L: IntMatrix(2, 2, (1, 2, 3, 4)).at(-1, 0), "index outside matrix"),
-    "matrix_row_slice": (lambda L: IntMatrix(2, 2, (1, 2, 3, 4)).row(5), "index outside matrix"),
     "sign_index": (lambda L: SignVector.from_word("+-0").sign(5), "index outside ground set"),
     "sign_negative": (
         lambda L: SignVector.from_word("+-0").sign(-1), "index outside ground set"

@@ -19,13 +19,13 @@ def test_retired_names_are_gone():
         "TopeRecursionReport", "NbcRecursionReport", "NbcTopeReport",
         "DisjointCovectorReport", "LiftReport", "RunConfig", "CircuitMinorReport",
         "minimal_masks", "_shift_down", "_mask_bits", "_circuit_product",
-        "_drop_minimum",
+        "_drop_minimum", "IntMatrix",
     )
     # ``comring.circuits`` is the function the package re-exports, which
     # shadows the submodule, so the modules come from the import system.
     modules = [
         importlib.import_module(f"comring.{layer}")
-        for layer in ("rings", "minors", "nbc", "cli", "circuits", "core")
+        for layer in ("rings", "minors", "nbc", "cli", "circuits", "core", "exactalg")
     ]
     for name in retired:
         assert name not in comring.__all__
@@ -113,8 +113,7 @@ def test_only_check_index_tests_a_range():
     """Every index and mask argument is range checked by ``core.check_index``,
     which also rejects bools and floats.  A range check is a chained
     comparison ``0 <= i < ...``; besides the helper, only the CLI's exit-2
-    pre-check and the matrix indexes of ``exactalg.IntMatrix``, which are no
-    ground-set arguments, write one.  The owner is a top-level function or
+    pre-check writes one.  The owner is a top-level function or
     class, or the module for any other statement."""
     owners = set()
     for path in sorted((Path(__file__).parents[1] / "src" / "comring").glob("*.py")):
@@ -129,4 +128,4 @@ def test_only_check_index_tests_a_range():
                 for n in ast.walk(node)
             ):
                 owners.add(owner)
-    assert owners == {"core.check_index", "cli._dispatch", "exactalg.IntMatrix"}
+    assert owners == {"core.check_index", "cli._dispatch"}

@@ -299,7 +299,7 @@ def test_pair_evaluation_requires_pair(ex4):
 def test_nbc_matrix_golden():
     L = Com.from_words(1, ["-", "0", "+"])
     B = nbc_basis_matrix(L)
-    assert B.row_lists() == [[1, 1], [0, 1]]
+    assert B == ((1, 1), (0, 1))
     assert determinant(B) == 1
 
 
