@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 Row = tuple[tuple[int, ...], int]
 Flat = tuple[tuple[int, Row], ...]
 Matrix = tuple[tuple[int, ...], ...]
+# The one entry type of a lattice vector; a bool is not one.
+_INT = frozenset((int,))
 
 
 def _int_rows(M: Iterable[Sequence[int]], square: bool = False) -> list[list[int]]:
@@ -155,6 +157,8 @@ class IntLattice:
         if len(vec0) != self.n:
             raise ValueError("vector length does not match ambient dimension")
         vec = list(vec0)
+        if not _INT.issuperset(map(type, vec)):
+            raise ValueError("vector entries must be ints")
         self.added += 1
         changed = False
         for j in range(self.n):
@@ -187,6 +191,8 @@ class IntLattice:
         if len(vec0) != self.n:
             raise ValueError("vector length does not match ambient dimension")
         vec = list(vec0)
+        if not _INT.issuperset(map(type, vec)):
+            raise ValueError("vector entries must be ints")
         for j in range(self.n):
             if not vec[j]:
                 continue

@@ -13,9 +13,9 @@ the reduced echelon kernel of ``exactalg``, which also rewrites the
 strict rows over the free variables, and Fourier-Motzkin elimination
 decides the strict part.
 Fourier-Motzkin removes, at each step, the variable that combines the
-fewest pairs of rows, and keeps only the tightest of parallel rows.  The
-last variable is decided by its tightest lower and upper bound alone, and
-back substitution runs in integers.
+fewest pairs of rows, and drops copies of a row.  The last variable is
+decided by its tightest lower and upper bound alone, and back
+substitution runs in integers.
 A strict rational system has a real solution iff it has a rational one:
 Fourier-Motzkin eliminates variable by variable over Q, and the final
 constant system is satisfied over R iff over Q, so back substitution
@@ -43,10 +43,10 @@ rows of its Farkas refutation.  Each input row of a solve has a tag bit
 of its own, so the tag is also the row's Chernikov history: after k
 eliminations a row whose history has more than k + 1 members is implied
 by rows with smaller histories, and is never built (Chernikov 1965;
-Imbert 1990).  Dropping the looser of two parallel rows must respect
-tags, or the bound may cut the only combination left that refutes the
-system: a parallel row goes only when a row at least as tight has a tag
-that is a subset of its own.
+Imbert 1990).  A copy of a row goes only when the kept copy's tag is a
+subset of its own: that copy enters every combination the dropped one
+could, with a subset tag, so the bound admits it wherever it admits the
+dropped one.
 
 The walk tags each strict row with its (element, side) bit and region row
 i with bit 3n + i.  Every cell keeps the region rows, so their bits are
@@ -158,36 +158,23 @@ def _int_row(c: Vector, d: Fraction) -> Row:
     return primitive_row(coeffs, d.numerator * (denom // d.denominator))
 
 
-def _tightest(rows: list[TaggedRow]) -> list[TaggedRow] | int:
-    """Drop constant rows, and every strict row implied by a parallel row
-    whose tag it contains.
-
-    Among rows whose coefficient vectors are positive multiples of one
-    another, c.x > d is tighter when d / gcd(c) is larger.  A row goes only
-    when a row at least as tight has a tag that is a subset of its own:
-    the tag is the row's Chernikov history, and a looser row with a history
-    the tighter one lacks may be the only way to a combination that the
-    history bound still admits.  Returns the tag of a contradictory
-    constant row 0 > d with d >= 0 when one appears.  ``_fm`` runs this
-    before each elimination but not on the last variable's rows, which
-    only its two tightest bounds decide.
+def _distinct(rows: list[TaggedRow]) -> list[TaggedRow] | int:
+    """Drop constant rows, and every strict row with a copy whose tag is a
+    subset of its own; rows are primitive, so copies are equal (c, d)
+    pairs.  Returns the tag of a contradictory constant row 0 > d with
+    d >= 0 when one appears.  ``_fm`` runs this before each elimination.
     """
-    best: dict[tuple[int, ...], list[tuple[int, TaggedRow]]] = {}
-    for row in rows:
-        c, d, tag = row
-        g = gcd(*c)
-        if not g:
+    kept: dict[Row, list[int]] = {}
+    for c, d, tag in rows:
+        if not any(c):
             if d >= 0:
                 return tag
             continue
-        key = tuple(v // g for v in c)
-        kept = best.get(key)
-        if kept is None:
-            best[key] = [(g, row)]
-        elif not any(e * g >= d * h and not t & ~tag for h, (_, e, t) in kept):
-            kept[:] = [(h, r) for h, r in kept if tag & ~r[2] or r[1] * g > d * h]
-            kept.append((g, row))
-    return [row for kept in best.values() for _, row in kept]
+        tags = kept.setdefault((c, d), [])
+        if all(t & ~tag for t in tags):
+            tags[:] = [t for t in tags if tag & ~t]
+            tags.append(tag)
+    return [(c, d, t) for (c, d), tags in kept.items() for t in tags]
 
 
 def _split(rows: list[TaggedRow], j: int) -> tuple[list[TaggedRow], ...]:
@@ -229,13 +216,13 @@ def _fm(rows: list[TaggedRow], m: int) -> IntPoint | int:
 
     Fourier-Motzkin elimination that at each step removes the variable
     whose positive and negative row counts have the smallest product
-    (the highest index on ties) and drops parallel rows by ``_tightest``.
+    (the highest index on ties) and drops copied rows by ``_distinct``.
     A combined row carries the OR of its two rows' tags, so a
     contradictory constant row names the input rows it combines.  With a
     tag bit per input row the tag is also the row's Chernikov history, and
     after k eliminations no row that combines more than k + 1 input rows
     is built: rows that combine fewer imply it.  The last variable is
-    decided by its two bounds alone: it gets no tightest pass and no
+    decided by its two bounds alone: it gets no ``_distinct`` pass and no
     combination step, its constant rows are checked, and a tightest lower
     bound not below the tightest upper bound refutes the system by those
     two rows.  Back substitution sets the variables in the reverse of the
@@ -245,7 +232,7 @@ def _fm(rows: list[TaggedRow], m: int) -> IntPoint | int:
     """
     current, steps, remaining = rows, [], list(range(m))
     for k in range(1, m):
-        current = _tightest(current)
+        current = _distinct(current)
         if isinstance(current, int):
             return current
         if not current:

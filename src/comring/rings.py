@@ -111,6 +111,8 @@ class EMonomial:
     u_exp: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.u_exp) is not int:
+            raise ValueError("u exponent must be an int")
         if self.u_exp < 0:
             raise ValueError("negative u exponent")
         for i, s in self.word:
@@ -260,6 +262,7 @@ def gr_multiply(L: Com, order: LinearOrder | None, S1: int, S2: int) -> dict[int
     has the integer coefficients h_{S1 union S2} * U over the NBC basis;
     they are truncated to degree |S1| + |S2|.  Raises unless U * M = I.
     The pair (H, U) is computed once per Com and order.
+    H = I iff its diagonal is 1: in row style HNF those 1s are the pivots, and clear their columns.
     """
     fam = nbc_sets(L, order)
     if S1 not in fam.sets or S2 not in fam.sets:
@@ -269,7 +272,7 @@ def gr_multiply(L: Com, order: LinearOrder | None, S1: int, S2: int) -> dict[int
         ("nbc_hnf", fam.order.perm),
         lambda: hermite_normal_form(nbc_basis_matrix(L, fam.order)),
     )
-    if H != tuple(tuple(int(i == j) for j in range(len(t))) for i in range(len(t))):
+    if any(H[i][i] != 1 for i in range(len(t))):
         raise ValueError("NBC matrix is not unimodular")
     target = _h_S_vector(t, S1 | S2)
     coeffs = [sum(map(mul, target, column)) for column in zip(*U)]

@@ -60,6 +60,8 @@ CASES = {
         lambda L: heaviside(L, 0, 1) + heaviside(FEW_TOPES, 0, 1), "tope lists differ"
     ),
     "u_exp": (lambda L: EMonomial((), u_exp=-1), "negative u exponent"),
+    "u_exp_bool": (lambda L: EMonomial((), u_exp=True), "u exponent must be an int"),
+    "u_exp_float": (lambda L: EMonomial((), u_exp=1.5), "u exponent must be an int"),
     "sign": (lambda L: EMonomial(((0, 2),)), "sign must be \\+1 or -1"),
     "dimension": (
         lambda L: Arrangement(-1, (), OpenRegion(())), "dimension must be a nonnegative int"
@@ -105,6 +107,16 @@ CASES = {
     "lattice_contains": (
         lambda L: IntLattice(2).contains([1]),
         "vector length does not match ambient dimension",
+    ),
+    "lattice_add_float": (
+        lambda L: IntLattice(2).add([1.5, 0]), "vector entries must be ints"
+    ),
+    "lattice_add_bool": (lambda L: IntLattice(1).add([True]), "vector entries must be ints"),
+    "lattice_contains_float": (
+        lambda L: IntLattice(2).contains([0, 2.0]), "vector entries must be ints"
+    ),
+    "lattice_contains_bool": (
+        lambda L: IntLattice(1).contains([False]), "vector entries must be ints"
     ),
     "exponent_length": (
         lambda L: MPoly.of(2, {(1, 0, 5): 3}), "exponent length does not match variable count"

@@ -536,14 +536,22 @@ def test_fm_kernel_matches_fixed_order_oracle():
         assert min(verdicts.values()) >= runs // 6, (system, verdicts)
 
 
-def test_tightest_drops_parallel_rows_only_for_a_subset_tag():
-    # x > 1 combines rows {0, 1} and is tighter than x > 0, row {0}, yet
-    # cannot stand in for it under the history bound: both stay.  2x > 2
-    # is as tight as x > 1 and combines more rows, so it goes.  x > 2,
-    # row {0}, is tighter than both and its history is in each of theirs.
-    a, b, c, d = ((1,), 1, 0b011), ((1,), 0, 0b001), ((2,), 2, 0b111), ((1,), 2, 0b001)
-    assert realize._tightest([a, b, c]) == [a, b]
-    assert realize._tightest([a, b, c, d]) == [d]
+def test_distinct_drops_a_copy_only_for_a_subset_tag():
+    # Four copies of x > 1.  The one from row {0} replaces the one from
+    # rows {0, 1}, whose tag contains its own, and then the one from rows
+    # {0, 1, 2} goes; the one from row {2} stays, as neither tag contains
+    # the other.  Arriving after the {0} copy, the {0, 1} copy goes.
+    a, b, c, d = ((1,), 1, 0b011), ((1,), 1, 0b001), ((1,), 1, 0b111), ((1,), 1, 0b100)
+    assert realize._distinct([a, b, c, d]) == [b, d]
+    assert realize._distinct([b, a]) == [b]
+    # x > 2 from row {0} is tighter than x > 1 from rows {0, 1} and its
+    # tag is a subset, but the rows are no copies: both stay.
+    tight = ((1,), 2, 0b001)
+    assert realize._distinct([tight, a]) == [tight, a]
+    # Constant rows go, unless one is contradictory: then its tag is the
+    # refutation.
+    assert realize._distinct([((0,), -1, 0b1000), a]) == [a]
+    assert realize._distinct([a, ((0,), 0, 0b1000), b]) == 0b1000
 
 
 def test_fm_history_bound_prunes_rows(monkeypatch):
